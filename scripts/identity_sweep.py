@@ -48,12 +48,12 @@ def main():
     print(f"{'instance':<14}{'q':<4}{'level':<8}{'|X|':<7}{'q^e*A':<7}{'identity':<10}lifting")
     for name, quiver, d, theta in instances:
         for q in q_values(args.qmax):
-            level = enumerate_level_set(quiver, d, theta, q, cap=args.cap)
             try:
                 check = cbvdb_identity_check(quiver, d, theta, q, cap=args.cap)
-                points, expected = check.point_count, check.expected
+                level, points, expected = check.level_set, check.point_count, check.expected
                 verdict = "holds" if check.holds else "FAILS"
             except SmallCharacteristic:
+                level = enumerate_level_set(quiver, d, theta, q, cap=args.cap)
                 points, expected, verdict = "-", "-", "small char"
             lifting = lifting_fiber_check(quiver, d, theta, q, cap=args.cap)
             print(

@@ -39,13 +39,12 @@ def main():
     ]
     print(f"{'quiver':<14}{'d':<10}{'A(q) coefficients':<22}{'e':<5}betti")
     for name, quiver in quivers:
-        loop_free = all(quiver.loops_at(i) == 0 for i in range(len(quiver.vertices)))
         for d in dimension_vectors(len(quiver.vertices), args.max_total_dim):
             poly = kac_polynomial(quiver, d, cap=args.cap)
             coeffs = poly.integer_coefficients()
             e = quiver.expected_moduli_dim(d)
             if poly.degree <= e and e >= 0:
-                scope = loop_free and is_indivisible(d)
+                scope = quiver.is_loop_free and is_indivisible(d)
                 report = betti_from_kac(poly, e, in_theorem_scope=scope)
                 betti = list(report.betti)
                 tag = "" if scope else " (heuristic)"

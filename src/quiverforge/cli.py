@@ -22,13 +22,7 @@ from .counting import (
     kac_polynomial,
 )
 from .errors import CapExceeded, DEFAULT_CAP, QuiverForgeError, ValidationError
-from .moduli import (
-    betti_from_kac,
-    cbvdb_identity_check,
-    enumerate_level_set,
-    moduli_point_count,
-    trace_obstruction,
-)
+from .moduli import betti_from_kac, cbvdb_identity_check, enumerate_level_set, trace_obstruction
 from .quiver import (
     FORMAT_VERSION,
     Quiver,
@@ -39,6 +33,7 @@ from .quiver import (
     slope,
 )
 from .reps import all_representations, stability_verdict
+from .series import ExactPolynomial
 
 USAGE_EXIT = 64
 
@@ -233,16 +228,20 @@ def _cmd_count(args) -> tuple[dict, str]:
     return payload, summary
 
 
-def _cmd_kac(args) -> tuple[dict, str]:
-    quiver, named_d, _ = load_quiver_file(args.quiver)
-    d = _parse_vector(args.d, named_d, "--d")
-    params = {"d": list(d)}
+def _kac_record(args, quiver: Quiver, d):
+    """The ``kac`` cache record for d, shared by ``kac`` and ``betti``."""
 
     def compute():
         poly = kac_polynomial(quiver, d, cap=args.cap)
         return {"polynomial": poly.integer_coefficients()}
 
-    payload, was_cached = _cached(args, quiver, "kac", params, compute)
+    return _cached(args, quiver, "kac", {"d": list(d)}, compute)
+
+
+def _cmd_kac(args) -> tuple[dict, str]:
+    quiver, named_d, _ = load_quiver_file(args.quiver)
+    d = _parse_vector(args.d, named_d, "--d")
+    payload, was_cached = _kac_record(args, quiver, d)
     suffix = " (cached)" if was_cached else ""
     return payload, f"counting polynomial coefficients {payload['polynomial']}{suffix}"
 
@@ -270,13 +269,11 @@ def _cmd_moduli(args) -> tuple[dict, str]:
         params = {"d": list(d), "theta": list(theta), "q": args.q}
 
         def compute():
-            level = enumerate_level_set(quiver, d, theta, args.q, cap=args.cap)
-            points = moduli_point_count(quiver, d, theta, args.q, cap=args.cap)
             check = cbvdb_identity_check(quiver, d, theta, args.q, cap=args.cap)
             return {
                 "q": args.q,
-                "level_set": level,
-                "point_count": points,
+                "level_set": check.level_set,
+                "point_count": check.point_count,
                 "e": check.e,
                 "A": check.abs_indecomposable,
                 "identity_holds": check.holds,
@@ -313,10 +310,10 @@ def _cmd_betti(args) -> tuple[dict, str]:
     theta = _parse_vector(args.theta, named_theta, "--theta")
     if not is_generic(theta, d):
         raise ValidationError(f"theta={list(theta)} is not generic for d={list(d)}")
-    poly = kac_polynomial(quiver, d, cap=args.cap)
+    record, _ = _kac_record(args, quiver, d)
+    poly = ExactPolynomial(record["polynomial"])
     e = quiver.expected_moduli_dim(d)
-    loop_free = all(quiver.loops_at(i) == 0 for i in range(len(quiver.vertices)))
-    in_scope = loop_free and is_indivisible(d)
+    in_scope = quiver.is_loop_free and is_indivisible(d)
     report = betti_from_kac(poly, e, in_theorem_scope=in_scope)
     payload = {"e": report.e, "betti": list(report.betti)}
     if report.scope != "theorem":

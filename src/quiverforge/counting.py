@@ -29,11 +29,11 @@ from .orbits import decode_representation, orbit_partition
 from .quiver import Quiver
 from .reps import (
     Representation,
+    _local_structure,
     all_representations,
     aut_order,
-    endo_structure,
-    is_indecomposable,
     rep_space_dim,
+    scan_endomorphisms,
 )
 from .series import (
     ExactPolynomial,
@@ -202,11 +202,14 @@ def classify_classes(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> Class
     indec = 0
     abs_indec = 0
     for w in reps:
-        if not is_indecomposable(w, cap=cap):
+        if not any(w.d):
+            continue  # the zero representation: decomposable by convention
+        # the early exit fires only on a non-local End(W): a local one has all its units
+        dim_end, local, units = scan_endomorphisms(w, cap=cap, early_exit=True)
+        if not local:
             continue
         indec += 1
-        structure = endo_structure(w, cap=cap)
-        if structure.residue_degree == 1:
+        if _local_structure(dim_end, units, w.field.q).residue_degree == 1:
             abs_indec += 1
     return ClassCounts(
         iso_classes=len(reps),
@@ -378,15 +381,18 @@ def hua_identity_check(quiver: Quiver, q: int, degree: int, cap: int = DEFAULT_C
 
         sum_d M_d(q) X^d   and   prod_{d != 0} (1 - X^d)^(-I_d(q)),
 
-    with all counts computed by brute force.  The contract is zero.
+    with M_d and I_d read off one ``classify_classes`` per d: the orbit
+    partition and an End-ring scan per class representative.  The contract
+    is zero.  Burnside agreement with the orbit partition is checked on its
+    own, by ``count_report(cross_check=True)`` and ``count --cross-check``.
     """
     nvars = len(quiver.vertices)
     dims = [m for m in monomials_up_to(nvars, degree) if any(m)]
     lhs_coeffs = {(0,) * nvars: 1}
     rhs = TruncatedSeries.one(nvars, degree)
     for dv in dims:
-        lhs_coeffs[dv] = count_iso_classes(quiver, dv, q, cap=cap)
-        indec = count_indecomposable(quiver, dv, q, cap=cap)
-        rhs = rhs.mul(geometric_inverse_power(dv, indec, nvars, degree))
+        counts = classify_classes(quiver, dv, q, cap=cap)
+        lhs_coeffs[dv] = counts.iso_classes
+        rhs = rhs.mul(geometric_inverse_power(dv, counts.indecomposable, nvars, degree))
     lhs = TruncatedSeries(nvars, degree, lhs_coeffs)
     return lhs.max_abs_difference(rhs)

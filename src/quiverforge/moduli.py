@@ -102,12 +102,8 @@ def enumerate_level_set(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP) 
     return sum(1 for _ in level_set_points(quiver, d, eta, q, cap=cap))
 
 
-def moduli_point_count(quiver: Quiver, d, theta, q: int, cap: int = DEFAULT_CAP) -> int:
-    """|level set| / |G_d|, the rational point count of the symplectic quotient.
-
-    Exactness of the division is the empirical stand-in for "characteristic
-    large enough"; a remainder raises SmallCharacteristic.
-    """
+def _level_and_points(quiver: Quiver, d, theta, q: int, cap: int) -> tuple[int, int]:
+    """(|level set|, |level set| / |G_d|) for a generic theta, from one walk."""
     if quiver.is_doubled:
         raise ValidationError("pass the undoubled quiver; doubling is internal here")
     d = quiver.check_dim(d)
@@ -122,16 +118,27 @@ def moduli_point_count(quiver: Quiver, d, theta, q: int, cap: int = DEFAULT_CAP)
             f"level-set count {level} is not divisible by |G_d| = {order}: "
             "characteristic too small or theta not generic in this characteristic"
         )
-    return points
+    return level, points
+
+
+def moduli_point_count(quiver: Quiver, d, theta, q: int, cap: int = DEFAULT_CAP) -> int:
+    """|level set| / |G_d|, the rational point count of the symplectic quotient.
+
+    Exactness of the division is the empirical stand-in for "characteristic
+    large enough"; a remainder raises SmallCharacteristic.
+    """
+    return _level_and_points(quiver, d, theta, q, cap)[1]
 
 
 @dataclass(frozen=True)
 class CbvdbCheck:
-    """One instance of the point-count identity |X(F_q)| = q^e * A(q)."""
+    """One instance of the point-count identity |X(F_q)| = q^e * A(q);
+    ``point_count`` is ``level_set`` (the theta-level set's size) over |G_d|."""
 
     holds: bool
     q: int
     e: int
+    level_set: int
     point_count: int
     abs_indecomposable: int
     in_theorem_scope: bool
@@ -146,22 +153,23 @@ def cbvdb_identity_check(
 ) -> CbvdbCheck:
     """Compare the moduli point count with q^e times the absolutely
     indecomposable count; both sides brute force."""
+    # a nonzero divisible d is never generic: only d = 0 reaches the gcd check
+    level, points = _level_and_points(quiver, d, theta, q, cap)
     d = quiver.check_dim(d)
     if not is_indivisible(d):
         raise ValidationError(f"d={d} is divisible; the identity needs gcd(d) = 1")
-    points = moduli_point_count(quiver, d, theta, q, cap=cap)
     e = quiver.expected_moduli_dim(d)
     if e < 0:
         raise ValidationError(f"expected moduli dimension is negative for d={d}")
     abs_count = count_abs_indecomposable(quiver, d, q, cap=cap)
-    loop_free = all(quiver.loops_at(i) == 0 for i in range(len(quiver.vertices)))
     return CbvdbCheck(
         holds=(points == q**e * abs_count),
         q=q,
         e=e,
+        level_set=level,
         point_count=points,
         abs_indecomposable=abs_count,
-        in_theorem_scope=loop_free,
+        in_theorem_scope=quiver.is_loop_free,
     )
 
 

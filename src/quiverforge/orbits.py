@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import check_cap, DEFAULT_CAP
+from .errors import ValidationError, check_cap, DEFAULT_CAP
 from .ffield import Field, FqMatrix, gl_generators
 from .quiver import Quiver
 from .reps import Representation
@@ -33,9 +33,14 @@ def _arrow_shapes(quiver: Quiver, d):
 
 
 class _Arithmetic:
-    """Vectorized field ops on uint16 code arrays."""
+    """Vectorized field ops on code arrays, in dtypes chosen from q so that nothing wraps."""
 
-    def __init__(self, field: Field):
+    def __init__(self, field: Field, max_dim: int):
+        bound = max_dim * (field.q - 1) ** 2  # largest sum of products in a matrix entry
+        if bound >= 2**63:
+            raise ValidationError(f"F_{field.q} is too large for exact orbit arithmetic")
+        self.dtype = np.uint16 if field.q <= 2**16 else np.uint32
+        self.acc = np.int32 if bound < 2**31 else np.int64
         self.field = field
         self.prime = field.k == 1
         if self.prime:
@@ -46,13 +51,12 @@ class _Arithmetic:
     def matmul_const_left(self, g: np.ndarray, block: np.ndarray) -> np.ndarray:
         """g (r x r constant) times block (N x r x c)."""
         if self.prime:
-            # entries < q <= a few dozen, r <= 9: int32 cannot overflow here
-            prod = np.einsum("ik,nkj->nij", g.astype(np.int32), block.astype(np.int32))
-            return (prod % self.p).astype(np.uint16)
+            prod = np.einsum("ik,nkj->nij", g.astype(self.acc), block.astype(self.acc))
+            return (prod % self.p).astype(self.dtype)
         n, r, c = block.shape
-        out = np.zeros((n, r, c), dtype=np.uint16)
+        out = np.zeros((n, r, c), dtype=self.dtype)
         for i in range(r):
-            acc = np.zeros((n, c), dtype=np.uint16)
+            acc = np.zeros((n, c), dtype=self.dtype)
             for k in range(r):
                 term = self.mul_table[g[i, k], block[:, k, :]]
                 acc = self.add_table[acc, term]
@@ -62,12 +66,12 @@ class _Arithmetic:
     def matmul_const_right(self, block: np.ndarray, h: np.ndarray) -> np.ndarray:
         """block (N x r x c) times h (c x c constant)."""
         if self.prime:
-            prod = np.einsum("nik,kj->nij", block.astype(np.int32), h.astype(np.int32))
-            return (prod % self.p).astype(np.uint16)
+            prod = np.einsum("nik,kj->nij", block.astype(self.acc), h.astype(self.acc))
+            return (prod % self.p).astype(self.dtype)
         n, r, c = block.shape
-        out = np.zeros((n, r, c), dtype=np.uint16)
+        out = np.zeros((n, r, c), dtype=self.dtype)
         for j in range(c):
-            acc = np.zeros((n, r), dtype=np.uint16)
+            acc = np.zeros((n, r), dtype=self.dtype)
             for k in range(c):
                 term = self.mul_table[block[:, :, k], h[k, j]]
                 acc = self.add_table[acc, term]
@@ -99,9 +103,9 @@ def orbit_partition(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
     if total_entries == 0:
         return [0], 1
 
-    arith = _Arithmetic(field)
+    arith = _Arithmetic(field, max(d))
     idx = np.arange(n_points, dtype=np.int64)
-    digits = np.empty((n_points, total_entries), dtype=np.uint16)
+    digits = np.empty((n_points, total_entries), dtype=arith.dtype)
     for j in range(total_entries):
         digits[:, j] = (idx // q ** (total_entries - 1 - j)) % q
     powers = q ** np.arange(total_entries - 1, -1, -1, dtype=np.int64)
@@ -123,11 +127,11 @@ def orbit_partition(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
                     block = new_digits[:, pos : pos + width].reshape(n_points, r, c)
                     if head == v:
                         block = arith.matmul_const_left(
-                            np.array(g.entries, dtype=np.uint16), block
+                            np.array(g.entries, dtype=arith.dtype), block
                         )
                     if tail == v:
                         block = arith.matmul_const_right(
-                            block, np.array(ginv.entries, dtype=np.uint16)
+                            block, np.array(ginv.entries, dtype=arith.dtype)
                         )
                     new_digits[:, pos : pos + width] = block.reshape(n_points, width)
             pos += width

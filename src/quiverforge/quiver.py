@@ -175,6 +175,11 @@ class Quiver:
 
     # -- Cartan/Weyl data
 
+    @property
+    def is_loop_free(self) -> bool:
+        """No arrow is a loop; with d indivisible, the scope of the CBVdB and Betti theorems."""
+        return all(a.tail != a.head for a in self.arrows)
+
     def loops_at(self, i: int) -> int:
         v = self.vertices[i]
         return sum(1 for a in self.arrows if a.tail == v and a.head == v)

@@ -301,7 +301,11 @@ def endo_structure(w: Representation, cap: int = DEFAULT_CAP) -> EndoStructure:
     dim_end, local, units = scan_endomorphisms(w, cap=cap, early_exit=False)
     if not local:
         return EndoStructure(dim_end=dim_end, is_local=False, dim_radical=None, residue_degree=None)
-    q = w.field.q
+    return _local_structure(dim_end, units, w.field.q)
+
+
+def _local_structure(dim_end: int, units: int, q: int) -> EndoStructure:
+    """Structure of a local End(W) of dimension ``dim_end`` with ``units`` units."""
     non_units = q**dim_end - units
     # in a local ring the non-units are the radical, a subspace
     dim_radical = 0

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quiverforge import ValidationError
+from quiverforge import ValidationError, cli, counting, moduli
 from quiverforge.cache import cache_lookup, cache_store
 from quiverforge.cli import main, parse_quiver, serialize_quiver
 
@@ -162,6 +162,56 @@ def test_hua_and_moduli_commands(capsys, jordan_file, kron2_file):
     assert payload["level_set"] == 0 and payload["trace_obstruction_ok"] is False
 
 
+def test_moduli_theta_walks_the_level_set_once(capsys, kron2_file, monkeypatch):
+    walks = []
+    original = moduli.level_set_points
+
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(moduli, "level_set_points", counted)
+    code, out, _ = run_cli(
+        capsys, ["moduli", "--quiver", kron2_file, "--d", "1,1", "--theta", "-1,1", "--q", "3"]
+    )
+    assert code == 0
+    assert out.strip() == (
+        '{"A":4,"e":1,"identity_holds":true,"level_set":24,"point_count":12,"q":3,'
+        '"scope":"theorem"}'
+    )
+    assert len(walks) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,code,payload",
+    [
+        (
+            ["--d", "1,1", "--theta", "1,1", "--q", "3"],
+            1,
+            '{"error":{"kind":"ValidationError",'
+            '"message":"theta=(1, 1) is not generic for d=(1, 1)"}}',
+        ),
+        # a divisible d is never generic; that is the error it gets
+        (
+            ["--d", "2,2", "--theta", "-1,1", "--q", "2"],
+            1,
+            '{"error":{"kind":"ValidationError",'
+            '"message":"theta=(-1, 1) is not generic for d=(2, 2)"}}',
+        ),
+        (
+            ["--d", "1,1", "--theta", "-1,1", "--q", "5", "--cap", "10"],
+            2,
+            '{"error":{"kind":"cap",'
+            '"message":"representation-space enumeration needs 625 elements, cap is 10"}}',
+        ),
+    ],
+)
+def test_moduli_theta_error_payloads(capsys, kron2_file, argv, code, payload):
+    got, out, _ = run_cli(capsys, ["moduli", "--quiver", kron2_file, *argv])
+    assert got == code
+    assert out == payload + "\n"
+
+
 def test_exit_code_domain_error(capsys, kron2_file):
     code, out, _ = run_cli(capsys, ["count", "--quiver", kron2_file, "--d", "1,1", "--q", "6"])
     assert code == 1
@@ -230,6 +280,27 @@ def test_cli_uses_cache(capsys, kron2_file, tmp_path):
     assert code == 0
     assert out.strip() == '{"polynomial":[1,1]}'
     assert "cached" in err
+
+
+def test_betti_reads_the_kac_record(capsys, kron2_file, tmp_path, monkeypatch):
+    cache = str(tmp_path / "cache.jsonl")
+    code, _, _ = run_cli(capsys, ["kac", "--quiver", kron2_file, "--d", "1,1", "--cache", cache])
+    assert code == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("betti recomputed a cached Kac polynomial")
+
+    for module in (counting, cli):
+        monkeypatch.setattr(module, "kac_polynomial", refuse)
+    code, out, _ = run_cli(
+        capsys,
+        ["betti", "--quiver", kron2_file, "--d", "1,1", "--theta", "-1,1", "--cache", cache],
+    )
+    assert code == 0
+    assert json.loads(out) == {"e": 1, "betti": [1, 0, 1]}
+    with open(cache, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    assert [(r["op"], r["params"]) for r in records] == [("kac", {"d": [1, 1]})]
 
 
 def test_cache_env_var(capsys, kron2_file, tmp_path, monkeypatch):

@@ -1,9 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from quiverforge import (
     ConsistencyError,
+    ValidationError,
     NonPolynomialBehavior,
     check_galois_descent,
     count_abs_indecomposable,
@@ -16,8 +18,16 @@ from quiverforge import (
     kac_polynomial,
     make_field,
 )
-from quiverforge.counting import field_from_order, moebius, prime_power, prime_powers
+from quiverforge import counting, reps
+from quiverforge.counting import (
+    classify_classes,
+    field_from_order,
+    moebius,
+    prime_power,
+    prime_powers,
+)
 from quiverforge.ffield import enumerate_gl
+from quiverforge.orbits import _Arithmetic, orbit_partition
 from quiverforge.reps import all_representations
 from quiverforge.series import geometric_inverse_power
 
@@ -86,6 +96,25 @@ def test_orbit_partition_agrees_with_burnside(name, d, q, jordan, kron2, a2):
     assert 0 <= report.absolutely_indecomposable <= report.indecomposable <= report.iso_classes
 
 
+def test_orbit_partition_exact_past_uint16(jordan):
+    # codes of F_65537 run up to 65536, one past the uint16 range
+    indices, n_points = orbit_partition(jordan, make_field(65537), (1,))
+    assert n_points == len(indices) == 65537
+
+
+def test_orbit_products_sum_without_wrapping():
+    q = 46349  # (q-1)^2 just past 2^31
+    arith = _Arithmetic(make_field(q), 1)
+    block = np.full((1, 1, 1), q - 1, dtype=arith.dtype)
+    h = np.full((1, 1), q - 1, dtype=arith.dtype)
+    assert int(arith.matmul_const_right(block, h)[0, 0, 0]) == (q - 1) ** 2 % q
+
+
+def test_orbit_arithmetic_refuses_sums_past_int64():
+    with pytest.raises(ValidationError):
+        _Arithmetic(make_field(65537), 2**31)
+
+
 def test_representatives_are_lex_minimal(jordan):
     reps = iso_class_representatives(jordan, (2,), 2)
     field = make_field(2)
@@ -108,6 +137,23 @@ def test_indecomposable_counts_examples(jordan, kron2, a2):
     assert count_abs_indecomposable(kron2, (1, 1), 3) == 4
     assert count_indecomposable(a2, (1, 1), 2) == 1
     assert count_abs_indecomposable(a2, (1, 1), 2) == 1
+
+
+def test_classify_scans_each_end_ring_once(jordan, monkeypatch):
+    scanned = []
+    original = reps.scan_endomorphisms
+
+    def counted(w, *args, **kwargs):
+        scanned.append(w.entry_key())
+        return original(w, *args, **kwargs)
+
+    monkeypatch.setattr(reps, "scan_endomorphisms", counted)
+    monkeypatch.setattr(counting, "scan_endomorphisms", counted, raising=False)
+    counts = classify_classes(jordan, (2,), 3)
+    assert (counts.iso_classes, counts.indecomposable, counts.absolutely_indecomposable) == (
+        12, 6, 3,
+    )
+    assert len(scanned) == len(set(scanned)) == counts.iso_classes
 
 
 def test_count_zero_off_roots(a2):
@@ -210,6 +256,27 @@ def test_hua_matches_hand_expansion(jordan):
     assert rhs.coefficient((2,)) == 6
     assert count_iso_classes(jordan, (2,), 2) == 6
     assert hua_identity_check(jordan, 2, 2) == 0
+
+
+def test_hua_reads_one_classification_per_degree(jordan, monkeypatch):
+    classified = []
+    burnside_calls = []
+    classify = counting.classify_classes
+    burnside = counting.count_iso_classes
+
+    def counted_classify(quiver, d, q, *args, **kwargs):
+        classified.append(tuple(d))
+        return classify(quiver, d, q, *args, **kwargs)
+
+    def counted_burnside(*args, **kwargs):
+        burnside_calls.append(args)
+        return burnside(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "classify_classes", counted_classify)
+    monkeypatch.setattr(counting, "count_iso_classes", counted_burnside)
+    assert hua_identity_check(jordan, 2, 3) == 0
+    assert burnside_calls == []
+    assert sorted(classified) == [(1,), (2,), (3,)]
 
 
 @pytest.mark.parametrize(
