@@ -31,8 +31,8 @@ from .reps import (
     Representation,
     _local_structure,
     all_representations,
+    arrow_shapes,
     aut_order,
-    rep_space_dim,
     scan_endomorphisms,
 )
 from .series import (
@@ -142,7 +142,8 @@ def count_iso_classes(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> int:
     """
     field = field_from_order(q)
     d = quiver.check_dim(d)
-    check_cap(q ** rep_space_dim(quiver, d), cap, "representation-space enumeration")
+    n_entries = sum(r * c for r, c in arrow_shapes(quiver, d))
+    check_cap(q**n_entries, cap, "representation-space enumeration")
     order = gl_order(d, q)
     check_cap(order, cap, "group-element enumeration")
     for dv in d:

@@ -5,17 +5,15 @@ Field elements are plain integers in ``0..q-1``: the residue polynomial
 modulus is chosen deterministically (see :func:`smallest_irreducible`), so
 serialized results are reproducible across runs and machines.
 
-Prime fields use ordinary modular arithmetic.  Extension fields build q x q
-add/mul lookup tables once per field (all in-scope fields are tiny); the
-same tables back the vectorized bulk-enumeration engine in ``orbits``.
+Prime fields use ordinary modular arithmetic.  Extension fields up to
+``TABLE_LIMIT`` elements build q x q add/mul lookup tables once per field;
+larger ones multiply residue polynomials directly.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import ConsistencyError, SingularMatrixError, ValidationError
 
@@ -86,8 +84,11 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 
     Candidates x^k + c_{k-1} x^{k-1} + ... + c_0 are ordered by the word
     (c_{k-1}, ..., c_0), i.e. by the base-p integer built from the
-    non-leading coefficients, highest degree most significant.
+    non-leading coefficients, highest degree most significant.  For k = 1
+    that is x itself, returned without a search.
     """
+    if k == 1:
+        return (0, 1)
     for word in itertools.product(range(p), repeat=k):
         f = list(reversed(word)) + [1]
         if _poly_is_irreducible(f, p):
@@ -249,22 +250,6 @@ class Field:
                 power = other.mul(power, root)
             table.append(img)
         return table
-
-    # -- numpy tables for the vectorized enumeration engine
-
-    def np_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(add, mul) tables as uint16 arrays; built on demand."""
-        if self.k > 1 and self._mul_table is None:
-            raise ValidationError(f"field too large for table arithmetic (q={self.q})")
-        if self.k == 1:
-            r = np.arange(self.q, dtype=np.int64)
-            add = ((r[:, None] + r[None, :]) % self.p).astype(np.uint16)
-            mul = ((r[:, None] * r[None, :]) % self.p).astype(np.uint16)
-            return add, mul
-        return (
-            np.array(self._add_table, dtype=np.uint16),
-            np.array(self._mul_table, dtype=np.uint16),
-        )
 
     def __eq__(self, other):
         return isinstance(other, Field) and (self.p, self.k) == (other.p, other.k)

@@ -21,9 +21,9 @@ from .errors import (
     ValidationError,
     DEFAULT_CAP,
 )
-from .ffield import FqMatrix, g_order
+from .ffield import Field, FqMatrix, g_order
 from .quiver import Quiver, is_generic, is_indivisible
-from .reps import Representation, all_representations, ext1_dim, is_indecomposable
+from .reps import Representation, all_representations, scan_endomorphisms
 from .counting import count_abs_indecomposable, field_from_order
 from .series import ExactPolynomial
 
@@ -64,17 +64,19 @@ def moment_map(w: Representation) -> MomentValue:
     return value
 
 
+def _relation_targets(quiver: Quiver, field: Field, d, eta) -> tuple[FqMatrix, ...]:
+    """(eta_v mod p) times the identity at each vertex v: the deformed relations."""
+    eta = quiver.check_vector(eta, name="deformation parameter")
+    return tuple(
+        FqMatrix.identity(field, dv).scale(ev % field.p)
+        for dv, ev in zip(quiver.check_dim(d), eta)
+    )
+
+
 def satisfies_relations(w: Representation, eta) -> bool:
     """Whether the moment value is (eta_v mod p) times the identity, vertexwise."""
     _require_doubled(w)
-    eta = w.quiver.check_vector(eta, name="deformation parameter")
-    field = w.field
-    value = moment_map(w)
-    for dv, ev, m in zip(w.d, eta, value.values):
-        target = FqMatrix.identity(field, dv).scale(ev % field.p)
-        if m != target:
-            return False
-    return True
+    return moment_map(w).values == _relation_targets(w.quiver, w.field, w.d, eta)
 
 
 def trace_obstruction(eta, d, p: int) -> bool:
@@ -92,9 +94,9 @@ def level_set_points(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
     """All doubled representations satisfying the deformed relations."""
     doubled = _doubled(quiver)
     field = field_from_order(q)
-    eta = doubled.check_vector(eta, name="deformation parameter")
+    targets = _relation_targets(doubled, field, d, eta)
     for w in all_representations(doubled, field, d, cap=cap):
-        if satisfies_relations(w, eta):
+        if moment_map(w).values == targets:
             yield w
 
 
@@ -209,10 +211,14 @@ def lifting_fiber_check(
     holds = fibers_total == level_count
     for w in all_representations(quiver, field, d, cap=cap):
         observed = fibers.get(w.entry_key(), 0)
-        if is_indecomposable(w, cap=cap):
-            expected = q ** ext1_dim(w, w)
-        else:
-            expected = 0
+        expected = 0
+        if any(d):
+            dim_end, local, _ = scan_endomorphisms(w, cap=cap, early_exit=True)
+            if local:  # indecomposable: dim Ext^1(W, W) = dim End(W) - <d, d>
+                ext = dim_end - quiver.euler_form(d, d)
+                if ext < 0:
+                    raise ConsistencyError("negative Ext dimension; Hom solver is broken")
+                expected = q**ext
         if observed != expected:
             holds = False
             counterexample = w.entry_key()

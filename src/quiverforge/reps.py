@@ -48,10 +48,7 @@ class Representation:
     @classmethod
     def zero(cls, quiver: Quiver, field: Field, d) -> "Representation":
         d = quiver.check_dim(d)
-        maps = [
-            FqMatrix.zeros(field, d[quiver.vertex_index[a.head]], d[quiver.vertex_index[a.tail]])
-            for a in quiver.arrows
-        ]
+        maps = [FqMatrix.zeros(field, r, c) for r, c in arrow_shapes(quiver, d)]
         return cls(quiver, field, d, maps)
 
     @classmethod
@@ -85,30 +82,35 @@ class Representation:
         return f"Representation(d={self.d}, q={self.field.q}, entries={self.entry_key()})"
 
 
-def rep_space_dim(quiver: Quiver, d) -> int:
+def arrow_shapes(quiver: Quiver, d) -> list[tuple[int, int]]:
+    """(d_head, d_tail), the shape of each arrow's matrix, in arrow order;
+    their entry counts sum to the dimension of the representation space."""
     d = quiver.check_dim(d)
-    return sum(
-        d[quiver.vertex_index[a.head]] * d[quiver.vertex_index[a.tail]]
+    return [
+        (d[quiver.vertex_index[a.head]], d[quiver.vertex_index[a.tail]])
         for a in quiver.arrows
-    )
+    ]
+
+
+def _from_flat(quiver: Quiver, field: Field, d, shapes, flat) -> Representation:
+    """The representation whose entry key (arrow-major, row-major) is ``flat``;
+    ``shapes`` is ``arrow_shapes(quiver, d)``."""
+    maps = []
+    pos = 0
+    for r, c in shapes:
+        maps.append(FqMatrix.from_flat(field, r, c, flat[pos : pos + r * c]))
+        pos += r * c
+    return Representation(quiver, field, d, maps)
 
 
 def all_representations(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
     """All points of the representation space, lexicographic in entry order."""
     d = quiver.check_dim(d)
-    shapes = [
-        (d[quiver.vertex_index[a.head]], d[quiver.vertex_index[a.tail]])
-        for a in quiver.arrows
-    ]
+    shapes = arrow_shapes(quiver, d)
     total = sum(r * c for r, c in shapes)
     check_cap(field.q**total, cap, "representation-space enumeration")
     for flat in itertools.product(field.elements(), repeat=total):
-        maps = []
-        pos = 0
-        for r, c in shapes:
-            maps.append(FqMatrix.from_flat(field, r, c, flat[pos : pos + r * c]))
-            pos += r * c
-        yield Representation(quiver, field, d, maps)
+        yield _from_flat(quiver, field, d, shapes, flat)
 
 
 def _check_comparable(w1: Representation, w2: Representation) -> None:

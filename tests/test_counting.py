@@ -16,6 +16,7 @@ from quiverforge import (
     hua_identity_check,
     iso_class_representatives,
     kac_polynomial,
+    kronecker_quiver,
     make_field,
 )
 from quiverforge import counting, reps
@@ -27,7 +28,8 @@ from quiverforge.counting import (
     prime_powers,
 )
 from quiverforge.ffield import enumerate_gl
-from quiverforge.orbits import _Arithmetic, orbit_partition
+from quiverforge import orbits
+from quiverforge.orbits import orbit_partition
 from quiverforge.reps import all_representations
 from quiverforge.series import geometric_inverse_power
 
@@ -87,10 +89,13 @@ def test_kronecker_count_example(kron2):
         ("kron2", (2, 1), 2),
         ("a2", (1, 1), 3),
         ("a2", (2, 1), 2),
+        ("kron2", (1, 1), 8),
+        ("kron3", (1, 1), 9),
+        ("jordan", (2,), 4),
     ],
 )
 def test_orbit_partition_agrees_with_burnside(name, d, q, jordan, kron2, a2):
-    quiver = {"jordan": jordan, "kron2": kron2, "a2": a2}[name]
+    quiver = {"jordan": jordan, "kron2": kron2, "kron3": kronecker_quiver(3), "a2": a2}[name]
     report = count_report(quiver, d, q, cross_check=True)
     assert report.method == "orbit-partition+burnside"
     assert 0 <= report.absolutely_indecomposable <= report.indecomposable <= report.iso_classes
@@ -103,16 +108,32 @@ def test_orbit_partition_exact_past_uint16(jordan):
 
 
 def test_orbit_products_sum_without_wrapping():
-    q = 46349  # (q-1)^2 just past 2^31
-    arith = _Arithmetic(make_field(q), 1)
-    block = np.full((1, 1, 1), q - 1, dtype=arith.dtype)
-    h = np.full((1, 1), q - 1, dtype=arith.dtype)
-    assert int(arith.matmul_const_right(block, h)[0, 0, 0]) == (q - 1) ** 2 % q
+    p = 46349  # (p-1)^2 just past 2^31
+    acc = orbits._accumulator(1, p)
+    digits = np.full((1, 1), p - 1, dtype=acc)
+    action_t = np.full((1, 1), p - 1, dtype=acc)
+    powers = np.ones(1, dtype=np.int64)
+    assert int(orbits._images(digits, action_t, p, powers)[0]) == (p - 1) ** 2 % p
 
 
-def test_orbit_arithmetic_refuses_sums_past_int64():
+class _Forbidden:
+    """Stands in for a module or function that must not be reached."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"{name} reached before the exactness guard ran")
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("called before the exactness guard ran")
+
+
+def test_orbit_arithmetic_refuses_sums_past_int64(jordan, monkeypatch):
+    # (P-1)^2 >= 2^63; the refusal must come before any generator is built
+    # (primitive_element alone is O(P)) and before any array is allocated
+    field = make_field(4294967291)
+    monkeypatch.setattr(orbits, "gl_generators", _Forbidden())
+    monkeypatch.setattr(orbits, "np", _Forbidden())
     with pytest.raises(ValidationError):
-        _Arithmetic(make_field(65537), 2**31)
+        orbit_partition(jordan, field, (1,), cap=10**10)
 
 
 def test_representatives_are_lex_minimal(jordan):

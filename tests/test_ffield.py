@@ -28,6 +28,13 @@ def test_make_field_examples():
         make_field(5, 0)
 
 
+def test_large_prime_field_needs_no_modulus_search():
+    # a search over the p degree-1 candidates would not fit in memory
+    field = make_field(4294967291)
+    assert field.modulus == (0, 1)
+    assert field.mul(field.p - 1, field.p - 1) == 1
+
+
 def test_f4_modulus_is_unique_irreducible():
     # oracle: exhaust the four monic quadratics over F_2
     irreducible = [

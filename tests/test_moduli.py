@@ -25,6 +25,7 @@ from quiverforge import (
     satisfies_relations,
     trace_obstruction,
 )
+from quiverforge import reps
 from quiverforge.moduli import level_set_points
 from quiverforge.reps import all_representations
 
@@ -182,6 +183,20 @@ def test_lifting_fiber_profile(jordan, kron2, a2):
             result = lifting_fiber_check(quiver, d, theta, q)
             assert result.holds, result
             assert result.fibers_total == result.level_count
+
+
+def test_lifting_scans_each_end_ring_once(kron2, monkeypatch):
+    calls = []
+    original = reps.hom_space
+
+    def counted(w1, w2):
+        calls.append(w1.entry_key())
+        return original(w1, w2)
+
+    monkeypatch.setattr(reps, "hom_space", counted)
+    assert lifting_fiber_check(kron2, (1, 1), (-1, 1), 3).holds
+    # one End(W) per point of Rep(Q, d), and no second Hom solve for Ext^1
+    assert len(calls) == len(set(calls)) == 9
 
 
 def test_specific_fiber_sizes(kron2, f3):
