@@ -349,7 +349,8 @@ class FqMatrix:
             raise ValidationError("matrix shape mismatch in product")
         f = self.field
         ocols = other.cols
-        oT = list(zip(*other.entries)) if ocols else []
+        # an inner dimension of 0 still leaves ocols columns, each empty
+        oT = list(zip(*other.entries)) if other.rows else [()] * ocols
         out = []
         for row in self.entries:
             new = []

@@ -8,10 +8,22 @@ Sign convention: the moment value at a vertex v is
 over the unstarred half of the arrows.  The opposite grouping amounts to
 replacing eta by -eta; generic stability parameters come in +/- pairs, so
 every check here is insensitive to the choice.
+
+Level sets are counted fiber by fiber over the plain representation space
+Rep(Q, d) (Crawley-Boevey & Van den Bergh, Invent. Math. 155, 2004).  For a
+fixed X the moment value is linear in X* and vanishes at X* = 0, so the
+fiber {X* : mu(X, X*) = eta.I} is an affine F_q-space: q^(n - rank) points
+when the linear system is consistent and none otherwise, n = dim Rep(Q, d).
+One row reduction per point of Rep(Q, d) replaces the walk of all q^(2n)
+points of the doubled space; ``level_set_points`` keeps that walk as the
+brute oracle.  The system is read off the formula above, not taken from
+``hom_space``, so ``lifting_fiber_check`` compares two independent
+computations: the fibers here and the End-ring scans of ``reps``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -20,10 +32,11 @@ from .errors import (
     TheoremViolation,
     ValidationError,
     DEFAULT_CAP,
+    check_cap,
 )
 from .ffield import Field, FqMatrix, g_order
 from .quiver import Quiver, is_generic, is_indivisible
-from .reps import Representation, all_representations, scan_endomorphisms
+from .reps import Representation, all_representations, arrow_shapes, scan_endomorphisms
 from .counting import count_abs_indecomposable, field_from_order
 from .series import ExactPolynomial
 
@@ -91,7 +104,8 @@ def _doubled(quiver: Quiver) -> Quiver:
 
 
 def level_set_points(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
-    """All doubled representations satisfying the deformed relations."""
+    """All doubled representations satisfying the deformed relations, by a
+    walk of the whole doubled space: the brute oracle for ``_fiber_sizes``."""
     doubled = _doubled(quiver)
     field = field_from_order(q)
     targets = _relation_targets(doubled, field, d, eta)
@@ -100,12 +114,71 @@ def level_set_points(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
             yield w
 
 
+def _fiber_terms(half: Quiver, d) -> tuple[list[tuple[int, int, int, bool]], list[int]]:
+    """The linear map X* -> mu(X, X*) as terms (equation, unknown, entry of X,
+    negated), and the equations on the diagonals of the moment value.
+
+    Equation (v, r, c) is entry (r, c) of the moment value at v, numbered
+    vertex-major then row-major; unknown X*_a[i][j] is numbered arrow-major
+    then row-major; the entry of X is a position in its entry key.
+    """
+    offsets = list(itertools.accumulate((dv * dv for dv in d), initial=0))
+    diagonal = [offsets[v] + r * (dv + 1) for v, dv in enumerate(d) for r in range(dv)]
+    terms = []
+    unknown = pos = 0
+    for a, (dh, dt) in zip(half.arrows, arrow_shapes(half, d)):
+        h, t = half.vertex_index[a.head], half.vertex_index[a.tail]
+        for i in range(dt):
+            for j in range(dh):
+                # (X_a X*_a)[r][j] at the head, -(X*_a X_a)[i][c] at the tail
+                for r in range(dh):
+                    terms.append((offsets[h] + r * dh + j, unknown, pos + r * dt + i, False))
+                for c in range(dt):
+                    terms.append((offsets[t] + i * dt + c, unknown, pos + j * dt + c, True))
+                unknown += 1
+        pos += dh * dt
+    return terms, diagonal
+
+
+def _fiber_sizes(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
+    """(X, |{X* : mu(X, X*) = eta.I}|) for every X in Rep(Q, d), in lex order.
+
+    For a doubled quiver the forward arrows carry X and their partners X*.
+    The budget is the q^(2n) of the doubled space, as for the walk.
+    """
+    doubled = _doubled(quiver)
+    field = field_from_order(q)
+    rhs = [x for m in _relation_targets(doubled, field, d, eta) for x in m.flat()]
+    d = doubled.check_dim(d)
+    half = Quiver(quiver.vertices, quiver.forward_arrows()) if quiver.is_doubled else quiver
+    n = sum(r * c for r, c in arrow_shapes(half, d))
+    check_cap(q ** (2 * n), cap, "representation-space enumeration")
+    terms, diagonal = _fiber_terms(half, d)
+    for x in all_representations(half, field, d, cap=cap):
+        flat = x.entry_key()
+        system = [[0] * n + [b] for b in rhs]
+        for e, u, p, negated in terms:
+            if flat[p]:
+                term = field.neg(flat[p]) if negated else flat[p]
+                system[e][u] = field.add(system[e][u], term)
+        # mu(X, X*) has total trace 0 for every X* iff each column does
+        for u in range(n):
+            trace = 0
+            for e in diagonal:
+                trace = field.add(trace, system[e][u])
+            if trace:
+                raise ConsistencyError("moment value escaped the trace-zero subalgebra")
+        _, pivots = FqMatrix(field, system).rref()
+        yield x, 0 if n in pivots else q ** (n - len(pivots))
+
+
 def enumerate_level_set(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP) -> int:
-    return sum(1 for _ in level_set_points(quiver, d, eta, q, cap=cap))
+    """|mu^-1(eta.I)| in the doubled space, summed fiber by fiber over Rep(Q, d)."""
+    return sum(fiber for _, fiber in _fiber_sizes(quiver, d, eta, q, cap=cap))
 
 
 def _level_and_points(quiver: Quiver, d, theta, q: int, cap: int) -> tuple[int, int]:
-    """(|level set|, |level set| / |G_d|) for a generic theta, from one walk."""
+    """(|level set|, |level set| / |G_d|) for a generic theta, from one fiber pass."""
     if quiver.is_doubled:
         raise ValidationError("pass the undoubled quiver; doubling is internal here")
     d = quiver.check_dim(d)
@@ -179,12 +252,13 @@ def cbvdb_identity_check(
 class LiftingCheck:
     """Fiber profile of the projection from the theta-level set back to the
     plain representation space: q^(dim Ext^1(W, W)) over indecomposables,
-    empty over everything else."""
+    empty over everything else.  ``fibers_total``, the fibers summed over
+    Rep(Q, d), is the level set's size, so it equals ``level_count``."""
 
     holds: bool
     level_count: int
     fibers_total: int
-    counterexample: tuple[int, ...] | None  # entry key of the offending W
+    counterexample: tuple[int, ...] | None  # entry key of the lex-first offending W
 
 
 def lifting_fiber_check(
@@ -194,39 +268,30 @@ def lifting_fiber_check(
         raise ValidationError("pass the undoubled quiver; doubling is internal here")
     d = quiver.check_dim(d)
     theta = quiver.check_vector(theta, name="stability parameter")
+    if not any(d):
+        raise ValidationError(f"d={d} is zero; the lifting-fiber profile needs a nonzero d")
     if not is_generic(theta, d):
         raise ValidationError(f"theta={theta} is not generic for d={d}")
-    field = field_from_order(q)
-    n_forward = len(quiver.arrows)
 
-    fibers: dict[tuple[int, ...], int] = {}
     level_count = 0
-    for x in level_set_points(quiver, d, theta, q, cap=cap):
-        level_count += 1
-        key = tuple(v for m in x.maps[:n_forward] for v in m.flat())
-        fibers[key] = fibers.get(key, 0) + 1
-
-    fibers_total = sum(fibers.values())
     counterexample = None
-    holds = fibers_total == level_count
-    for w in all_representations(quiver, field, d, cap=cap):
-        observed = fibers.get(w.entry_key(), 0)
+    for w, observed in _fiber_sizes(quiver, d, theta, q, cap=cap):
+        level_count += observed
+        if counterexample is not None:
+            continue
         expected = 0
-        if any(d):
-            dim_end, local, _ = scan_endomorphisms(w, cap=cap, early_exit=True)
-            if local:  # indecomposable: dim Ext^1(W, W) = dim End(W) - <d, d>
-                ext = dim_end - quiver.euler_form(d, d)
-                if ext < 0:
-                    raise ConsistencyError("negative Ext dimension; Hom solver is broken")
-                expected = q**ext
+        dim_end, local, _ = scan_endomorphisms(w, cap=cap, early_exit=True)
+        if local:  # indecomposable: dim Ext^1(W, W) = dim End(W) - <d, d>
+            ext = dim_end - quiver.euler_form(d, d)
+            if ext < 0:
+                raise ConsistencyError("negative Ext dimension; Hom solver is broken")
+            expected = q**ext
         if observed != expected:
-            holds = False
             counterexample = w.entry_key()
-            break
     return LiftingCheck(
-        holds=holds,
+        holds=counterexample is None,
         level_count=level_count,
-        fibers_total=fibers_total,
+        fibers_total=level_count,
         counterexample=counterexample,
     )
 

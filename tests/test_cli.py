@@ -164,13 +164,17 @@ def test_hua_and_moduli_commands(capsys, jordan_file, kron2_file):
 
 def test_moduli_theta_walks_the_level_set_once(capsys, kron2_file, monkeypatch):
     walks = []
-    original = moduli.level_set_points
+    original = moduli._fiber_sizes
 
     def counted(*args, **kwargs):
         walks.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(moduli, "level_set_points", counted)
+    def brute(*args, **kwargs):
+        raise AssertionError("the doubled-space walk is the test oracle only")
+
+    monkeypatch.setattr(moduli, "_fiber_sizes", counted)
+    monkeypatch.setattr(moduli, "level_set_points", brute)
     code, out, _ = run_cli(
         capsys, ["moduli", "--quiver", kron2_file, "--d", "1,1", "--theta", "-1,1", "--q", "3"]
     )

@@ -161,6 +161,9 @@ def test_zero_size_matrices(f2):
     assert len(wide.kernel_basis()) == 3
     tall = FqMatrix.zeros(f2, 3, 0)
     assert tall.transpose().cols == 3
+    # an inner dimension of 0 gives the zero matrix of the outer shape
+    assert tall.mul(wide) == FqMatrix.zeros(f2, 3, 3)
+    assert tall.mul(wide).entries == ((0, 0, 0),) * 3
 
 
 # -- group orders

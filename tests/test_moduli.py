@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quiverforge import (
+    CapExceeded,
+    ConsistencyError,
     ExactPolynomial,
     FqMatrix,
     Representation,
@@ -24,9 +27,13 @@ from quiverforge import (
     moment_map,
     satisfies_relations,
     trace_obstruction,
+    a2_quiver,
+    jordan_quiver,
+    kronecker_quiver,
 )
-from quiverforge import reps
+from quiverforge import moduli, reps
 from quiverforge.moduli import level_set_points
+from quiverforge.quiver import Quiver
 from quiverforge.reps import all_representations
 
 
@@ -119,6 +126,98 @@ def test_obstructed_eta_empties_level_set(kron2, q):
         assert enumerate_level_set(kron2, (1, 1), eta, q) == 0
 
 
+def test_zero_dimensional_vertex_moment(kron2, f2):
+    # X* X at the tail passes through the 0-dimensional head: a 1x1 zero block
+    w = Representation.zero(kron2.double(), f2, (1, 0))
+    assert moment_map(w).values[0] == FqMatrix.zeros(f2, 1, 1)
+    assert satisfies_relations(w, (0, 1)) and not satisfies_relations(w, (1, 0))
+
+
+# -- the linear fiber route against the doubled-space walk
+
+FIBER_QUIVERS = {
+    "jordan": jordan_quiver(),
+    "a2": a2_quiver(),
+    "kron2": kronecker_quiver(2),
+    "kron3": kronecker_quiver(3),
+    "kron2-doubled": kronecker_quiver(2).double(),
+    # already doubled, arrows interleaved with their partners
+    "kron2-interleaved": Quiver(
+        ["1", "2"],
+        [("a", "1", "2"), ("a*", "2", "1"), ("b", "1", "2"), ("b*", "2", "1")],
+        {"a": "a*", "a*": "a", "b": "b*", "b*": "b"},
+    ),
+    "jordan-doubled": Quiver(["v"], [("x", "v", "v"), ("y", "v", "v")], {"x": "y", "y": "x"}),
+}
+
+# (quiver, d, eta, q); the largest doubled space, kron3 (1, 1) over F_5,
+# has 5^6 = 15625 points
+FIBER_CASES = [
+    ("jordan", (1,), (0,), 4),
+    ("jordan", (1,), (1,), 8),
+    ("jordan", (2,), (0,), 3),
+    ("jordan", (2,), (1,), 2),
+    ("jordan", (2,), (1,), 3),  # trace-obstructed
+    ("a2", (1, 1), (-1, 1), 8),
+    ("a2", (1, 1), (0, 0), 4),
+    ("a2", (2, 1), (-1, 2), 4),
+    ("a2", (2, 2), (-1, 1), 3),
+    ("kron2", (1, 1), (-1, 1), 5),
+    ("kron2", (1, 1), (-1, 1), 8),
+    ("kron2", (1, 1), (1, 1), 3),  # trace-obstructed
+    ("kron2", (1, 1), (0, 0), 4),
+    ("kron2", (2, 1), (-1, 2), 3),
+    ("kron2", (2, 1), (0, 0), 2),
+    ("kron2", (1, 0), (0, 1), 3),
+    ("kron2", (1, 0), (1, 0), 3),  # trace-obstructed
+    ("kron2", (0, 0), (1, 1), 2),
+    ("kron3", (1, 1), (-1, 1), 4),
+    ("kron3", (1, 1), (-1, 1), 5),
+    ("kron2-doubled", (1, 1), (-1, 1), 4),
+    ("kron2-interleaved", (2, 1), (-1, 2), 2),
+    ("jordan-doubled", (2,), (0,), 3),
+]
+
+
+def _forward_key(w: Representation) -> tuple[int, ...]:
+    quiver = w.quiver
+    return tuple(v for a in quiver.forward_arrows() for v in w.map_for(a.id).flat())
+
+
+@pytest.mark.parametrize("name,d,eta,q", FIBER_CASES)
+def test_fibers_match_the_doubled_walk(name, d, eta, q):
+    quiver = FIBER_QUIVERS[name]
+    brute = collections.Counter(_forward_key(w) for w in level_set_points(quiver, d, eta, q))
+    fibers = list(moduli._fiber_sizes(quiver, d, eta, q))
+    keys = [x.entry_key() for x, _ in fibers]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)  # lex order, each X once
+    assert len(keys) == q ** sum(r * c for r, c in reps.arrow_shapes(fibers[0][0].quiver, d))
+    assert {key: f for key, f in zip(keys, (f for _, f in fibers)) if f} == dict(brute)
+    assert enumerate_level_set(quiver, d, eta, q) == sum(brute.values())
+
+
+def test_fiber_route_keeps_the_doubled_space_cap(kron2):
+    # the doubled space of kron2 at (1, 1) over F_5 has 5^4 = 625 points
+    message = "representation-space enumeration needs 625 elements, cap is 624"
+    with pytest.raises(CapExceeded, match=message):
+        enumerate_level_set(kron2, (1, 1), (-1, 1), 5, cap=624)
+    with pytest.raises(CapExceeded, match=message):
+        next(level_set_points(kron2, (1, 1), (-1, 1), 5, cap=624))
+    assert enumerate_level_set(kron2, (1, 1), (-1, 1), 5, cap=625) == 120
+
+
+def test_fiber_route_checks_the_trace(kron2, monkeypatch):
+    original = moduli._fiber_terms
+
+    def head_only(half, d):
+        terms, diagonal = original(half, d)
+        return [t for t in terms if not t[3]], diagonal
+
+    monkeypatch.setattr(moduli, "_fiber_terms", head_only)
+    with pytest.raises(ConsistencyError, match="trace-zero"):
+        enumerate_level_set(kron2, (1, 1), (-1, 1), 3)
+
+
 # -- point counts and the identity
 
 
@@ -183,6 +282,24 @@ def test_lifting_fiber_profile(jordan, kron2, a2):
             result = lifting_fiber_check(quiver, d, theta, q)
             assert result.holds, result
             assert result.fibers_total == result.level_count
+
+
+def test_lifting_refuses_zero_dimension(kron2):
+    with pytest.raises(ValidationError, match="zero"):
+        lifting_fiber_check(kron2, (0, 0), (0, 0), 2)
+
+
+def test_lifting_reports_the_lex_first_counterexample(kron2, monkeypatch):
+    # with every End ring reported local, the zero representation (empty
+    # fiber) is the first point whose fiber disagrees
+    def all_local(w, cap, early_exit):
+        return 1, True, 0
+
+    monkeypatch.setattr(moduli, "scan_endomorphisms", all_local)
+    result = lifting_fiber_check(kron2, (1, 1), (-1, 1), 3)
+    assert not result.holds
+    assert result.counterexample == (0, 0)
+    assert result.level_count == result.fibers_total == 24
 
 
 def test_lifting_scans_each_end_ring_once(kron2, monkeypatch):
