@@ -1,10 +1,10 @@
 """Append-only JSON-lines result cache.
 
 One record per line: {"hash", "op", "params", "version", "result"}.
-Lookups match on the first four fields exactly; records written by another
-tool version are treated as misses.  Corrupt lines are skipped with a
-warning, and an unwritable path downgrades to a warning so computation can
-proceed uncached.
+Lookups match on the first four fields exactly; the CLI passes a fingerprint
+of the package sources as the version, so records written by other code are
+misses.  Corrupt lines are skipped with a warning, and an unwritable path
+downgrades to a warning so computation can proceed uncached.
 """
 
 from __future__ import annotations

@@ -8,10 +8,13 @@ Quiver files are JSON with a versioned schema (see parse_quiver).
 from __future__ import annotations
 
 import argparse
+import functools
+import hashlib
 import json
 import os
 import re
 import sys
+from pathlib import Path
 
 from . import __version__
 from .cache import cache_lookup, cache_store
@@ -58,7 +61,8 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_quiver(text: str) -> tuple[Quiver, dict, dict]:
     """Parse the JSON quiver schema; returns (quiver, named dimension
-    vectors, named stability parameters)."""
+    vectors, named stability parameters).  An optional ``star_pairing``
+    object (arrow id -> arrow id) makes the quiver doubled."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -81,7 +85,12 @@ def parse_quiver(text: str) -> tuple[Quiver, dict, dict]:
             if key not in a or not isinstance(a[key], str):
                 raise ValidationError(f'arrows[{i}] needs a string field "{key}"')
         arrows.append((a["id"], a["tail"], a["head"]))
-    quiver = Quiver(vertices, arrows)
+    star_pairing = data.get("star_pairing")
+    if star_pairing is not None and not (
+        isinstance(star_pairing, dict) and all(isinstance(b, str) for b in star_pairing.values())
+    ):
+        raise ValidationError('field "star_pairing" must be an object of arrow ids')
+    quiver = Quiver(vertices, arrows, star_pairing)
 
     def named_vectors(field_name: str) -> dict:
         block = data.get(field_name, {})
@@ -139,17 +148,29 @@ def _emit(payload: dict, summary: str, text_mode: bool) -> None:
         print(summary, file=sys.stderr)
 
 
+@functools.cache
+def _code_fingerprint() -> str:
+    """SHA-256 of the package's source files: the cache's version key, so
+    that a record written by other code, same version number or not, is a
+    miss."""
+    digest = hashlib.sha256()
+    for source in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(source.name.encode("utf-8") + b"\0")
+        digest.update(source.read_bytes())
+    return digest.hexdigest()
+
+
 def _cached(args, quiver: Quiver, op: str, params: dict, compute):
     """Run compute() through the JSON-lines cache when one is configured."""
     path = args.cache or os.environ.get("QUIVERFORGE_CACHE")
     if not path:
         return compute(), False
     key = quiver.content_hash()
-    hit = cache_lookup(path, key, op, params, __version__)
+    hit = cache_lookup(path, key, op, params, _code_fingerprint())
     if hit is not None:
         return hit, True
     result = compute()
-    cache_store(path, key, op, params, __version__, result)
+    cache_store(path, key, op, params, _code_fingerprint(), result)
     return result, False
 
 

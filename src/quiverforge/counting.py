@@ -203,8 +203,6 @@ def classify_classes(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> Class
     indec = 0
     abs_indec = 0
     for w in reps:
-        if not any(w.d):
-            continue  # the zero representation: decomposable by convention
         # the early exit fires only on a non-local End(W): a local one has all its units
         dim_end, local, units = scan_endomorphisms(w, cap=cap, early_exit=True)
         if not local:

@@ -2,8 +2,9 @@
 
 Hom spaces are kernels of the usual commutation system, endomorphism rings
 are enumerated exactly under a cap, and indecomposability is decided by the
-nilpotent-or-invertible dichotomy: End(W) is local iff W is indecomposable,
-in which case the radical is counted off the non-units.
+unit count: W is indecomposable iff End(W) is local, and End(W) is local iff
+its number of non-units is a power of q, that power being dim J (see
+``scan_endomorphisms``).
 """
 
 from __future__ import annotations
@@ -247,18 +248,6 @@ def _is_nilpotent_endo(fs) -> bool:
     return all(m.is_nilpotent() for m in fs)
 
 
-def _is_idempotent(fs) -> bool:
-    return all(m.mul(m) == m for m in fs)
-
-
-def _is_identity(fs) -> bool:
-    return all(m == FqMatrix.identity(m.field, m.rows) for m in fs)
-
-
-def _is_zero_endo(fs) -> bool:
-    return all(m.is_zero() for m in fs)
-
-
 @dataclass(frozen=True)
 class EndoStructure:
     """Shape of End(W): its dimension, radical, and residue field degree.
@@ -276,69 +265,70 @@ class EndoStructure:
 def scan_endomorphisms(w: Representation, cap: int = DEFAULT_CAP, early_exit: bool = False):
     """Walk End(W); returns (dim_end, is_local, unit_count or None).
 
-    With ``early_exit`` the walk stops at the first witness of non-locality
-    (an element neither nilpotent nor invertible, or a nontrivial
-    idempotent), in which case the unit count is not available.
+    Locality is read off the unit count.  A finite-dimensional F_q-algebra A
+    is local iff its number of non-units is a power of q; then
+    dim J = log_q(#non-units) and the residue degree is dim A - dim J.  The
+    zero ring has 0 non-units, so it is not local.
+
+    Proof: the units of A are the lifts of the units of A/J, so
+    #non-units(A) = |J| * #non-units(A/J).  With A/J = prod M_{n_i}(F_{q^k_i}),
+    #non-units(A/J) = q^b * (prod x - prod (x - 1)), x running over the
+    q^(k_i j) for j = 1..n_i.  As prod (x - 1) is prime to q, this is a power
+    of q only if prod (x - 1) = prod x - 1, which needs exactly one factor x:
+    A/J is a field.
+
+    With ``early_exit`` each non-unit is also tested for nilpotency and the
+    walk stops at the first one that is not (in a local ring every non-unit
+    is nilpotent), in which case the unit count is not available.  A walk
+    that finds no such witness must agree with the count rule; otherwise
+    ``ConsistencyError``.
     """
     basis = hom_space(w, w).basis
     shapes = [(dv, dv) for dv in w.d]
     units = 0
-    local = True
     for fs in _iter_span(basis, w.field, shapes, cap, "endomorphism-ring enumeration"):
         if _is_unit(fs):
             units += 1
-        elif not _is_nilpotent_endo(fs):
-            local = False
-        if local and _is_idempotent(fs) and not (_is_zero_endo(fs) or _is_identity(fs)):
-            local = False
-        if not local and early_exit:
+        elif early_exit and not _is_nilpotent_endo(fs):
             return len(basis), False, None
+    local = _local_structure(len(basis), units, w.field.q).is_local
+    if early_exit and basis and not local:
+        raise ConsistencyError(
+            f"every non-unit of End(W) is nilpotent, but the non-unit count "
+            f"{w.field.q ** len(basis) - units} is not a power of q={w.field.q}"
+        )
     return len(basis), local, units
 
 
 def endo_structure(w: Representation, cap: int = DEFAULT_CAP) -> EndoStructure:
-    if not any(w.d):
-        # the zero representation: decomposable by convention (empty sum)
-        return EndoStructure(dim_end=0, is_local=False, dim_radical=None, residue_degree=None)
-    dim_end, local, units = scan_endomorphisms(w, cap=cap, early_exit=False)
-    if not local:
-        return EndoStructure(dim_end=dim_end, is_local=False, dim_radical=None, residue_degree=None)
+    dim_end, _, units = scan_endomorphisms(w, cap=cap, early_exit=False)
     return _local_structure(dim_end, units, w.field.q)
 
 
 def _local_structure(dim_end: int, units: int, q: int) -> EndoStructure:
-    """Structure of a local End(W) of dimension ``dim_end`` with ``units`` units."""
+    """Structure of an End(W) of dimension ``dim_end`` with ``units`` units,
+    by the count rule of ``scan_endomorphisms``."""
     non_units = q**dim_end - units
-    # in a local ring the non-units are the radical, a subspace
     dim_radical = 0
     size = 1
     while size < non_units:
         size *= q
         dim_radical += 1
     if size != non_units:
-        raise ConsistencyError(
-            f"non-unit count {non_units} is not a power of q={q}; End scan is inconsistent"
-        )
-    residue = dim_end - dim_radical
-    if residue < 1:
-        raise ConsistencyError("residue degree must be at least 1")
+        return EndoStructure(dim_end=dim_end, is_local=False, dim_radical=None, residue_degree=None)
     return EndoStructure(
-        dim_end=dim_end, is_local=True, dim_radical=dim_radical, residue_degree=residue
+        dim_end=dim_end, is_local=True, dim_radical=dim_radical, residue_degree=dim_end - dim_radical
     )
 
 
 def is_indecomposable(w: Representation, cap: int = DEFAULT_CAP) -> bool:
     """End(W) local, i.e. 0 and 1 are its only idempotents."""
-    if not any(w.d):
-        return False
     _, local, _ = scan_endomorphisms(w, cap=cap, early_exit=True)
     return local
 
 
 def is_absolutely_indecomposable(w: Representation, cap: int = DEFAULT_CAP) -> bool:
     """Indecomposable with residue field equal to the ground field."""
-    if not any(w.d):
-        return False
     structure = endo_structure(w, cap=cap)
     return structure.is_local and structure.residue_degree == 1
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quiverforge import ValidationError, cli, counting, moduli
+from quiverforge import ValidationError, cli, counting, jordan_quiver, kronecker_quiver, moduli
 from quiverforge.cache import cache_lookup, cache_store
 from quiverforge.cli import main, parse_quiver, serialize_quiver
 
@@ -83,6 +83,20 @@ def test_roundtrip_is_identity_on_canonical_form():
     again, _, _ = parse_quiver(text)
     assert again == quiver
     assert serialize_quiver(again) == text
+
+
+def test_doubled_quiver_roundtrips():
+    # the canonical form sorts arrows by id (a1, a1*, a2, a2*), so equality
+    # (which sees arrow order) holds from the canonical form on
+    doubled = kronecker_quiver(2).double()
+    text = serialize_quiver(doubled)
+    again, _, _ = parse_quiver(text)
+    assert again.is_doubled and again.star_pairing == doubled.star_pairing
+    assert again.content_hash() == doubled.content_hash()
+    assert parse_quiver(serialize_quiver(again))[0] == again
+    assert serialize_quiver(again) == text
+    jordan_doubled = jordan_quiver().double()
+    assert parse_quiver(serialize_quiver(jordan_doubled))[0] == jordan_doubled
 
 
 def test_hash_invariant_under_arrow_reordering():
@@ -323,6 +337,56 @@ def test_cache_unwritable_warns_but_computes(capsys, kron2_file):
     assert code == 0
     assert out.strip() == '{"polynomial":[1,1]}'
     assert "warning" in err
+
+
+def test_cache_misses_records_of_other_code(capsys, tmp_path):
+    # a record written before the zero-inner-dimension fix of FqMatrix.mul,
+    # under the same version number, holds a level set of 0 for this input
+    kron2 = kronecker_quiver(2)
+    quiver_file = tmp_path / "kron2.json"
+    quiver_file.write_text(serialize_quiver(kron2))
+    cache = str(tmp_path / "cache.jsonl")
+    params = {"d": [1, 0], "eta": [0, 1], "q": 2}
+    stale = {"level_set": 0, "q": 2, "trace_obstruction_ok": True}
+    cache_store(cache, kron2.content_hash(), "moduli-level", params, cli.__version__, stale)
+    argv = ["moduli", "--quiver", str(quiver_file), "--d", "1,0", "--eta", "0,1", "--q", "2",
+            "--cache", cache]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["level_set"] == 1
+    assert "cached" not in err
+    code, out, err = run_cli(capsys, argv)
+    assert json.loads(out)["level_set"] == 1
+    assert "(cached)" in err
+
+
+def test_doubled_file_gives_the_plain_level_set(capsys, tmp_path):
+    outputs = []
+    for name, quiver in (("plain", kronecker_quiver(2)), ("doubled", kronecker_quiver(2).double())):
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_quiver(quiver))
+        code, out, _ = run_cli(
+            capsys, ["moduli", "--quiver", str(path), "--d", "1,1", "--eta", "-1,1", "--q", "3"]
+        )
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["level_set"] == 24
+
+
+@pytest.mark.parametrize(
+    "star_pairing",
+    [["a1", "a1*"], {"a1": 1, "a1*": "a1"}, {"a1": "a1*"}, {"a1": "a2", "a2": "a1"}],
+)
+def test_malformed_star_pairing_is_a_validation_error(capsys, tmp_path, star_pairing):
+    data = json.loads(KRON2_TEXT)
+    data["arrows"].append({"id": "a1*", "tail": "2", "head": "1"})
+    data["star_pairing"] = star_pairing
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, ["forms", "--quiver", str(path), "--d", "1,1"])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "ValidationError"
 
 
 def test_verify_command(capsys, kron2_file):

@@ -19,7 +19,7 @@ from quiverforge import (
     kronecker_quiver,
     make_field,
 )
-from quiverforge import counting, reps
+from quiverforge import acceptance, counting, reps
 from quiverforge.counting import (
     classify_classes,
     field_from_order,
@@ -250,6 +250,19 @@ def test_descent_equals_A_for_indivisible(kron2, a2):
 def test_descent_disagreement_is_hard_error(jordan):
     with pytest.raises(ConsistencyError):
         check_galois_descent(jordan, (2,), 2, a_fn=lambda d, q: 0)
+
+
+def test_criterion_4_compares_indivisible_descent_with_brute_force(monkeypatch):
+    # for indivisible d the descent sum is A(d, q), so the criterion must
+    # compare it with a brute-force I and not with A again
+    original = counting.count_indecomposable
+
+    def off_by_one_when_indivisible(quiver, d, q, cap):
+        return original(quiver, d, q, cap=cap) + (d != (2,))
+
+    monkeypatch.setattr(counting, "count_indecomposable", off_by_one_when_indivisible)
+    with pytest.raises(ConsistencyError, match="brute force"):
+        acceptance.criterion_4_galois_descent()
 
 
 def test_moebius_values():

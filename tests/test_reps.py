@@ -4,6 +4,7 @@ from functools import reduce
 import pytest
 
 from quiverforge import (
+    ConsistencyError,
     FqMatrix,
     Representation,
     UndecidedAtCap,
@@ -21,7 +22,10 @@ from quiverforge import (
     make_field,
     stability_verdict,
 )
+from quiverforge import reps
+from quiverforge.counting import classify_classes
 from quiverforge.ffield import all_matrices
+from quiverforge.reps import EndoStructure, aut_order, scan_endomorphisms
 
 
 def rep(quiver, field, d, rows_per_arrow):
@@ -154,6 +158,88 @@ def test_indecomposability_examples(jordan, f2):
     assert not is_absolutely_indecomposable(companion)
     split = rep(jordan, f2, (2,), [[[0, 0], [0, 1]]])
     assert not is_indecomposable(split)
+
+
+@pytest.mark.parametrize(
+    "quiver_name,d,qs",
+    [
+        ("jordan", (0,), (2, 3, 4)),
+        ("jordan", (1,), (2, 3, 4)),
+        ("jordan", (2,), (2, 3, 4)),
+        ("kron2", (1, 1), (2, 3)),
+        ("kron2", (2, 1), (2, 3)),
+        ("a2", (2, 1), (2,)),
+    ],
+)
+def test_nilpotency_witness_agrees_with_the_count_rule(quiver_name, d, qs, jordan, kron2, a2):
+    # the early-exit scan decides by a non-nilpotent non-unit, endo_structure
+    # by whether the non-unit count is a power of q; exhaustively, they agree
+    quiver = {"jordan": jordan, "kron2": kron2, "a2": a2}[quiver_name]
+    for q in qs:
+        field = make_field(*{2: (2, 1), 3: (3, 1), 4: (2, 2)}[q])
+        for w in all_representations(quiver, field, d):
+            dim_end, witness_local, units = scan_endomorphisms(w, early_exit=True)
+            structure = endo_structure(w)
+            assert witness_local == structure.is_local, w
+            assert dim_end == structure.dim_end
+            if structure.is_local:
+                assert units == aut_order(w) == q**dim_end - q**structure.dim_radical
+
+
+@pytest.mark.parametrize("quiver_name,d", [("jordan", (0,)), ("kron2", (0, 0))])
+@pytest.mark.parametrize("q", [2, 3])
+def test_zero_representation_verdicts(quiver_name, d, q, jordan, kron2):
+    # End(0) is the zero ring: its one element is a unit and it has no
+    # non-units, so it is not local and 0 is decomposable (the empty sum)
+    quiver = {"jordan": jordan, "kron2": kron2}[quiver_name]
+    w = Representation.zero(quiver, make_field(q), d)
+    assert scan_endomorphisms(w) == (0, False, 1)
+    assert scan_endomorphisms(w, early_exit=True) == (0, False, 1)
+    assert endo_structure(w) == EndoStructure(
+        dim_end=0, is_local=False, dim_radical=None, residue_degree=None
+    )
+    assert aut_order(w) == 1
+    assert not is_indecomposable(w)
+    assert not is_absolutely_indecomposable(w)
+    counts = classify_classes(quiver, d, q)
+    assert (counts.iso_classes, counts.indecomposable, counts.absolutely_indecomposable) == (
+        1, 0, 0,
+    )
+
+
+def test_full_scan_runs_no_nilpotency_test(jordan, kron2, f2, f3, monkeypatch):
+    calls = []
+    original = FqMatrix.is_nilpotent
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(FqMatrix, "is_nilpotent", counted)
+    points = [
+        rep(jordan, f3, (2,), [[[1, 1], [0, 1]]]),
+        rep(jordan, f2, (2,), [[[0, 0], [0, 1]]]),
+        Representation.zero(jordan, f3, (2,)),
+        Representation.zero(kron2, f2, (1, 1)),
+    ]
+    for w in points:
+        endo_structure(w)
+        aut_order(w)
+        is_absolutely_indecomposable(w)
+        scan_endomorphisms(w)
+    assert calls == []
+    is_indecomposable(points[0])  # the early exit tests each non-unit
+    assert calls
+
+
+def test_early_exit_scan_cross_checks_the_count_rule(jordan, f2, monkeypatch):
+    # with the nilpotency test forced to pass, a split End(W) yields no
+    # witness, and its non-unit count (not a power of q) must be refused
+    monkeypatch.setattr(reps, "_is_nilpotent_endo", lambda fs: True)
+    split = rep(jordan, f2, (2,), [[[0, 0], [0, 1]]])
+    with pytest.raises(ConsistencyError, match="not a power of q"):
+        scan_endomorphisms(split, early_exit=True)
+    assert not endo_structure(split).is_local
 
 
 # -- base change
