@@ -1,8 +1,9 @@
 """Counting machinery over F_q.
 
-Iso-class counts are computed by Burnside's formula in two independent ways
-(summing fixed points over group elements, and stabilizer orders over
-points) and cross-checked.  Indecomposable and absolutely indecomposable
+Iso-class counts come from the canonical orbit partition; Burnside's
+formula, summing fixed points over the elements of GL_d, is the one
+independent oracle that cross-checks them (the stabilizer sum over points
+is a test-side oracle only).  Indecomposable and absolutely indecomposable
 counts deduplicate by canonical orbit representatives and test each class
 representative's endomorphism ring.  Counts at several prime powers feed an
 exact Lagrange interpolation whose result is verified at two surplus
@@ -30,9 +31,6 @@ from .quiver import Quiver
 from .reps import (
     Representation,
     _local_structure,
-    all_representations,
-    arrow_shapes,
-    aut_order,
     scan_endomorphisms,
 )
 from .series import (
@@ -98,14 +96,15 @@ def divisors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# iso-class counting (Burnside, two routes)
+# iso-class counting (Burnside over group elements)
 
 
 def _fixed_point_log(quiver: Quiver, d, combo, field: Field) -> int:
     """log_q of the number of representations fixed by the group tuple.
 
-    ``combo[v] = (g_v, g_v^{-1})``.  The conjugation action is block
-    diagonal per arrow, so the fixed space splits arrow by arrow.
+    X is fixed by ``combo = (g_v)`` iff g_h X = X g_t on every arrow, so
+    the fixed space splits arrow by arrow into the kernels of
+    X -> g_h X - X g_t.
     """
     total = 0
     for a in quiver.arrows:
@@ -114,61 +113,45 @@ def _fixed_point_log(quiver: Quiver, d, combo, field: Field) -> int:
         r, c = d[h], d[t]
         if r * c == 0:
             continue
-        gh = combo[h][0]
-        gtinv = combo[t][1]
-        # column for basis matrix E_ij: vec(gh E_ij gtinv - E_ij);
-        # gh E_ij gtinv is the outer product of column i of gh and row j of gtinv
-        columns = []
-        for i in range(r):
-            for j in range(c):
-                col = []
-                for x in range(r):
-                    for y in range(c):
-                        v = field.mul(gh.entries[x][i], gtinv.entries[j][y])
-                        if (x, y) == (i, j):
-                            v = field.sub(v, 1)
-                        col.append(v)
-                columns.append(col)
-        operator = FqMatrix(field, list(zip(*columns)))
-        total += r * c - operator.rank()
+        gh = combo[h].entries
+        minus_gt = [[field.neg(v) for v in row] for row in combo[t].entries]
+        # row (x, y), column (i, j): entry (x, y) of g_h E_ij - E_ij g_t,
+        # which is gh[x][i] [y == j] - [x == i] gt[j][y]
+        rows = []
+        for x in range(r):
+            for y in range(c):
+                row = [0] * (r * c)
+                for i in range(r):
+                    row[i * c + y] = gh[x][i]
+                for j in range(c):
+                    row[x * c + j] = field.add(row[x * c + j], minus_gt[j][y])
+                rows.append(row)
+        total += r * c - FqMatrix(field, rows).rank()
     return total
 
 
 def count_iso_classes(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> int:
-    """Number of iso classes of d-dimensional representations over F_q.
+    """Number of iso classes of d-dimensional representations over F_q, by
+    Burnside over GL_d: M = (1/|GL_d|) sum_g #{X in Rep(Q,d) : g.X = X}.
 
-    Burnside over group elements and Burnside over points must agree and
-    both divisions must be exact; anything else is a hard error.
+    The independent oracle for the orbit partition's M; an inexact division
+    is a hard error.
     """
     field = field_from_order(q)
     d = quiver.check_dim(d)
-    n_entries = sum(r * c for r, c in arrow_shapes(quiver, d))
-    check_cap(q**n_entries, cap, "representation-space enumeration")
     order = gl_order(d, q)
     check_cap(order, cap, "group-element enumeration")
     for dv in d:
         check_cap(q ** (dv * dv), cap, "GL candidate enumeration")
-    gls = [[(g, g.inverse()) for g in enumerate_gl(field, dv)] for dv in d]
+    gls = [list(enumerate_gl(field, dv)) for dv in d]
 
     fixed_total = 0
     for combo in itertools.product(*gls):
         fixed_total += q ** _fixed_point_log(quiver, d, combo, field)
-    by_group, rem = divmod(fixed_total, order)
+    count, rem = divmod(fixed_total, order)
     if rem:
         raise ConsistencyError("Burnside sum over group elements is not divisible by |GL_d|")
-
-    stab_total = 0
-    for w in all_representations(quiver, field, d, cap=cap):
-        stab_total += aut_order(w, cap=cap)
-    by_point, rem = divmod(stab_total, order)
-    if rem:
-        raise ConsistencyError("Burnside sum over points is not divisible by |GL_d|")
-
-    if by_group != by_point:
-        raise ConsistencyError(
-            f"Burnside routes disagree: {by_group} over group elements, {by_point} over points"
-        )
-    return by_group
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +343,21 @@ def galois_descent_I(quiver: Quiver, d, q: int, a_fn=None, cap: int = DEFAULT_CA
 
 
 def check_galois_descent(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP, a_fn=None) -> int:
-    """Descent value, verified against the brute-force indecomposable count."""
+    """Descent value, verified against the brute-force indecomposable count.
+
+    One classification of (d, q) gives both the brute-force I and, unless
+    the caller supplies ``a_fn``, the descent sum's r = m = 1 term A(d, q).
+    """
+    d = quiver.check_dim(d)
+    counts = classify_classes(quiver, d, q, cap=cap)
+    if a_fn is None:
+        def a_fn(dd, qq):
+            if (dd, qq) == (d, q):
+                return counts.absolutely_indecomposable
+            return count_abs_indecomposable(quiver, dd, qq, cap=cap)
+
     by_descent = galois_descent_I(quiver, d, q, a_fn=a_fn, cap=cap)
-    by_force = count_indecomposable(quiver, d, q, cap=cap)
+    by_force = counts.indecomposable
     if by_descent != by_force:
         raise ConsistencyError(
             f"Galois descent gives {by_descent}, brute force gives {by_force} "

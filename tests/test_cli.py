@@ -236,12 +236,19 @@ def test_exit_code_domain_error(capsys, kron2_file):
     assert json.loads(out)["error"]["kind"] == "ValidationError"
 
 
-def test_exit_code_cap(capsys, kron2_file):
+@pytest.mark.parametrize("extra", [[], ["--cross-check"]], ids=["plain", "cross-check"])
+def test_exit_code_cap(capsys, kron2_file, extra):
+    # the orbit partition budgets the q^n points before Burnside budgets GL_d
     code, out, _ = run_cli(
-        capsys, ["count", "--quiver", kron2_file, "--d", "2,2", "--q", "3", "--cap", "10"]
+        capsys,
+        ["count", "--quiver", kron2_file, "--d", "2,2", "--q", "3", "--cap", "10", *extra],
     )
     assert code == 2
-    assert json.loads(out)["error"]["kind"] == "cap"
+    error = json.loads(out)["error"]
+    assert error["kind"] == "cap"
+    assert error["message"] == (
+        "orbit enumeration of the representation space needs 6561 elements, cap is 10"
+    )
 
 
 def test_exit_code_usage(capsys, kron2_file):

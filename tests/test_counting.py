@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,10 +28,10 @@ from quiverforge.counting import (
     prime_power,
     prime_powers,
 )
-from quiverforge.ffield import enumerate_gl
+from quiverforge.ffield import enumerate_gl, gl_order
 from quiverforge import orbits
 from quiverforge.orbits import orbit_partition
-from quiverforge.reps import all_representations
+from quiverforge.reps import all_representations, aut_order
 from quiverforge.series import geometric_inverse_power
 
 
@@ -59,6 +60,15 @@ def brute_orbit_count(quiver, d, q):
     return orbits
 
 
+def stabilizer_burnside_count(quiver, d, q):
+    """Independent oracle: Burnside over points, M = sum_X |Aut X| / |GL_d|."""
+    field = make_field(*prime_power(q))
+    total = sum(aut_order(w) for w in all_representations(quiver, field, d))
+    count, rem = divmod(total, gl_order(d, q))
+    assert rem == 0
+    return count
+
+
 # -- iso-class counts
 
 
@@ -79,26 +89,64 @@ def test_kronecker_count_example(kron2):
     assert brute_orbit_count(kron2, (1, 1), 2) == 4
 
 
-@pytest.mark.parametrize(
-    "name,d,q",
-    [
-        ("jordan", (2,), 2),
-        ("jordan", (2,), 3),
-        ("kron2", (1, 1), 2),
-        ("kron2", (1, 1), 4),
-        ("kron2", (2, 1), 2),
-        ("a2", (1, 1), 3),
-        ("a2", (2, 1), 2),
-        ("kron2", (1, 1), 8),
-        ("kron3", (1, 1), 9),
-        ("jordan", (2,), 4),
-    ],
-)
+ORBIT_M = {
+    # (quiver, d, q): M
+    ("jordan", (2,), 2): 6,
+    ("jordan", (2,), 3): 12,
+    ("kron2", (1, 1), 2): 4,
+    ("kron2", (1, 1), 4): 6,
+    ("kron2", (2, 1), 2): 5,
+    ("a2", (1, 1), 3): 2,
+    ("a2", (2, 1), 2): 2,
+    ("kron2", (1, 1), 8): 10,
+    ("kron3", (1, 1), 9): 92,
+    ("jordan", (2,), 4): 20,
+    ("kron2", (2, 2), 3): 24,
+    ("jordan", (2,), 8): 72,
+}
+
+
+@pytest.mark.parametrize("name,d,q", list(ORBIT_M))
 def test_orbit_partition_agrees_with_burnside(name, d, q, jordan, kron2, a2):
     quiver = {"jordan": jordan, "kron2": kron2, "kron3": kronecker_quiver(3), "a2": a2}[name]
     report = count_report(quiver, d, q, cross_check=True)
     assert report.method == "orbit-partition+burnside"
+    assert report.iso_classes == ORBIT_M[name, d, q]
     assert 0 <= report.absolutely_indecomposable <= report.indecomposable <= report.iso_classes
+
+
+@pytest.mark.parametrize(
+    "name,d,q",
+    [
+        ("jordan", (2,), 3),
+        ("jordan", (2,), 4),
+        ("jordan", (3,), 2),
+        ("kron2", (1, 1), 8),
+        ("kron2", (2, 0), 3),
+        ("kron2", (2, 1), 3),
+        ("kron3", (1, 1), 9),
+        ("a2", (2, 1), 2),
+        ("a2", (1, 1), 5),
+    ],
+)
+def test_group_and_point_burnside_agree(name, d, q, jordan, kron2, a2):
+    # the paper's dual Burnside routes: fixed points over GL_d, stabilizers over Rep(Q,d)
+    quiver = {"jordan": jordan, "kron2": kron2, "kron3": kronecker_quiver(3), "a2": a2}[name]
+    by_point = stabilizer_burnside_count(quiver, d, q)
+    assert by_point == count_iso_classes(quiver, d, q)
+    assert by_point == classify_classes(quiver, d, q).iso_classes
+
+
+def test_burnside_walks_no_points_and_scans_no_end_ring(jordan, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Burnside over GL_d reached a per-point route")
+
+    for module in (reps, counting):
+        monkeypatch.setattr(module, "scan_endomorphisms", forbidden, raising=False)
+        monkeypatch.setattr(module, "all_representations", forbidden, raising=False)
+    assert count_iso_classes(jordan, (2,), 3) == 12
+    # budgeted by the group alone: 9^2 points exceed the cap, |GL_(1,1)(F_9)| = 64 does not
+    assert count_iso_classes(kronecker_quiver(3), (1, 1), 9, cap=100) == 92
 
 
 def test_orbit_partition_exact_past_uint16(jordan):
@@ -255,14 +303,36 @@ def test_descent_disagreement_is_hard_error(jordan):
 def test_criterion_4_compares_indivisible_descent_with_brute_force(monkeypatch):
     # for indivisible d the descent sum is A(d, q), so the criterion must
     # compare it with a brute-force I and not with A again
-    original = counting.count_indecomposable
+    original = counting.classify_classes
 
     def off_by_one_when_indivisible(quiver, d, q, cap):
-        return original(quiver, d, q, cap=cap) + (d != (2,))
+        counts = original(quiver, d, q, cap=cap)
+        return SimpleNamespace(
+            iso_classes=counts.iso_classes,
+            indecomposable=counts.indecomposable + (d != (2,)),
+            absolutely_indecomposable=counts.absolutely_indecomposable,
+        )
 
-    monkeypatch.setattr(counting, "count_indecomposable", off_by_one_when_indivisible)
+    monkeypatch.setattr(counting, "classify_classes", off_by_one_when_indivisible)
     with pytest.raises(ConsistencyError, match="brute force"):
         acceptance.criterion_4_galois_descent()
+
+
+def test_descent_check_reads_I_and_A_from_one_classification(kron2, monkeypatch):
+    classified = []
+    original = counting.classify_classes
+
+    def counted(quiver, d, q, *args, **kwargs):
+        classified.append((tuple(d), q))
+        return original(quiver, d, q, *args, **kwargs)
+
+    monkeypatch.setattr(counting, "classify_classes", counted)
+    assert check_galois_descent(kron2, (1, 1), 3) == 4
+    assert classified == [((1, 1), 3)]
+    classified.clear()
+    assert acceptance.criterion_4_galois_descent().passed
+    # Jordan (2) at q = 2, 3 needs (2, q), (1, q^2), (1, q); seven indivisible cases need one each
+    assert len(classified) == 13
 
 
 def test_moebius_values():
