@@ -111,8 +111,6 @@ def _fixed_point_log(quiver: Quiver, d, combo, field: Field) -> int:
         h = quiver.vertex_index[a.head]
         t = quiver.vertex_index[a.tail]
         r, c = d[h], d[t]
-        if r * c == 0:
-            continue
         gh = combo[h].entries
         minus_gt = [[field.neg(v) for v in row] for row in combo[t].entries]
         # row (x, y), column (i, j): entry (x, y) of g_h E_ij - E_ij g_t,

@@ -5,9 +5,14 @@ Field elements are plain integers in ``0..q-1``: the residue polynomial
 modulus is chosen deterministically (see :func:`smallest_irreducible`), so
 serialized results are reproducible across runs and machines.
 
-Prime fields use ordinary modular arithmetic.  Extension fields up to
-``TABLE_LIMIT`` elements build q x q add/mul lookup tables once per field;
-larger ones multiply residue polynomials directly.
+Prime fields use ordinary modular arithmetic.  Extension fields have one
+arithmetic path at every q: residue-polynomial arithmetic, memoised per field
+on first use (a pair of operands is keyed ``a*q + b``), so building a field
+does no arithmetic.
+
+A matrix's shape is stored, never inferred from its rows: an ``FqMatrix``
+with no rows still has its column count, and every operation carries the
+shape of its result through.
 """
 
 from __future__ import annotations
@@ -16,9 +21,6 @@ import itertools
 from functools import lru_cache
 
 from .errors import ConsistencyError, SingularMatrixError, ValidationError
-
-TABLE_LIMIT = 512  # largest q for which lookup tables are precomputed
-
 
 def is_prime(n: int) -> bool:
     """Trial division; exact and fast at this scale."""
@@ -108,11 +110,11 @@ class Field:
         self.k = k
         self.q = p**k
         self.modulus = smallest_irreducible(p, k)
-        self._mul_table: list[list[int]] | None = None
-        self._add_table: list[list[int]] | None = None
-        self._inv_table: list[int] | None = None
-        if self.k > 1 and self.q <= TABLE_LIMIT:
-            self._build_tables()
+        # extension-field results, filled on first use; pairs keyed a*q + b
+        self._sums: dict[int, int] = {}
+        self._products: dict[int, int] = {}
+        self._negatives: dict[int, int] = {}
+        self._inverses: dict[int, int] = {}
 
     # -- construction helpers
 
@@ -130,43 +132,28 @@ class Field:
             a = a * self.p + (c % self.p)
         return a
 
-    def _build_tables(self) -> None:
-        q, p = self.q, self.p
-        mod = list(self.modulus)
-        polys = [list(self.coeffs(a)) for a in range(q)]
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            pa = polys[a]
-            for b in range(a, q):
-                pb = polys[b]
-                s = self.from_coeffs((x + y) % p for x, y in zip(pa, pb))
-                add[a][b] = add[b][a] = s
-                m = self.from_coeffs(_poly_mod(_poly_mul(pa, pb, p), mod, p) + [0] * self.k)
-                mul[a][b] = mul[b][a] = m
-        self._add_table = add
-        self._mul_table = mul
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._inv_table = inv
-
     # -- arithmetic on encoded elements
 
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self.from_coeffs((x + y) % self.p for x, y in zip(self.coeffs(a), self.coeffs(b)))
+        key = a * self.q + b
+        try:
+            return self._sums[key]
+        except KeyError:
+            s = self.from_coeffs(x + y for x, y in zip(self.coeffs(a), self.coeffs(b)))
+            self._sums[key] = s
+            return s
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        return self.from_coeffs((-c) % self.p for c in self.coeffs(a))
+        try:
+            return self._negatives[a]
+        except KeyError:
+            n = self.from_coeffs(-c for c in self.coeffs(a))
+            self._negatives[a] = n
+            return n
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -174,19 +161,26 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        prod = _poly_mul(list(self.coeffs(a)), list(self.coeffs(b)), self.p)
-        return self.from_coeffs(_poly_mod(prod, list(self.modulus), self.p) + [0] * self.k)
+        key = a * self.q + b
+        try:
+            return self._products[key]
+        except KeyError:
+            prod = _poly_mul(list(self.coeffs(a)), list(self.coeffs(b)), self.p)
+            m = self.from_coeffs(_poly_mod(prod, list(self.modulus), self.p))
+            self._products[key] = m
+            return m
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self.pow_(a, self.q - 2)
+        try:
+            return self._inverses[a]
+        except KeyError:
+            i = self.pow_(a, self.q - 2)
+            self._inverses[a] = i
+            return i
 
     def pow_(self, a: int, e: int) -> int:
         result, base = 1, a
@@ -272,24 +266,37 @@ def make_field(p: int, k: int = 1) -> Field:
 
 
 class FqMatrix:
-    """Immutable dense matrix over a Field; entries are encoded integers."""
+    """Immutable dense matrix over a Field; entries are encoded integers.
+
+    The shape is stored, not read off the rows, so a matrix with no rows
+    keeps its column count.
+    """
 
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: Field, entries):
+        """The matrix whose rows are ``entries``; with no rows it is 0 x 0."""
         self.field = field
         self.entries = tuple(tuple(row) for row in entries)
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.rows else 0
+        if any(len(row) != self.cols for row in self.entries):
+            raise ValidationError("matrix rows differ in length")
 
     @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "FqMatrix":
+    def _of(cls, field: Field, rows: int, cols: int, entries: tuple) -> "FqMatrix":
+        """The rows x cols matrix with ``entries``, a tuple of ``rows`` row
+        tuples of length ``cols`` each, taken as given."""
         m = cls.__new__(cls)
         m.field = field
         m.rows = rows
         m.cols = cols
-        m.entries = tuple((0,) * cols for _ in range(rows))
+        m.entries = entries
         return m
+
+    @classmethod
+    def zeros(cls, field: Field, rows: int, cols: int) -> "FqMatrix":
+        return cls._of(field, rows, cols, ((0,) * cols,) * rows)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "FqMatrix":
@@ -297,15 +304,10 @@ class FqMatrix:
 
     @classmethod
     def from_flat(cls, field: Field, rows: int, cols: int, flat) -> "FqMatrix":
-        flat = list(flat)
+        flat = tuple(flat)
         if len(flat) != rows * cols:
             raise ValidationError("flat entry count does not match the shape")
-        m = cls.__new__(cls)
-        m.field = field
-        m.rows = rows
-        m.cols = cols
-        m.entries = tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows))
-        return m
+        return cls._of(field, rows, cols, tuple([flat[i * cols : (i + 1) * cols] for i in range(rows)]))
 
     def flat(self) -> tuple[int, ...]:
         return tuple(x for row in self.entries for x in row)
@@ -316,41 +318,31 @@ class FqMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    def _entrywise(self, op, other: "FqMatrix") -> "FqMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValidationError("matrix shape mismatch in sum")
+        entries = tuple([tuple([op(a, b) for a, b in zip(r1, r2)]) for r1, r2 in zip(self.entries, other.entries)])
+        return FqMatrix._of(self.field, self.rows, self.cols, entries)
+
     def add(self, other: "FqMatrix") -> "FqMatrix":
-        f = self.field
-        return FqMatrix(
-            f,
-            [
-                [f.add(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-        )
+        return self._entrywise(self.field.add, other)
 
     def sub(self, other: "FqMatrix") -> "FqMatrix":
-        f = self.field
-        return FqMatrix(
-            f,
-            [
-                [f.sub(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-        )
+        return self._entrywise(self.field.sub, other)
 
     def neg(self) -> "FqMatrix":
         f = self.field
-        return FqMatrix(f, [[f.neg(a) for a in row] for row in self.entries])
+        return FqMatrix._of(f, self.rows, self.cols, tuple([tuple([f.neg(a) for a in row]) for row in self.entries]))
 
     def scale(self, c: int) -> "FqMatrix":
         f = self.field
-        return FqMatrix(f, [[f.mul(c, a) for a in row] for row in self.entries])
+        return FqMatrix._of(f, self.rows, self.cols, tuple([tuple([f.mul(c, a) for a in row]) for row in self.entries]))
 
     def mul(self, other: "FqMatrix") -> "FqMatrix":
         if self.cols != other.rows:
             raise ValidationError("matrix shape mismatch in product")
         f = self.field
-        ocols = other.cols
-        # an inner dimension of 0 still leaves ocols columns, each empty
-        oT = list(zip(*other.entries)) if other.rows else [()] * ocols
+        oT = [[row[j] for row in other.entries] for j in range(other.cols)]
         out = []
         for row in self.entries:
             new = []
@@ -361,12 +353,7 @@ class FqMatrix:
                         acc = f.add(acc, f.mul(a, b))
                 new.append(acc)
             out.append(tuple(new))
-        m = FqMatrix.__new__(FqMatrix)
-        m.field = f
-        m.rows = self.rows
-        m.cols = ocols
-        m.entries = tuple(out) if self.rows else ()
-        return m
+        return FqMatrix._of(f, self.rows, other.cols, tuple(out))
 
     def apply(self, vec) -> tuple[int, ...]:
         """Matrix times column vector."""
@@ -381,9 +368,8 @@ class FqMatrix:
         return tuple(out)
 
     def transpose(self) -> "FqMatrix":
-        if self.rows == 0 or self.cols == 0:
-            return FqMatrix.zeros(self.field, self.cols, self.rows)
-        return FqMatrix(self.field, list(zip(*self.entries)))
+        columns = tuple([tuple([row[j] for row in self.entries]) for j in range(self.cols)])
+        return FqMatrix._of(self.field, self.cols, self.rows, columns)
 
     def matpow(self, e: int) -> "FqMatrix":
         if not self.is_square():
@@ -464,18 +450,19 @@ class FqMatrix:
         return det
 
     def is_invertible(self) -> bool:
-        return self.is_square() and (self.rows == 0 or self.det() != 0)
+        return self.is_square() and self.det() != 0
 
     def inverse(self) -> "FqMatrix":
         if not self.is_square():
             raise SingularMatrixError("inverse needs a square matrix")
         f = self.field
         n = self.rows
-        aug = FqMatrix(f, [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(self.entries)]) if n else FqMatrix.zeros(f, 0, 0)
+        unit = FqMatrix.identity(f, n).entries
+        aug = FqMatrix._of(f, n, 2 * n, tuple([a + b for a, b in zip(self.entries, unit)]))
         rows, pivots = aug.rref()
         if pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        return FqMatrix(f, [row[n:] for row in rows]) if n else FqMatrix.zeros(f, 0, 0)
+        return FqMatrix._of(f, n, n, tuple([tuple(row[n:]) for row in rows]))
 
     def is_nilpotent(self) -> bool:
         if not self.is_square():
@@ -534,9 +521,6 @@ def all_matrices(field: Field, rows: int, cols: int):
 
 def enumerate_gl(field: Field, n: int):
     """All invertible n x n matrices, in lexicographic order."""
-    if n == 0:
-        yield FqMatrix.zeros(field, 0, 0)
-        return
     for m in all_matrices(field, n, n):
         if m.det() != 0:
             yield m
@@ -600,7 +584,5 @@ def in_rowspace(vec, basis: FqMatrix) -> bool:
     """Whether vec lies in the row space of basis (basis rows independent)."""
     if all(x == 0 for x in vec):
         return True
-    if basis.rows == 0:
-        return False
     stacked = FqMatrix(basis.field, list(basis.entries) + [list(vec)])
     return stacked.rank() == basis.rows

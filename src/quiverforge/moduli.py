@@ -177,14 +177,20 @@ def enumerate_level_set(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP) 
     return sum(fiber for _, fiber in _fiber_sizes(quiver, d, eta, q, cap=cap))
 
 
-def _level_and_points(quiver: Quiver, d, theta, q: int, cap: int) -> tuple[int, int]:
-    """(|level set|, |level set| / |G_d|) for a generic theta, from one fiber pass."""
+def _check_generic(quiver: Quiver, d, theta) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(d, theta) checked: the quiver is undoubled and theta is generic for d."""
     if quiver.is_doubled:
         raise ValidationError("pass the undoubled quiver; doubling is internal here")
     d = quiver.check_dim(d)
     theta = quiver.check_vector(theta, name="stability parameter")
     if not is_generic(theta, d):
         raise ValidationError(f"theta={theta} is not generic for d={d}")
+    return d, theta
+
+
+def _level_and_points(quiver: Quiver, d, theta, q: int, cap: int) -> tuple[int, int]:
+    """(|level set|, |level set| / |G_d|) for a generic theta, from one fiber pass."""
+    d, theta = _check_generic(quiver, d, theta)
     level = enumerate_level_set(quiver, d, theta, q, cap=cap)
     order = g_order(d, q)
     points, rem = divmod(level, order)
@@ -264,14 +270,10 @@ class LiftingCheck:
 def lifting_fiber_check(
     quiver: Quiver, d, theta, q: int, cap: int = DEFAULT_CAP
 ) -> LiftingCheck:
-    if quiver.is_doubled:
-        raise ValidationError("pass the undoubled quiver; doubling is internal here")
-    d = quiver.check_dim(d)
-    theta = quiver.check_vector(theta, name="stability parameter")
+    # d = 0 is generic for every theta, so it reaches the zero check
+    d, theta = _check_generic(quiver, d, theta)
     if not any(d):
         raise ValidationError(f"d={d} is zero; the lifting-fiber profile needs a nonzero d")
-    if not is_generic(theta, d):
-        raise ValidationError(f"theta={theta} is not generic for d={d}")
 
     level_count = 0
     counterexample = None

@@ -172,10 +172,8 @@ def hom_space(w1: Representation, w2: Representation) -> HomSpace:
                     if c:
                         var = offsets[t] + k * w1.d[t] + j
                         row[var] = field.sub(row[var], c)
-                rows.append(row)
-    system = (
-        FqMatrix(field, rows) if rows else FqMatrix.zeros(field, 0, nvars)
-    )
+                rows.append(tuple(row))
+    system = FqMatrix._of(field, len(rows), nvars, tuple(rows))
     basis = []
     for vec in system.kernel_basis():
         fs = []
@@ -199,18 +197,11 @@ def direct_sum(w1: Representation, w2: Representation) -> Representation:
     quiver, field = w1.quiver, w1.field
     d = tuple(a + b for a, b in zip(w1.d, w2.d))
     maps = []
-    for idx, a in enumerate(quiver.arrows):
-        t = quiver.vertex_index[a.tail]
-        h = quiver.vertex_index[a.head]
-        m1, m2 = w1.maps[idx], w2.maps[idx]
-        block = [[0] * (w1.d[t] + w2.d[t]) for _ in range(w1.d[h] + w2.d[h])]
-        for i in range(m1.rows):
-            for j in range(m1.cols):
-                block[i][j] = m1.entries[i][j]
-        for i in range(m2.rows):
-            for j in range(m2.cols):
-                block[w1.d[h] + i][w1.d[t] + j] = m2.entries[i][j]
-        maps.append(FqMatrix(field, block) if block else FqMatrix.zeros(field, 0, w1.d[t] + w2.d[t]))
+    for m1, m2 in zip(w1.maps, w2.maps):
+        # the block-diagonal matrix diag(m1, m2)
+        top = tuple([row + (0,) * m2.cols for row in m1.entries])
+        bottom = tuple([(0,) * m1.cols + row for row in m2.entries])
+        maps.append(FqMatrix._of(field, m1.rows + m2.rows, m1.cols + m2.cols, top + bottom))
     return Representation(quiver, field, d, maps)
 
 
@@ -277,13 +268,17 @@ def scan_endomorphisms(w: Representation, cap: int = DEFAULT_CAP, early_exit: bo
     of q only if prod (x - 1) = prod x - 1, which needs exactly one factor x:
     A/J is a field.
 
-    With ``early_exit`` each non-unit is also tested for nilpotency and the
-    walk stops at the first one that is not (in a local ring every non-unit
-    is nilpotent), in which case the unit count is not available.  A walk
-    that finds no such witness must agree with the count rule; otherwise
-    ``ConsistencyError``.
+    A full scan walks all q^dim End elements, so it checks that number
+    against the cap before the first one.  With ``early_exit`` each non-unit
+    is also tested for nilpotency and the walk stops at the first one that
+    is not (in a local ring every non-unit is nilpotent), in which case the
+    unit count is not available; such a walk may stop under the cap, so it
+    counts elements against the cap as it goes.  A walk that finds no such
+    witness must agree with the count rule; otherwise ``ConsistencyError``.
     """
     basis = hom_space(w, w).basis
+    if not early_exit:
+        check_cap(w.field.q ** len(basis), cap, "endomorphism-ring enumeration")
     shapes = [(dv, dv) for dv in w.d]
     units = 0
     for fs in _iter_span(basis, w.field, shapes, cap, "endomorphism-ring enumeration"):
@@ -329,8 +324,8 @@ def is_indecomposable(w: Representation, cap: int = DEFAULT_CAP) -> bool:
 
 def is_absolutely_indecomposable(w: Representation, cap: int = DEFAULT_CAP) -> bool:
     """Indecomposable with residue field equal to the ground field."""
-    structure = endo_structure(w, cap=cap)
-    return structure.is_local and structure.residue_degree == 1
+    dim_end, local, units = scan_endomorphisms(w, cap=cap, early_exit=True)
+    return local and _local_structure(dim_end, units, w.field.q).residue_degree == 1
 
 
 def aut_order(w: Representation, cap: int = DEFAULT_CAP) -> int:
@@ -365,9 +360,7 @@ def base_change(w: Representation, m: int) -> Representation:
     big = make_field(small.p, small.k * m)
     table = small.embed_into(big)
     maps = [
-        FqMatrix(big, [[table[x] for x in row] for row in mat.entries])
-        if mat.rows
-        else FqMatrix.zeros(big, mat.rows, mat.cols)
+        FqMatrix._of(big, mat.rows, mat.cols, tuple([tuple([table[x] for x in row]) for row in mat.entries]))
         for mat in w.maps
     ]
     return Representation(w.quiver, big, w.d, maps)

@@ -5,7 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quiverforge import FqMatrix, ValidationError, gl_order, g_order, make_field
+from quiverforge import ffield
 from quiverforge.ffield import (
+    Field,
     _poly_is_irreducible,
     all_matrices,
     gaussian_binomial,
@@ -45,7 +47,7 @@ def test_f4_modulus_is_unique_irreducible():
     assert irreducible == [(1, 1)]
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 10), (3, 7)])
 def test_field_axioms_sampled(p, k):
     field = make_field(p, k)
     q = field.q
@@ -64,6 +66,48 @@ def test_field_axioms_sampled(p, k):
         assert field.add(a, field.neg(a)) == 0
         if a != 0:
             assert field.mul(a, field.inv(a)) == 1
+
+    inner()
+
+
+def test_building_a_field_does_no_arithmetic(monkeypatch):
+    calls = []
+    original = ffield._poly_mul
+
+    def counted(a, b, p):
+        calls.append((a, b))
+        return original(a, b, p)
+
+    monkeypatch.setattr(ffield, "_poly_mul", counted)
+    field = Field(2, 9)
+    assert calls == []
+    assert field.mul(2, 2) == 4  # x * x = x^2, below the degree-9 modulus
+    assert len(calls) == 1
+    assert field.mul(2, 2) == 4  # memoised
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 10), (3, 7)])
+def test_extension_arithmetic_matches_residue_polynomials(p, k):
+    # oracle: multiply and reduce the residue polynomials by hand
+    field = make_field(p, k)
+    modulus = list(field.modulus)
+
+    @given(a=st.integers(0, field.q - 1), b=st.integers(0, field.q - 1))
+    def inner(a, b):
+        ca, cb = field.coeffs(a), field.coeffs(b)
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(ca):
+            for j, y in enumerate(cb):
+                prod[i + j] += x * y
+        for top in range(2 * k - 2, k - 1, -1):
+            lead, prod[top] = prod[top], 0
+            for i, c in enumerate(modulus[:-1]):
+                prod[top - k + i] -= lead * c
+        assert field.mul(a, b) == field.from_coeffs(prod[:k])
+        assert field.add(a, b) == field.from_coeffs(x + y for x, y in zip(ca, cb))
+        assert field.neg(a) == field.from_coeffs(-x for x in ca)
+        assert field.sub(a, b) == field.from_coeffs(x - y for x, y in zip(ca, cb))
 
     inner()
 
@@ -128,6 +172,24 @@ def test_inverse_round_trip(f3):
     assert m.mul(m.inverse()) == FqMatrix.identity(f3, 3)
 
 
+@pytest.mark.parametrize("p,k", [(2, 10), (3, 7)])
+def test_inverse_round_trip_above_512(p, k):
+    field = make_field(p, k)
+    q = field.q
+
+    @given(flat=st.lists(st.integers(0, q - 1), min_size=9, max_size=9))
+    def inner(flat):
+        m = FqMatrix.from_flat(field, 3, 3, flat)
+        if m.det() == 0:
+            return
+        identity = FqMatrix.identity(field, 3)
+        assert m.mul(m.inverse()) == identity
+        assert m.inverse().mul(m) == identity
+        assert m.inverse().inverse() == m
+
+    inner()
+
+
 def test_singular_inverse_is_error(f3):
     from quiverforge.errors import SingularMatrixError
 
@@ -164,6 +226,27 @@ def test_zero_size_matrices(f2):
     # an inner dimension of 0 gives the zero matrix of the outer shape
     assert tall.mul(wide) == FqMatrix.zeros(f2, 3, 3)
     assert tall.mul(wide).entries == ((0, 0, 0),) * 3
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0), (0, 0), (2, 3)])
+def test_elementwise_ops_keep_the_shape(f3, rows, cols):
+    zero = FqMatrix.zeros(f3, rows, cols)
+    for result in (zero.add(zero), zero.sub(zero), zero.neg(), zero.scale(1), zero.scale(2)):
+        assert (result.rows, result.cols) == (rows, cols)
+        assert result == zero
+    assert (zero.transpose().rows, zero.transpose().cols) == (cols, rows)
+    assert zero.transpose().transpose() == zero
+    assert FqMatrix.from_flat(f3, rows, cols, [0] * (rows * cols)) == zero
+    with pytest.raises(ValidationError, match="shape mismatch"):
+        zero.add(FqMatrix.zeros(f3, rows, cols + 1))
+
+
+def test_ragged_rows_are_refused(f3):
+    with pytest.raises(ValidationError, match="differ in length"):
+        FqMatrix(f3, [[1, 2], [3]])
+    with pytest.raises(ValidationError, match="differ in length"):
+        FqMatrix(f3, [[1], [2, 0]])
+    assert FqMatrix(f3, []).cols == 0
 
 
 # -- group orders

@@ -232,6 +232,28 @@ def test_point_count_requires_generic_theta(kron2):
         moduli_point_count(kron2, (1, 1), (0, 0), 3)
 
 
+@pytest.mark.parametrize(
+    "d,theta,message",
+    [
+        ((1, 1), (1, 1), "theta=(1, 1) is not generic for d=(1, 1)"),
+        ((2, 2), (-1, 1), "theta=(-1, 1) is not generic for d=(2, 2)"),
+        ((1,), (-1, 1), "dimension vector has 1 entries; quiver has 2 vertices"),
+        ((1, 1), (1,), "stability parameter has 1 entries; quiver has 2 vertices"),
+        ((1, -1), (-1, 1), "dimension vector must be componentwise nonnegative"),
+    ],
+)
+def test_generic_theta_checks_are_shared(kron2, d, theta, message):
+    calls = [moduli_point_count, cbvdb_identity_check, lifting_fiber_check]
+    for call in calls:
+        with pytest.raises(ValidationError) as info:
+            call(kron2, d, theta, 3)
+        assert str(info.value) == message
+    for call in calls:
+        with pytest.raises(ValidationError) as info:
+            call(kron2.double(), d, theta, 3)
+        assert str(info.value) == "pass the undoubled quiver; doubling is internal here"
+
+
 def test_level_divisibility_property(jordan, kron2, a2):
     cases = [(kron2, (1, 1), (-1, 1)), (a2, (1, 1), (-1, 1)), (jordan, (1,), (0,))]
     for quiver, d, theta in cases:

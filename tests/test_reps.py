@@ -4,6 +4,7 @@ from functools import reduce
 import pytest
 
 from quiverforge import (
+    CapExceeded,
     ConsistencyError,
     FqMatrix,
     Representation,
@@ -225,10 +226,12 @@ def test_full_scan_runs_no_nilpotency_test(jordan, kron2, f2, f3, monkeypatch):
     for w in points:
         endo_structure(w)
         aut_order(w)
-        is_absolutely_indecomposable(w)
         scan_endomorphisms(w)
     assert calls == []
     is_indecomposable(points[0])  # the early exit tests each non-unit
+    assert calls
+    calls.clear()
+    is_absolutely_indecomposable(points[0])  # reads the early-exit scan too
     assert calls
 
 
@@ -240,6 +243,44 @@ def test_early_exit_scan_cross_checks_the_count_rule(jordan, f2, monkeypatch):
     with pytest.raises(ConsistencyError, match="not a power of q"):
         scan_endomorphisms(split, early_exit=True)
     assert not endo_structure(split).is_local
+
+
+def test_absolute_indecomposability_exits_early(jordan):
+    # End(0) = M_3(F_5) has 5^9 elements; its second one is an idempotent
+    w = Representation.zero(jordan, make_field(5), (3,))
+    assert not is_indecomposable(w, cap=1000)
+    assert not is_absolutely_indecomposable(w, cap=1000)
+
+
+def test_full_scans_check_the_cap_first(jordan, monkeypatch):
+    # a full scan refuses before it tests a single element of End(0) = M_3(F_5)
+    def no_walk(fs):
+        raise AssertionError("a full scan walked End(W) past its cap")
+
+    monkeypatch.setattr(reps, "_is_unit", no_walk)
+    w = Representation.zero(jordan, make_field(5), (3,))
+    message = "endomorphism-ring enumeration needs 1953125 elements, cap is 10"
+    for call in (aut_order, endo_structure, scan_endomorphisms):
+        with pytest.raises(CapExceeded) as info:
+            call(w, cap=10)
+        assert str(info.value) == message
+
+
+def test_early_exit_scans_count_against_the_cap(jordan):
+    # an early-exit scan may stop under the cap, so it counts as it goes
+    w = Representation.zero(jordan, make_field(5), (3,))
+    assert scan_endomorphisms(w, cap=2, early_exit=True) == (9, False, None)
+    with pytest.raises(CapExceeded) as info:
+        scan_endomorphisms(w, cap=1, early_exit=True)
+    assert str(info.value) == "endomorphism-ring enumeration needs 1953125 elements, cap is 1"
+
+
+def test_shapes_survive_zero_row_maps(kron2, f3):
+    # kron2 at (2, 0): both maps are 0 x 2, and every producer keeps that shape
+    w = Representation.zero(kron2, f3, (2, 0))
+    assert [(m.rows, m.cols) for m in direct_sum(w, w).maps] == [(0, 4), (0, 4)]
+    assert [(m.rows, m.cols) for m in base_change(w, 2).maps] == [(0, 2), (0, 2)]
+    assert hom_space(w, w).dim == 4
 
 
 # -- base change
