@@ -4,12 +4,16 @@ One record per line: {"hash", "op", "params", "version", "result"}.
 Lookups match on the first four fields exactly; the CLI passes a fingerprint
 of the package sources as the version, so records written by other code are
 misses.  Corrupt lines are skipped with a warning, and an unwritable path
-downgrades to a warning so computation can proceed uncached.
+downgrades to a warning so computation can proceed uncached.  A store
+appends its record under an exclusive ``flock``, so processes that share a
+cache file never interleave their records.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
 import sys
 
 
@@ -58,8 +62,15 @@ def cache_store(path: str, quiver_hash: str, op: str, params: dict, version: str
         "version": version,
         "result": result,
     }
+    data = (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
     try:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
     except OSError as exc:
         print(f"warning: cache unwritable ({exc}); result not stored", file=sys.stderr)

@@ -30,7 +30,6 @@ from .quiver import (
     FORMAT_VERSION,
     Quiver,
     is_generic,
-    is_indivisible,
     normalize_to_degree_zero,
     pairing,
     slope,
@@ -334,8 +333,7 @@ def _cmd_betti(args) -> tuple[dict, str]:
     record, _ = _kac_record(args, quiver, d)
     poly = ExactPolynomial(record["polynomial"])
     e = quiver.expected_moduli_dim(d)
-    in_scope = quiver.is_loop_free and is_indivisible(d)
-    report = betti_from_kac(poly, e, in_theorem_scope=in_scope)
+    report = betti_from_kac(poly, e, in_theorem_scope=quiver.is_loop_free)
     payload = {"e": report.e, "betti": list(report.betti)}
     if report.scope != "theorem":
         payload["scope"] = report.scope

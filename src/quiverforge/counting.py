@@ -1,13 +1,14 @@
 """Counting machinery over F_q.
 
-Iso-class counts come from the canonical orbit partition; Burnside's
-formula, summing fixed points over the elements of GL_d, is the one
-independent oracle that cross-checks them (the stabilizer sum over points
-is a test-side oracle only).  Indecomposable and absolutely indecomposable
-counts deduplicate by canonical orbit representatives and test each class
-representative's endomorphism ring.  Counts at several prime powers feed an
-exact Lagrange interpolation whose result is verified at two surplus
-evaluation points before being returned.
+M, I and A come from the canonical orbit partition and ``hom_space``: M
+counts orbits, and each representative W has |Aut W| = |GL_d| / |orbit|
+(Aut W is W's stabilizer) and dim End(W) = dim Hom(W, W), from which the
+unit-count rule of ``reps`` reads locality and the residue degree.
+Burnside's formula over the elements of GL_d, whose fixed spaces are Hom
+spaces between Jordan representations (Kac, LNM 996, 1983), is the one
+independent oracle for M.  Counts at several prime powers feed an exact
+Lagrange interpolation whose result is verified at two surplus evaluation
+points before being returned.
 """
 
 from __future__ import annotations
@@ -25,14 +26,10 @@ from .errors import (
     check_cap,
     DEFAULT_CAP,
 )
-from .ffield import Field, FqMatrix, enumerate_gl, gl_order, make_field
+from .ffield import Field, enumerate_gl, gl_order, make_field
 from .orbits import decode_representation, orbit_partition
-from .quiver import Quiver
-from .reps import (
-    Representation,
-    _local_structure,
-    scan_endomorphisms,
-)
+from .quiver import Quiver, jordan_quiver
+from .reps import Representation, _local_structure, hom_space
 from .series import (
     ExactPolynomial,
     TruncatedSeries,
@@ -99,38 +96,13 @@ def divisors(n: int) -> list[int]:
 # iso-class counting (Burnside over group elements)
 
 
-def _fixed_point_log(quiver: Quiver, d, combo, field: Field) -> int:
-    """log_q of the number of representations fixed by the group tuple.
-
-    X is fixed by ``combo = (g_v)`` iff g_h X = X g_t on every arrow, so
-    the fixed space splits arrow by arrow into the kernels of
-    X -> g_h X - X g_t.
-    """
-    total = 0
-    for a in quiver.arrows:
-        h = quiver.vertex_index[a.head]
-        t = quiver.vertex_index[a.tail]
-        r, c = d[h], d[t]
-        gh = combo[h].entries
-        minus_gt = [[field.neg(v) for v in row] for row in combo[t].entries]
-        # row (x, y), column (i, j): entry (x, y) of g_h E_ij - E_ij g_t,
-        # which is gh[x][i] [y == j] - [x == i] gt[j][y]
-        rows = []
-        for x in range(r):
-            for y in range(c):
-                row = [0] * (r * c)
-                for i in range(r):
-                    row[i * c + y] = gh[x][i]
-                for j in range(c):
-                    row[x * c + j] = field.add(row[x * c + j], minus_gt[j][y])
-                rows.append(row)
-        total += r * c - FqMatrix(field, rows).rank()
-    return total
-
-
 def count_iso_classes(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> int:
     """Number of iso classes of d-dimensional representations over F_q, by
     Burnside over GL_d: M = (1/|GL_d|) sum_g #{X in Rep(Q,d) : g.X = X}.
+
+    X is fixed by g = (g_v) iff g_h X_a = X_a g_t on every arrow a: t -> h,
+    i.e. X_a is in Hom((F^{d_t}, g_t), (F^{d_h}, g_h)) between Jordan
+    representations; parallel arrows share one ``hom_space``.
 
     The independent oracle for the orbit partition's M; an inexact division
     is a hard error.
@@ -141,11 +113,15 @@ def count_iso_classes(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> int:
     check_cap(order, cap, "group-element enumeration")
     for dv in d:
         check_cap(q ** (dv * dv), cap, "GL candidate enumeration")
-    gls = [list(enumerate_gl(field, dv)) for dv in d]
+    jordan = jordan_quiver()
+    gls = [[Representation(jordan, field, (dv,), [g]) for g in enumerate_gl(field, dv)] for dv in d]
+    vertices = range(len(d))
+    pairs = [(t, h, m) for t in vertices for h in vertices if (m := quiver.arrows_between(t, h))]
 
     fixed_total = 0
     for combo in itertools.product(*gls):
-        fixed_total += q ** _fixed_point_log(quiver, d, combo, field)
+        fixed_log = sum(m * hom_space(combo[t], combo[h]).dim for t, h, m in pairs)
+        fixed_total += q**fixed_log
     count, rem = divmod(fixed_total, order)
     if rem:
         raise ConsistencyError("Burnside sum over group elements is not divisible by |GL_d|")
@@ -163,7 +139,7 @@ def iso_class_representatives(
     element of every GL_d-orbit, in lexicographic order."""
     field = field_from_order(q)
     d = quiver.check_dim(d)
-    indices, _ = orbit_partition(quiver, field, d, cap=cap)
+    indices, _, _ = orbit_partition(quiver, field, d, cap=cap)
     return [decode_representation(quiver, field, d, i) for i in indices]
 
 
@@ -180,19 +156,27 @@ class ClassCounts:
 
 
 def classify_classes(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> ClassCounts:
-    reps = iso_class_representatives(quiver, d, q, cap=cap)
+    """M, I and A from one orbit partition; the cap budgets its q^n points.
+    An orbit size that does not divide |GL_d| is a hard error."""
+    field = field_from_order(q)
+    d = quiver.check_dim(d)
+    indices, _, sizes = orbit_partition(quiver, field, d, cap=cap)
+    order = gl_order(d, q)
     indec = 0
     abs_indec = 0
-    for w in reps:
-        # the early exit fires only on a non-local End(W): a local one has all its units
-        dim_end, local, units = scan_endomorphisms(w, cap=cap, early_exit=True)
-        if not local:
+    for index, size in zip(indices, sizes):
+        units, rem = divmod(order, size)
+        if rem:
+            raise ConsistencyError(f"orbit of size {size} does not divide |GL_d| = {order}")
+        w = decode_representation(quiver, field, d, index)
+        end = _local_structure(hom_space(w, w).dim, units, q)
+        if not end.is_local:
             continue
         indec += 1
-        if _local_structure(dim_end, units, w.field.q).residue_degree == 1:
+        if end.residue_degree == 1:
             abs_indec += 1
     return ClassCounts(
-        iso_classes=len(reps),
+        iso_classes=len(indices),
         indecomposable=indec,
         absolutely_indecomposable=abs_indec,
     )
@@ -374,9 +358,10 @@ def hua_identity_check(quiver: Quiver, q: int, degree: int, cap: int = DEFAULT_C
         sum_d M_d(q) X^d   and   prod_{d != 0} (1 - X^d)^(-I_d(q)),
 
     with M_d and I_d read off one ``classify_classes`` per d: the orbit
-    partition and an End-ring scan per class representative.  The contract
-    is zero.  Burnside agreement with the orbit partition is checked on its
-    own, by ``count_report(cross_check=True)`` and ``count --cross-check``.
+    partition, its orbit sizes and one ``hom_space`` per class
+    representative.  The contract is zero.  Burnside agreement with the
+    orbit partition is checked on its own, by
+    ``count_report(cross_check=True)`` and ``count --cross-check``.
     """
     nvars = len(quiver.vertices)
     dims = [m for m in monomials_up_to(nvars, degree) if any(m)]

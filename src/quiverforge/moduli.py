@@ -35,7 +35,7 @@ from .errors import (
     check_cap,
 )
 from .ffield import Field, FqMatrix, g_order
-from .quiver import Quiver, is_generic, is_indivisible
+from .quiver import Quiver, is_generic
 from .reps import Representation, all_representations, arrow_shapes, scan_endomorphisms
 from .counting import count_abs_indecomposable, field_from_order
 from .series import ExactPolynomial
@@ -178,11 +178,15 @@ def enumerate_level_set(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP) 
 
 
 def _check_generic(quiver: Quiver, d, theta) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(d, theta) checked: the quiver is undoubled and theta is generic for d."""
+    """(d, theta) checked: the quiver is undoubled, d is nonzero and theta is
+    generic for d.  A theta generic for a nonzero d forces gcd(d) = 1: for
+    d = m d' with m > 1, theta.d' = theta.d / m = 0 at the proper d'."""
     if quiver.is_doubled:
         raise ValidationError("pass the undoubled quiver; doubling is internal here")
     d = quiver.check_dim(d)
     theta = quiver.check_vector(theta, name="stability parameter")
+    if not any(d):
+        raise ValidationError(f"d={d} is zero; moduli counts need a nonzero d")
     if not is_generic(theta, d):
         raise ValidationError(f"theta={theta} is not generic for d={d}")
     return d, theta
@@ -234,11 +238,8 @@ def cbvdb_identity_check(
 ) -> CbvdbCheck:
     """Compare the moduli point count with q^e times the absolutely
     indecomposable count; both sides brute force."""
-    # a nonzero divisible d is never generic: only d = 0 reaches the gcd check
     level, points = _level_and_points(quiver, d, theta, q, cap)
     d = quiver.check_dim(d)
-    if not is_indivisible(d):
-        raise ValidationError(f"d={d} is divisible; the identity needs gcd(d) = 1")
     e = quiver.expected_moduli_dim(d)
     if e < 0:
         raise ValidationError(f"expected moduli dimension is negative for d={d}")
@@ -270,11 +271,7 @@ class LiftingCheck:
 def lifting_fiber_check(
     quiver: Quiver, d, theta, q: int, cap: int = DEFAULT_CAP
 ) -> LiftingCheck:
-    # d = 0 is generic for every theta, so it reaches the zero check
     d, theta = _check_generic(quiver, d, theta)
-    if not any(d):
-        raise ValidationError(f"d={d} is zero; the lifting-fiber profile needs a nonzero d")
-
     level_count = 0
     counterexample = None
     for w, observed in _fiber_sizes(quiver, d, theta, q, cap=cap):

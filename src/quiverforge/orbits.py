@@ -14,7 +14,7 @@ yields a permutation of indices; orbits are the connected components of the
 union of those permutation graphs.  The accumulator dtype is chosen so that
 no sum of products wraps, so the partition is exact for every F_{p^k};
 canonical class representatives are the lexicographically smallest orbit
-elements.
+elements, and an orbit's size is its component's size.
 """
 
 from __future__ import annotations
@@ -67,8 +67,9 @@ def _images(digits: np.ndarray, action_t: np.ndarray, p: int, powers: np.ndarray
 def orbit_partition(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
     """Partition the representation space into GL_d-orbits.
 
-    Returns (canonical_indices, n_points): the sorted list of minimal point
-    indices, one per orbit, and the total point count.
+    Returns (canonical_indices, n_points, sizes): the sorted list of minimal
+    point indices, one per orbit, the total point count, and the size of
+    each listed orbit.
     """
     d = quiver.check_dim(d)
     n_entries = sum(r * c for r, c in arrow_shapes(quiver, d))
@@ -77,11 +78,11 @@ def orbit_partition(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
     p, width = field.p, n_entries * field.k
     acc = _accumulator(width, p)
     if n_entries == 0:
-        return [0], 1
+        return [0], 1, [1]
 
     generators = [(v, g) for v, dv in enumerate(d) for g in gl_generators(field, dv)]
     if not generators:
-        return list(range(n_points)), n_points
+        return list(range(n_points)), n_points, [1] * n_points
 
     dtype = np.int32 if n_points < 2**31 else np.int64
     powers = p ** np.arange(width - 1, -1, -1, dtype=dtype)
@@ -107,7 +108,8 @@ def orbit_partition(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
     sorted_labels = labels[order]
     firsts = np.nonzero(np.r_[True, sorted_labels[1:] != sorted_labels[:-1]])[0]
     canonical = np.sort(order[firsts])
-    return [int(x) for x in canonical], n_points
+    sizes = np.bincount(labels)[labels[canonical]]
+    return [int(x) for x in canonical], n_points, [int(x) for x in sizes]
 
 
 def decode_representation(

@@ -154,24 +154,22 @@ def hom_space(w1: Representation, w2: Representation) -> HomSpace:
     for idx, a in enumerate(quiver.arrows):
         t = quiver.vertex_index[a.tail]
         h = quiver.vertex_index[a.head]
-        phi1 = w1.maps[idx]
-        phi2 = w2.maps[idx]
+        phi1 = w1.maps[idx].entries
+        minus_phi2 = [[field.neg(c) for c in row] for row in w2.maps[idx].entries]
         # equation block has shape d2_h x d1_t
         for i in range(w2.d[h]):
+            f_h_row = offsets[h] + i * w1.d[h]
             for j in range(w1.d[t]):
                 row = [0] * nvars
                 # (f_h phi1)_ij = sum_k f_h[i,k] phi1[k,j]
                 for k in range(w1.d[h]):
-                    c = phi1.entries[k][j]
-                    if c:
-                        var = offsets[h] + i * w1.d[h] + k
-                        row[var] = field.add(row[var], c)
-                # -(phi2 f_t)_ij = -sum_k phi2[i,k] f_t[k,j]
+                    row[f_h_row + k] = phi1[k][j]
+                # -(phi2 f_t)_ij = sum_k (-phi2[i,k]) f_t[k,j]; f_t may be f_h
                 for k in range(w2.d[t]):
-                    c = phi2.entries[i][k]
+                    c = minus_phi2[i][k]
                     if c:
                         var = offsets[t] + k * w1.d[t] + j
-                        row[var] = field.sub(row[var], c)
+                        row[var] = field.add(row[var], c)
                 rows.append(tuple(row))
     system = FqMatrix._of(field, len(rows), nvars, tuple(rows))
     basis = []

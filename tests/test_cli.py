@@ -1,8 +1,18 @@
 import json
+import multiprocessing
 
 import pytest
 
-from quiverforge import ValidationError, cli, counting, jordan_quiver, kronecker_quiver, moduli
+from quiverforge import (
+    ValidationError,
+    a2_quiver,
+    cli,
+    counting,
+    jordan_quiver,
+    kronecker_quiver,
+    moduli,
+)
+from quiverforge import cache
 from quiverforge.cache import cache_lookup, cache_store
 from quiverforge.cli import main, parse_quiver, serialize_quiver
 
@@ -222,10 +232,57 @@ def test_moduli_theta_walks_the_level_set_once(capsys, kron2_file, monkeypatch):
             '{"error":{"kind":"cap",'
             '"message":"representation-space enumeration needs 625 elements, cap is 10"}}',
         ),
+        (
+            ["--d", "0,0", "--theta", "0,0", "--q", "3"],
+            1,
+            '{"error":{"kind":"ValidationError",'
+            '"message":"d=(0, 0) is zero; moduli counts need a nonzero d"}}',
+        ),
+        (
+            ["--d", "1,1", "--q", "3"],
+            1,
+            '{"error":{"kind":"ValidationError",'
+            '"message":"moduli needs --theta (full point count) or --eta (level set only)"}}',
+        ),
     ],
 )
 def test_moduli_theta_error_payloads(capsys, kron2_file, argv, code, payload):
     got, out, _ = run_cli(capsys, ["moduli", "--quiver", kron2_file, *argv])
+    assert got == code
+    assert out == payload + "\n"
+
+
+def test_moduli_theta_refuses_a_negative_expected_dimension(capsys, tmp_path):
+    # (2, 1) is no root of A_2: e = 1 - <d, d> = -2
+    path = tmp_path / "a2.json"
+    path.write_text(serialize_quiver(a2_quiver()))
+    code, out, _ = run_cli(
+        capsys, ["moduli", "--quiver", str(path), "--d", "2,1", "--theta", "-1,2", "--q", "3"]
+    )
+    assert code == 1
+    assert out == (
+        '{"error":{"kind":"ValidationError",'
+        '"message":"expected moduli dimension is negative for d=(2, 1)"}}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "quiver,argv,code,payload",
+    [
+        (
+            "kron2",
+            ["--d", "1,1", "--theta", "1,1"],
+            1,
+            '{"error":{"kind":"ValidationError",'
+            '"message":"theta=[1, 1] is not generic for d=[1, 1]"}}',
+        ),
+        # the Jordan quiver has a loop: out of the theorem's scope
+        ("jordan", ["--d", "1", "--theta", "0"], 0, '{"betti":[1,0,0],"e":1,"scope":"heuristic"}'),
+    ],
+)
+def test_betti_payloads(capsys, kron2_file, jordan_file, quiver, argv, code, payload):
+    path = {"kron2": kron2_file, "jordan": jordan_file}[quiver]
+    got, out, _ = run_cli(capsys, ["betti", "--quiver", path, *argv])
     assert got == code
     assert out == payload + "\n"
 
@@ -279,6 +336,53 @@ def test_cache_store_then_lookup(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     cache_store(path, "h", "kac", {"d": [1, 1]}, "0.1.0", {"polynomial": [1, 1]})
     assert cache_lookup(path, "h", "kac", {"d": [1, 1]}, "0.1.0") == {"polynomial": [1, 1]}
+
+
+def test_cache_store_appends_each_record_in_one_locked_write(tmp_path, monkeypatch):
+    events = []
+    flock, write = cache.fcntl.flock, cache.os.write
+
+    def recorded_flock(fd, operation):
+        events.append(("lock", operation))
+        return flock(fd, operation)
+
+    def recorded_write(fd, data):
+        events.append(("write", len(data)))
+        return write(fd, data)
+
+    monkeypatch.setattr(cache.fcntl, "flock", recorded_flock)
+    monkeypatch.setattr(cache.os, "write", recorded_write)
+    path = str(tmp_path / "cache.jsonl")
+    cache_store(path, "h", "kac", {"d": [1, 1]}, "v", {"polynomial": [1, 1]})
+    cache_store(path, "h", "kac", {"d": [2, 1]}, "v", {"polynomial": [1]})
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    assert events == [
+        ("lock", cache.fcntl.LOCK_EX), ("write", len(lines[0])),
+        ("lock", cache.fcntl.LOCK_EX), ("write", len(lines[1])),
+    ]
+
+
+def _store_many(path, writer):
+    for i in range(25):
+        cache_store(path, f"h{writer}", "op", {"i": i}, "v", "x" * 200_000)
+
+
+def test_concurrent_cache_writers_keep_every_record_whole(tmp_path):
+    path = str(tmp_path / "cache.jsonl")
+    context = multiprocessing.get_context("fork")
+    writers = [context.Process(target=_store_many, args=(path, w)) for w in range(4)]
+    for writer in writers:
+        writer.start()
+    for writer in writers:
+        writer.join()
+    assert [writer.exitcode for writer in writers] == [0] * 4
+    with open(path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    assert sorted((r["hash"], r["params"]["i"]) for r in records) == sorted(
+        (f"h{w}", i) for w in range(4) for i in range(25)
+    )
+    assert all(r["result"] == "x" * 200_000 for r in records)
 
 
 def test_cache_miss_on_empty_and_version(tmp_path):

@@ -20,6 +20,7 @@ from quiverforge import (
     kronecker_quiver,
     make_field,
 )
+from quiverforge.quiver import Quiver, a2_quiver, jordan_quiver
 from quiverforge import acceptance, counting, reps
 from quiverforge.counting import (
     classify_classes,
@@ -28,7 +29,7 @@ from quiverforge.counting import (
     prime_power,
     prime_powers,
 )
-from quiverforge.ffield import enumerate_gl, gl_order
+from quiverforge.ffield import FqMatrix, enumerate_gl, gl_order
 from quiverforge import orbits
 from quiverforge.orbits import orbit_partition
 from quiverforge.reps import all_representations, aut_order
@@ -58,6 +59,44 @@ def brute_orbit_count(quiver, d, q):
                 maps.append(combo[h].mul(w.maps[idx]).mul(inv[t]))
             seen.add(tuple(x for m in maps for x in m.flat()))
     return orbits
+
+
+def end_walk_counts(quiver, d, q):
+    """Independent oracle: (M, I, A) with each class's End ring walked for
+    its unit count, stopping at the first non-nilpotent non-unit."""
+    classes = iso_class_representatives(quiver, d, q)
+    indec = abs_indec = 0
+    for w in classes:
+        dim_end, local, units = reps.scan_endomorphisms(w, early_exit=True)
+        if not local:
+            continue
+        indec += 1
+        if reps._local_structure(dim_end, units, q).residue_degree == 1:
+            abs_indec += 1
+    return len(classes), indec, abs_indec
+
+
+def commutation_kernel_log(quiver, d, combo, field):
+    """Independent oracle: log_q of the points fixed by ``combo`` = (g_v), from
+    each arrow's own system X -> g_h X - X g_t written out entrywise."""
+    total = 0
+    for a in quiver.arrows:
+        h = quiver.vertex_index[a.head]
+        t = quiver.vertex_index[a.tail]
+        r, c = d[h], d[t]
+        gh, gt = combo[h].entries, combo[t].entries
+        # row (x, y), column (i, j): entry (x, y) of g_h E_ij - E_ij g_t
+        rows = []
+        for x in range(r):
+            for y in range(c):
+                row = [0] * (r * c)
+                for i in range(r):
+                    row[i * c + y] = gh[x][i]
+                for j in range(c):
+                    row[x * c + j] = field.sub(row[x * c + j], gt[j][y])
+                rows.append(row)
+        total += r * c - FqMatrix(field, rows).rank()
+    return total
 
 
 def stabilizer_burnside_count(quiver, d, q):
@@ -149,10 +188,105 @@ def test_burnside_walks_no_points_and_scans_no_end_ring(jordan, monkeypatch):
     assert count_iso_classes(kronecker_quiver(3), (1, 1), 9, cap=100) == 92
 
 
+def loop_and_arrow_quiver():
+    return Quiver(["1", "2"], [("l", "1", "1"), ("a", "1", "2")])
+
+
+QUIVERS = {
+    "jordan": jordan_quiver(),
+    "kron2": kronecker_quiver(2),
+    "kron3": kronecker_quiver(3),
+    "a2": a2_quiver(),
+    "loop+arrow": loop_and_arrow_quiver(),
+}
+
+
+@pytest.mark.parametrize(
+    "name,d,q",
+    [
+        ("jordan", (2,), 4),
+        ("jordan", (2,), 9),
+        ("kron3", (1, 1), 9),
+        ("kron3", (2, 1), 4),
+        ("loop+arrow", (2, 1), 3),
+        ("loop+arrow", (1, 1), 4),
+        ("kron2", (2, 2), 2),
+        ("a2", (2, 1), 3),
+    ],
+)
+def test_burnside_hom_dimensions_match_the_commutation_kernels(name, d, q):
+    quiver, field = QUIVERS[name], field_from_order(q)
+    jordan = jordan_quiver()
+    fixed_total = 0
+    for combo in itertools.product(*[list(enumerate_gl(field, dv)) for dv in d]):
+        wrapped = [reps.Representation(jordan, field, (g.rows,), [g]) for g in combo]
+        by_hom = sum(
+            reps.hom_space(wrapped[quiver.vertex_index[a.tail]],
+                           wrapped[quiver.vertex_index[a.head]]).dim
+            for a in quiver.arrows
+        )
+        by_kernel = commutation_kernel_log(quiver, d, combo, field)
+        assert by_hom == by_kernel, combo
+        fixed_total += q**by_kernel
+    assert count_iso_classes(quiver, d, q) * gl_order(d, q) == fixed_total
+
+
+CLASSIFY_CASES = [
+    ("jordan", (2,), 2),
+    ("jordan", (2,), 3),
+    ("jordan", (2,), 4),
+    ("jordan", (2,), 8),
+    ("jordan", (2,), 9),
+    ("jordan", (3,), 2),
+    ("kron2", (1, 1), 4),
+    ("kron2", (2, 1), 3),
+    ("kron2", (2, 2), 2),
+    ("kron3", (1, 1), 9),
+    ("a2", (2, 1), 3),
+    ("loop+arrow", (2, 1), 2),
+    ("loop+arrow", (1, 1), 8),
+]
+
+
+@pytest.mark.parametrize("name,d,q", CLASSIFY_CASES)
+def test_classify_matches_the_end_ring_walk(name, d, q):
+    counts = classify_classes(QUIVERS[name], d, q)
+    assert (
+        counts.iso_classes, counts.indecomposable, counts.absolutely_indecomposable
+    ) == end_walk_counts(QUIVERS[name], d, q)
+
+
+@pytest.mark.parametrize(
+    "name,d,q",
+    [("jordan", (2,), 3), ("jordan", (2,), 4), ("kron2", (2, 1), 3), ("a2", (2, 1), 2),
+     ("loop+arrow", (2, 1), 2), ("kron3", (1, 1), 4)],
+)
+def test_orbit_sizes_are_group_order_over_automorphisms(name, d, q):
+    quiver, field = QUIVERS[name], field_from_order(q)
+    indices, _, sizes = orbit_partition(quiver, field, d)
+    assert len(sizes) == len(indices)
+    for index, size in zip(indices, sizes):
+        w = orbits.decode_representation(quiver, field, d, index)
+        assert size * aut_order(w) == gl_order(d, q)
+
+
+def test_classify_refuses_an_orbit_size_not_dividing_the_group(jordan, monkeypatch):
+    original = counting.orbit_partition
+
+    def bad_sizes(*args, **kwargs):
+        indices, n_points, sizes = original(*args, **kwargs)
+        return indices, n_points, [gl_order((2,), 2) + 1] + sizes[1:]
+
+    monkeypatch.setattr(counting, "orbit_partition", bad_sizes)
+    with pytest.raises(ConsistencyError, match="does not divide"):
+        classify_classes(jordan, (2,), 2)
+
+
 def test_orbit_partition_exact_past_uint16(jordan):
     # codes of F_65537 run up to 65536, one past the uint16 range
-    indices, n_points = orbit_partition(jordan, make_field(65537), (1,))
+    indices, n_points, sizes = orbit_partition(jordan, make_field(65537), (1,))
     assert n_points == len(indices) == 65537
+    assert set(sizes) == {1}
 
 
 def test_orbit_products_sum_without_wrapping():
@@ -208,21 +342,16 @@ def test_indecomposable_counts_examples(jordan, kron2, a2):
     assert count_abs_indecomposable(a2, (1, 1), 2) == 1
 
 
-def test_classify_scans_each_end_ring_once(jordan, monkeypatch):
-    scanned = []
-    original = reps.scan_endomorphisms
+def test_classify_walks_no_end_ring(jordan, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("classify_classes walked an End ring")
 
-    def counted(w, *args, **kwargs):
-        scanned.append(w.entry_key())
-        return original(w, *args, **kwargs)
-
-    monkeypatch.setattr(reps, "scan_endomorphisms", counted)
-    monkeypatch.setattr(counting, "scan_endomorphisms", counted, raising=False)
+    monkeypatch.setattr(reps, "_iter_span", forbidden)
+    monkeypatch.setattr(reps, "scan_endomorphisms", forbidden)
     counts = classify_classes(jordan, (2,), 3)
     assert (counts.iso_classes, counts.indecomposable, counts.absolutely_indecomposable) == (
         12, 6, 3,
     )
-    assert len(scanned) == len(set(scanned)) == counts.iso_classes
 
 
 def test_count_zero_off_roots(a2):

@@ -33,7 +33,7 @@ from quiverforge import (
 )
 from quiverforge import moduli, reps
 from quiverforge.moduli import level_set_points
-from quiverforge.quiver import Quiver
+from quiverforge.quiver import Quiver, is_generic, is_indivisible, normalize_to_degree_zero
 from quiverforge.reps import all_representations
 
 
@@ -240,6 +240,8 @@ def test_point_count_requires_generic_theta(kron2):
         ((1,), (-1, 1), "dimension vector has 1 entries; quiver has 2 vertices"),
         ((1, 1), (1,), "stability parameter has 1 entries; quiver has 2 vertices"),
         ((1, -1), (-1, 1), "dimension vector must be componentwise nonnegative"),
+        # d = 0 is generic for every theta, so the gate refuses it by name
+        ((0, 0), (0, 0), "d=(0, 0) is zero; moduli counts need a nonzero d"),
     ],
 )
 def test_generic_theta_checks_are_shared(kron2, d, theta, message):
@@ -309,6 +311,17 @@ def test_lifting_fiber_profile(jordan, kron2, a2):
 def test_lifting_refuses_zero_dimension(kron2):
     with pytest.raises(ValidationError, match="zero"):
         lifting_fiber_check(kron2, (0, 0), (0, 0), 2)
+
+
+@given(
+    d=st.lists(st.integers(0, 6), min_size=1, max_size=3),
+    raw=st.lists(st.integers(-5, 5), min_size=3, max_size=3),
+)
+def test_generic_theta_forces_an_indivisible_d(d, raw):
+    # why the generic gate needs no gcd check of its own
+    theta = normalize_to_degree_zero(raw[: len(d)], d)
+    if any(d) and is_generic(theta, d):
+        assert is_indivisible(d)
 
 
 def test_lifting_reports_the_lex_first_counterexample(kron2, monkeypatch):
