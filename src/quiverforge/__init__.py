@@ -46,6 +46,7 @@ from .reps import (
 from .series import ExactPolynomial, TruncatedSeries, lagrange_interpolate
 from .counting import (
     CountReport,
+    abs_indecomposable_by_hua,
     count_abs_indecomposable,
     count_indecomposable,
     count_iso_classes,

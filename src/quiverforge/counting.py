@@ -6,14 +6,19 @@ counts orbits, and each representative W has |Aut W| = |GL_d| / |orbit|
 unit-count rule of ``reps`` reads locality and the residue degree.
 Burnside's formula over the elements of GL_d, whose fixed spaces are Hom
 spaces between Jordan representations (Kac, LNM 996, 1983), is the one
-independent oracle for M.  Counts at several prime powers feed an exact
-Lagrange interpolation whose result is verified at two surplus evaluation
-points before being returned.
+independent oracle for M.
+
+Kac polynomials take A from Hua's formula (J. Algebra 226, 2000), a
+plethystic logarithm over tuples of partitions that never enumerates
+Rep(Q, d); the orbit partition's A is its test oracle.  Values at several
+prime powers feed an exact Lagrange interpolation whose result is verified
+at two surplus evaluation points before being returned.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -102,7 +107,8 @@ def count_iso_classes(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> int:
 
     X is fixed by g = (g_v) iff g_h X_a = X_a g_t on every arrow a: t -> h,
     i.e. X_a is in Hom((F^{d_t}, g_t), (F^{d_h}, g_h)) between Jordan
-    representations; parallel arrows share one ``hom_space``.
+    representations.  Each pair (g_t, g_h) is solved once, whatever the
+    other components of g and however many arrows join t to h.
 
     The independent oracle for the orbit partition's M; an inexact division
     is a hard error.
@@ -114,13 +120,35 @@ def count_iso_classes(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> int:
     for dv in d:
         check_cap(q ** (dv * dv), cap, "GL candidate enumeration")
     jordan = jordan_quiver()
-    gls = [[Representation(jordan, field, (dv,), [g]) for g in enumerate_gl(field, dv)] for dv in d]
+    gls = {
+        dv: [Representation(jordan, field, (dv,), [g]) for g in enumerate_gl(field, dv)]
+        for dv in set(d)
+    }
+    # dim Hom(J(g_t), J(g_h)) depends only on the pair (g_t, g_h): one table
+    # per (d_t, d_h), or one diagonal per d_v for loops, shared by every
+    # vertex pair with those dimensions
+    tables: dict = {}
+    factors = []
     vertices = range(len(d))
-    pairs = [(t, h, m) for t in vertices for h in vertices if (m := quiver.arrows_between(t, h))]
+    for t in vertices:
+        for h in vertices:
+            m = quiver.arrows_between(t, h)
+            if not m:
+                continue
+            key = (d[t],) if t == h else (d[t], d[h])
+            if key not in tables:
+                if t == h:
+                    tables[key] = [hom_space(w, w).dim for w in gls[d[t]]]
+                else:
+                    tables[key] = [[hom_space(a, b).dim for b in gls[d[h]]] for a in gls[d[t]]]
+            factors.append((t, h, m, tables[key]))
 
     fixed_total = 0
-    for combo in itertools.product(*gls):
-        fixed_log = sum(m * hom_space(combo[t], combo[h]).dim for t, h, m in pairs)
+    for combo in itertools.product(*(range(len(gls[dv])) for dv in d)):
+        fixed_log = 0
+        for t, h, m, table in factors:
+            dim = table[combo[t]] if t == h else table[combo[t]][combo[h]]
+            fixed_log += m * dim
         fixed_total += q**fixed_log
     count, rem = divmod(fixed_total, order)
     if rem:
@@ -241,6 +269,122 @@ def count_report(
 
 
 # ---------------------------------------------------------------------------
+# absolutely indecomposable counts from Hua's formula
+
+
+def _partitions(n: int, largest: int | None = None):
+    """Partitions of n as non-increasing tuples, lexicographically descending."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _partition_counts(n: int) -> list[int]:
+    """p(0), ..., p(n)."""
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            counts[m] += counts[m - part]
+    return counts
+
+
+def _hua_data(lam: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(conjugate of lam, the k with a factor 1 - t^k in b_lam(t)):
+    b_lam(t) = prod over part sizes m of prod_{k <= mult(m)} (1 - t^k)."""
+    conjugate = tuple(sum(1 for part in lam if part >= k) for k in range(1, lam[0] + 1)) if lam else ()
+    ks = tuple(k for m in set(lam) for k in range(1, lam.count(m) + 1))
+    return conjugate, ks
+
+
+def _pairing(conj1, conj2) -> int:
+    """<lam, mu> = sum_k lam'_k mu'_k, from the conjugates."""
+    return sum(a * b for a, b in zip(conj1, conj2))
+
+
+def _log_coefficient(coeffs: dict, box: tuple[int, ...]) -> Fraction:
+    """[X^box] log P for a series P with constant term 1, from the Euler
+    operator: |m| L_m = |m| P_m - sum_{0 < k < m} |k| L_k P_{m-k}."""
+    logs: dict = {}
+    for m in itertools.product(*(range(b + 1) for b in box)):
+        size = sum(m)
+        if not size:
+            continue
+        acc = size * coeffs[m]
+        for k in itertools.product(*(range(x + 1) for x in m)):
+            if k != m and any(k):
+                acc -= sum(k) * logs[k] * coeffs[tuple(a - b for a, b in zip(m, k))]
+        logs[m] = acc / size
+    return logs[box]
+
+
+def abs_indecomposable_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> int:
+    """A_d(q) from Hua's formula, for any integer q >= 2:
+
+        sum_{d != 0} A_d(q) X^d = (q - 1) Log P(X, q),
+        P = sum_pi X^|pi| q^(sum_a <pi_t(a), pi_h(a)> - sum_i <pi_i, pi_i>)
+                          / prod_i b_{pi_i}(1/q),
+
+    pi running over tuples of partitions, one per vertex, with |pi_i| <= d_i,
+    and [X^d] Log P = sum_{r | gcd d} (mu(r)/r) [X^(d/r)] log P(X, q^r).
+    No representation is enumerated; the cap budgets the partition tuples.
+    A non-integer result is a hard error.
+    """
+    d = quiver.check_dim(d)
+    if not any(d):
+        raise ValidationError("A_d needs a nonzero dimension vector")
+    if not isinstance(q, int) or q < 2:
+        raise ValidationError(f"Hua's formula needs an integer q >= 2, got {q!r}")
+    counts = _partition_counts(max(d))
+    needed = 1
+    for dv in d:
+        needed *= sum(counts[: dv + 1])
+    check_cap(needed, cap, "partition-tuple enumeration")
+
+    per_vertex = [
+        [(n, *_hua_data(lam)) for n in range(dv + 1) for lam in _partitions(n)] for dv in d
+    ]
+    arrows = [(quiver.vertex_index[a.tail], quiver.vertex_index[a.head]) for a in quiver.arrows]
+    # P as a sum of terms X^m Q^e / prod_k (Q^k - 1), since 1/b_lam(1/Q) is
+    # Q^(sum ks) / prod (Q^k - 1); tuples with equal (m, e, ks) are merged,
+    # and Q is q, or q^r for the r-th Adams term
+    terms: Counter = Counter()
+    for pi in itertools.product(*per_vertex):
+        e = sum(_pairing(pi[t][1], pi[h][1]) for t, h in arrows)
+        ks: list[int] = []
+        for _, conj, vertex_ks in pi:
+            e += sum(vertex_ks) - _pairing(conj, conj)
+            ks.extend(vertex_ks)
+        terms[(tuple(part[0] for part in pi), e, tuple(sorted(ks)))] += 1
+
+    g = 0
+    for x in d:
+        g = gcd(g, x)
+    total = Fraction(0)
+    for r in divisors(g):
+        mu = moebius(r)
+        if not mu:
+            continue
+        box = tuple(x // r for x in d)
+        big_q = q**r
+        coeffs: dict = {}
+        for (m, e, ks), count in terms.items():
+            if any(a > b for a, b in zip(m, box)):
+                continue
+            denominator = 1
+            for k in ks:
+                denominator *= big_q**k - 1
+            coeffs[m] = coeffs.get(m, 0) + Fraction(big_q) ** e * count / denominator
+        total += Fraction(mu, r) * _log_coefficient(coeffs, box)
+    value = (q - 1) * total
+    if value.denominator != 1:
+        raise ConsistencyError(f"Hua's formula gives a non-integer A_d({q}) = {value} for d={d}")
+    return int(value)
+
+
+# ---------------------------------------------------------------------------
 # Kac polynomials by interpolation
 
 
@@ -249,16 +393,18 @@ def kac_polynomial(
 ) -> ExactPolynomial:
     """The counting polynomial of absolutely indecomposable classes.
 
-    Evaluates the count at the smallest prime powers, interpolates exactly,
-    and verifies the result at two surplus prime powers.  If verification
-    fails the degree bound is raised once; a second failure raises
+    Evaluates A_d at the smallest prime powers, by Hua's formula unless
+    ``a_fn(d, q)`` is given (``count_abs_indecomposable``, the orbit
+    partition, is the brute-force oracle), interpolates exactly, and
+    verifies the result at two surplus prime powers.  If verification fails
+    the degree bound is raised once; a second failure raises
     NonPolynomialBehavior carrying all evaluations.
     """
     d = quiver.check_dim(d)
     if not any(d):
         raise ValidationError("Kac polynomial needs a nonzero dimension vector")
     if a_fn is None:
-        a_fn = lambda dd, qq: count_abs_indecomposable(quiver, dd, qq, cap=cap)
+        a_fn = lambda dd, qq: abs_indecomposable_by_hua(quiver, dd, qq, cap=cap)
     degree_bound = max(0, quiver.expected_moduli_dim(d))
     evaluations: dict[int, int] = {}
 

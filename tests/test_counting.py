@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quiverforge import (
+    CapExceeded,
     ConsistencyError,
     ValidationError,
     NonPolynomialBehavior,
@@ -188,6 +189,38 @@ def test_burnside_walks_no_points_and_scans_no_end_ring(jordan, monkeypatch):
     assert count_iso_classes(kronecker_quiver(3), (1, 1), 9, cap=100) == 92
 
 
+def test_burnside_solves_each_pair_of_group_elements_once(monkeypatch):
+    # path 1 -> 2 -> 3 at d = (2,2,2): both arrows pair GL_2(F_2) with itself,
+    # so 6 x 6 = 36 distinct (g_t, g_h); one solve per arrow per element of
+    # GL_2 x GL_2 x GL_2 would be 2 x 216 = 432
+    path = path_quiver()
+    solves = []
+    original = counting.hom_space
+
+    def counted(v, w):
+        solves.append((v.maps[0].entries, w.maps[0].entries))
+        return original(v, w)
+
+    monkeypatch.setattr(counting, "hom_space", counted)
+    assert count_iso_classes(path, (2, 2, 2), 2) == 10
+    assert len(solves) == len(set(solves)) == 36
+    monkeypatch.undo()
+    assert classify_classes(path, (2, 2, 2), 2).iso_classes == 10
+
+
+def path_quiver():
+    return Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+
+
+def star_quiver():
+    """The D~4 star: four arms pointing into a central vertex "0"."""
+    return Quiver(["0", "1", "2", "3", "4"], [(f"a{i}", str(i), "0") for i in range(1, 5)])
+
+
+def two_cycle_quiver():
+    return Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+
+
 def loop_and_arrow_quiver():
     return Quiver(["1", "2"], [("l", "1", "1"), ("a", "1", "2")])
 
@@ -198,6 +231,9 @@ QUIVERS = {
     "kron3": kronecker_quiver(3),
     "a2": a2_quiver(),
     "loop+arrow": loop_and_arrow_quiver(),
+    "path3": path_quiver(),
+    "star": star_quiver(),
+    "2-cycle": two_cycle_quiver(),
 }
 
 
@@ -405,6 +441,112 @@ def test_kac_detects_non_polynomial_counts(kron2):
     with pytest.raises(NonPolynomialBehavior) as info:
         kac_polynomial(kron2, (1, 1), a_fn=lambda d, q: 2**q)
     assert info.value.evaluations  # carries the raw data
+
+
+# -- A_d from Hua's formula
+
+
+HUA_GRID_CAP = 2**16
+HUA_GRID = [
+    ("jordan", (1,)), ("jordan", (2,)), ("jordan", (3,)), ("jordan", (4,)),
+    ("kron2", (1, 1)), ("kron2", (2, 1)), ("kron2", (1, 2)), ("kron2", (2, 2)), ("kron2", (3, 1)),
+    ("kron3", (1, 1)), ("kron3", (2, 1)), ("kron3", (1, 2)), ("kron3", (2, 2)),
+    ("a2", (1, 1)), ("a2", (2, 1)), ("a2", (2, 2)),
+    ("path3", (1, 1, 0)), ("path3", (1, 1, 1)), ("path3", (1, 2, 1)), ("path3", (2, 2, 2)),
+    ("star", (1, 1, 1, 1, 1)), ("star", (2, 1, 1, 1, 1)),
+    ("2-cycle", (1, 1)), ("2-cycle", (2, 1)), ("2-cycle", (2, 2)),
+]
+
+
+@pytest.mark.parametrize("name,d", HUA_GRID)
+def test_hua_matches_brute_force(name, d):
+    quiver = QUIVERS[name]
+    rep_dim = sum(d[quiver.vertex_index[a.tail]] * d[quiver.vertex_index[a.head]]
+                  for a in quiver.arrows)
+    qs = [q for q in (2, 3, 4, 5, 7) if q**rep_dim <= HUA_GRID_CAP]
+    assert qs
+    for q in qs:
+        assert counting.abs_indecomposable_by_hua(quiver, d, q) == count_abs_indecomposable(
+            quiver, d, q, cap=HUA_GRID_CAP
+        ), q
+
+
+@pytest.mark.parametrize(
+    "name,d,coeffs",
+    [
+        ("kron2", (3, 3), [1, 1]),
+        ("kron2", (4, 4), [1, 1]),
+        ("jordan", (5,), [0, 1]),
+        ("kron3", (2, 2), [1, 3, 3, 3, 1, 1]),
+        ("star", (2, 1, 1, 1, 1), [4, 1]),
+    ],
+)
+def test_kac_polynomials_beyond_brute_force(name, d, coeffs):
+    assert kac_polynomial(QUIVERS[name], d).integer_coefficients() == coeffs
+
+
+def test_hua_charges_the_cap_before_enumerating(kron2, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("partitions enumerated past the cap")
+
+    monkeypatch.setattr(counting, "_partitions", forbidden)
+    with pytest.raises(CapExceeded) as info:
+        counting.abs_indecomposable_by_hua(kron2, (2, 2), 3, cap=15)
+    # (p(0) + p(1) + p(2))^2 partition tuples
+    assert info.value.needed == 16
+
+
+def test_hua_refuses_bad_input(kron2):
+    with pytest.raises(ValidationError):
+        counting.abs_indecomposable_by_hua(kron2, (1, 1), 1)
+    with pytest.raises(ValidationError):
+        counting.abs_indecomposable_by_hua(kron2, (0, 0), 3)
+
+
+def test_hua_takes_any_integer_q(kron2, jordan):
+    # the count's polynomial, evaluated where no field exists
+    assert counting.abs_indecomposable_by_hua(kron2, (1, 1), 6) == 7
+    assert counting.abs_indecomposable_by_hua(jordan, (2,), 10) == 10
+
+
+def test_kac_polynomial_enumerates_no_representation(kron2, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("kac_polynomial walked Rep(Q, d)")
+
+    monkeypatch.setattr(counting, "orbit_partition", forbidden)
+    assert kac_polynomial(kron2, (2, 2)).integer_coefficients() == [1, 1]
+
+
+def test_criterion_2_interpolates_brute_force_counts(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("criterion 2 read A from Hua's formula")
+
+    monkeypatch.setattr(counting, "abs_indecomposable_by_hua", forbidden)
+    assert acceptance.criterion_2_kac_polynomials().passed
+
+
+def box_up_to(n_vertices, total):
+    for d in itertools.product(range(total + 1), repeat=n_vertices):
+        if 0 < sum(d) <= total:
+            yield d
+
+
+@pytest.mark.parametrize("name", ["kron2", "kron3", "a2", "path3"])
+def test_kac_theorems_up_to_total_dimension_4(name):
+    # Kac (LNM 996, 1983): A_d = 1 on real roots and A_d does not depend on
+    # the orientation; Hausel, Letellier, Rodriguez-Villegas (2013): A_d has
+    # nonnegative coefficients
+    quiver = QUIVERS[name]
+    n = len(quiver.vertices)
+    real = {r for r in quiver.real_roots_up_to((4,) * n) if sum(r) <= 4}
+    assert real
+    opposite = quiver.opposite()
+    for d in box_up_to(n, 4):
+        coeffs = kac_polynomial(quiver, d).integer_coefficients()
+        if d in real:
+            assert coeffs == [1], d
+        assert all(c >= 0 for c in coeffs), d
+        assert kac_polynomial(opposite, d).integer_coefficients() == coeffs, d
 
 
 # -- Galois descent
