@@ -38,6 +38,7 @@ from .reps import (
     direct_sum,
     endo_structure,
     ext1_dim,
+    hom_dim,
     hom_space,
     is_absolutely_indecomposable,
     is_indecomposable,

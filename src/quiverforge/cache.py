@@ -3,10 +3,14 @@
 One record per line: {"hash", "op", "params", "version", "result"}.
 Lookups match on the first four fields exactly; the CLI passes a fingerprint
 of the package sources as the version, so records written by other code are
-misses.  Corrupt lines are skipped with a warning, and an unwritable path
-downgrades to a warning so computation can proceed uncached.  A store
-appends its record under an exclusive ``flock``, so processes that share a
-cache file never interleave their records.
+misses.  A lookup is one pass over the file, so its cost still grows with the
+file, but it decodes only the lines that could be the asked quiver's records:
+a line in ``cache_store``'s canonical form for another quiver's hash is
+skipped unread, even when it is corrupt.  Other corrupt lines are skipped
+with a warning, and an unwritable path downgrades to a warning so
+computation can proceed uncached.  A store appends its record under an
+exclusive ``flock``, so processes that share a cache file never interleave
+their records.
 """
 
 from __future__ import annotations
@@ -24,12 +28,15 @@ def _canonical(params: dict) -> str:
 def cache_lookup(path: str, quiver_hash: str, op: str, params: dict, version: str):
     """The most recent matching payload, or None."""
     wanted = _canonical(params)
+    # cache_store's lines begin '{"hash":' and the JSON-encoded hash, so a
+    # line with that prefix and another hash cannot match and is not decoded
+    own = '{"hash":' + json.dumps(quiver_hash) + ","
     found = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
-                if not line:
+                if not line or (line.startswith('{"hash":"') and not line.startswith(own)):
                     continue
                 try:
                     record = json.loads(line)

@@ -362,7 +362,9 @@ def _cmd_verify(args) -> tuple[dict, str]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: ``parse_args`` does not mutate it."""
     parser = _Parser(prog="quiverforge", description=__doc__)
     parser.add_argument("--version", action="version", version=f"quiverforge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -1,6 +1,6 @@
 """Counting machinery over F_q.
 
-M, I and A come from the canonical orbit partition and ``hom_space``: M
+M, I and A come from the canonical orbit partition and ``hom_dim``: M
 counts orbits, and each representative W has |Aut W| = |GL_d| / |orbit|
 (Aut W is W's stabilizer) and dim End(W) = dim Hom(W, W), from which the
 unit-count rule of ``reps`` reads locality and the residue degree.
@@ -34,7 +34,7 @@ from .errors import (
 from .ffield import Field, enumerate_gl, gl_order, make_field
 from .orbits import decode_representation, orbit_partition
 from .quiver import Quiver, jordan_quiver
-from .reps import Representation, _local_structure, hom_space
+from .reps import Representation, _local_structure, hom_dim
 from .series import (
     ExactPolynomial,
     TruncatedSeries,
@@ -138,9 +138,9 @@ def count_iso_classes(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> int:
             key = (d[t],) if t == h else (d[t], d[h])
             if key not in tables:
                 if t == h:
-                    tables[key] = [hom_space(w, w).dim for w in gls[d[t]]]
+                    tables[key] = [hom_dim(w, w) for w in gls[d[t]]]
                 else:
-                    tables[key] = [[hom_space(a, b).dim for b in gls[d[h]]] for a in gls[d[t]]]
+                    tables[key] = [[hom_dim(a, b) for b in gls[d[h]]] for a in gls[d[t]]]
             factors.append((t, h, m, tables[key]))
 
     fixed_total = 0
@@ -197,7 +197,7 @@ def classify_classes(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> Class
         if rem:
             raise ConsistencyError(f"orbit of size {size} does not divide |GL_d| = {order}")
         w = decode_representation(quiver, field, d, index)
-        end = _local_structure(hom_space(w, w).dim, units, q)
+        end = _local_structure(hom_dim(w, w), units, q)
         if not end.is_local:
             continue
         indec += 1
@@ -504,7 +504,7 @@ def hua_identity_check(quiver: Quiver, q: int, degree: int, cap: int = DEFAULT_C
         sum_d M_d(q) X^d   and   prod_{d != 0} (1 - X^d)^(-I_d(q)),
 
     with M_d and I_d read off one ``classify_classes`` per d: the orbit
-    partition, its orbit sizes and one ``hom_space`` per class
+    partition, its orbit sizes and one ``hom_dim`` per class
     representative.  The contract is zero.  Burnside agreement with the
     orbit partition is checked on its own, by
     ``count_report(cross_check=True)`` and ``count --cross-check``.

@@ -138,8 +138,9 @@ class HomSpace:
         return len(self.basis)
 
 
-def hom_space(w1: Representation, w2: Representation) -> HomSpace:
-    """Kernel of (f_v) -> (f_head phi_a - phi'_a f_tail), by exact elimination."""
+def _hom_system(w1: Representation, w2: Representation) -> tuple[FqMatrix, list[int]]:
+    """The linear map (f_v) -> (f_head phi_a - phi'_a f_tail) as a matrix,
+    and the offset of each f_v among its unknowns."""
     _check_comparable(w1, w2)
     quiver, field = w1.quiver, w1.field
     n = len(quiver.vertices)
@@ -171,20 +172,32 @@ def hom_space(w1: Representation, w2: Representation) -> HomSpace:
                         var = offsets[t] + k * w1.d[t] + j
                         row[var] = field.add(row[var], c)
                 rows.append(tuple(row))
-    system = FqMatrix._of(field, len(rows), nvars, tuple(rows))
+    return FqMatrix._of(field, len(rows), nvars, tuple(rows)), offsets
+
+
+def hom_space(w1: Representation, w2: Representation) -> HomSpace:
+    """Kernel of (f_v) -> (f_head phi_a - phi'_a f_tail), by exact elimination."""
+    system, offsets = _hom_system(w1, w2)
+    field = w1.field
     basis = []
     for vec in system.kernel_basis():
         fs = []
-        for v in range(n):
+        for v in range(len(offsets)):
             r, c = w2.d[v], w1.d[v]
             fs.append(FqMatrix.from_flat(field, r, c, vec[offsets[v] : offsets[v] + r * c]))
         basis.append(tuple(fs))
     return HomSpace(source_dim=w1.d, target_dim=w2.d, basis=tuple(basis))
 
 
+def hom_dim(w1: Representation, w2: Representation) -> int:
+    """dim Hom(W, W2), by one rank: the solve of ``hom_space`` without its basis."""
+    system, _ = _hom_system(w1, w2)
+    return system.cols - system.rank()
+
+
 def ext1_dim(w1: Representation, w2: Representation) -> int:
     """dim Ext^1 = dim Hom - <dim W, dim W2>; nonnegative by construction."""
-    value = hom_space(w1, w2).dim - w1.quiver.euler_form(w1.d, w2.d)
+    value = hom_dim(w1, w2) - w1.quiver.euler_form(w1.d, w2.d)
     if value < 0:
         raise ConsistencyError("negative Ext dimension; Hom solver is broken")
     return value

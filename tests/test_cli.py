@@ -1,7 +1,17 @@
+import contextlib
+import hashlib
+import io
 import json
 import multiprocessing
+import os
+import random
+import re
+import sys
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quiverforge import (
     ValidationError,
@@ -121,7 +131,10 @@ def test_hash_invariant_under_arrow_reordering():
 
 
 def run_cli(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -329,6 +342,24 @@ def test_output_is_deterministic(capsys, kron2_file):
     assert out1 == out2
 
 
+def test_one_parser_serves_a_stream_of_calls(capsys, kron2_file):
+    argvs = [
+        ["kac", "--quiver", kron2_file, "--d", "1,1"],
+        ["count", "--quiver", kron2_file, "--nonsense"],
+        ["forms", "--quiver", kron2_file, "--d", "1,1"],
+        ["kac", "--quiver", kron2_file, "--d", "1,1", "--text"],
+    ]
+    alone = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        alone.append(run_cli(capsys, argv))
+    cli._build_parser.cache_clear()
+    in_stream = [run_cli(capsys, argv) for argv in argvs]
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in alone] == [0, 64, 0, 0]
+    assert in_stream == alone
+
+
 # -- cache
 
 
@@ -398,6 +429,121 @@ def test_cache_skips_corrupt_lines(tmp_path, capsys):
     cache_store(str(path), "h", "op", {"a": 1}, "v", 42)
     assert cache_lookup(str(path), "h", "op", {"a": 1}, "v") == 42
     assert "corrupt" in capsys.readouterr().err
+
+
+def test_lookup_decodes_only_the_asked_quivers_records(tmp_path, monkeypatch):
+    path = str(tmp_path / "cache.jsonl")
+    rng = random.Random(0)
+    h = hashlib.sha256(b"asked").hexdigest()
+    for i in range(2000):
+        if i == 700:
+            cache_store(path, h, "kac", {"d": [1, 1]}, "old", {"polynomial": [0]})
+        if i == 1500:
+            cache_store(path, h, "kac", {"d": [1, 1]}, "new", {"polynomial": [1, 1]})
+        cache_store(path, f"{rng.getrandbits(256):064x}", "kac", {"d": [1, 1]}, "new", i)
+    decoded = []
+    loads = cache.json.loads
+
+    def counted(text, *args, **kwargs):
+        decoded.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(cache.json, "loads", counted)
+    assert cache_lookup(path, h, "kac", {"d": [1, 1]}, "new") == {"polynomial": [1, 1]}
+    assert len(decoded) <= 2
+
+
+def _full_parse_lookup(path, quiver_hash, op, params, version):
+    """The lookup that decodes every line: the oracle for ``cache_lookup``."""
+    wanted = cache._canonical(params)
+    found = None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError:
+                    print(f"warning: skipping corrupt cache line {lineno}", file=sys.stderr)
+                    continue
+                if not isinstance(record, dict):
+                    print(f"warning: skipping corrupt cache line {lineno}", file=sys.stderr)
+                    continue
+                if (
+                    record.get("hash") == quiver_hash
+                    and record.get("op") == op
+                    and record.get("version") == version
+                    and cache._canonical(record.get("params", {})) == wanted
+                ):
+                    found = record.get("result")
+    except FileNotFoundError:
+        return None
+    return found
+
+
+# one hash is a prefix of another, and one needs JSON escapes
+POOL_HASHES = ("0f3a", "0f3a9", 'h"\u00e9')
+POOL_OPS = ("kac", "count")
+POOL_PARAMS = ({}, {"d": [1, 1]}, {"d": [1, 1], "q": 3})
+POOL_VERSIONS = ("v1", "v2")
+
+pool_records = st.tuples(
+    st.sampled_from(POOL_HASHES),
+    st.sampled_from(POOL_OPS),
+    st.sampled_from(POOL_PARAMS),
+    st.sampled_from(POOL_VERSIONS),
+    st.one_of(st.integers(-5, 5), st.lists(st.integers(0, 3), max_size=3)),
+)
+cache_lines = st.one_of(
+    st.tuples(st.just("record"), pool_records),
+    st.tuples(st.just("text"), st.sampled_from(["", "   ", "not json", "[1]", "3"])),
+    st.tuples(st.just("truncated"), pool_records, st.floats(0, 1, exclude_max=True)),
+)
+
+
+def _warned_lines(stderr: str) -> set[int]:
+    return {int(n) for n in re.findall(r"skipping corrupt cache line (\d+)", stderr)}
+
+
+@given(st.lists(cache_lines, max_size=16))
+def test_lookup_agrees_with_the_full_parse(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cache.jsonl")
+        open(path, "w").close()
+        for kind, *rest in lines:
+            if kind == "record":
+                cache_store(path, *rest[0])
+                continue
+            if kind == "text":
+                text = rest[0]
+            else:
+                full_path = os.path.join(tmp, "full.jsonl")
+                cache_store(full_path, *rest[0])
+                with open(full_path, "rb") as fh:
+                    full = fh.read().rstrip(b"\n")
+                os.remove(full_path)
+                text = full[: 1 + int(rest[1] * (len(full) - 1))].decode("ascii")
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        with open(path, encoding="utf-8") as fh:
+            stored = [line.strip() for line in fh]
+        for h in POOL_HASHES:
+            own = '{"hash":' + json.dumps(h) + ","
+            foreign = {n for n, line in enumerate(stored, start=1)
+                       if line.startswith('{"hash":"') and not line.startswith(own)}
+            for op in POOL_OPS:
+                for params in POOL_PARAMS:
+                    for version in POOL_VERSIONS:
+                        with contextlib.redirect_stderr(io.StringIO()) as err:
+                            want = _full_parse_lookup(path, h, op, params, version)
+                        with contextlib.redirect_stderr(io.StringIO()) as new_err:
+                            got = cache_lookup(path, h, op, params, version)
+                        assert got == want
+                        assert _warned_lines(new_err.getvalue()) == (
+                            _warned_lines(err.getvalue()) - foreign
+                        )
 
 
 def test_cli_uses_cache(capsys, kron2_file, tmp_path):

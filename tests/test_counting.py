@@ -195,13 +195,13 @@ def test_burnside_solves_each_pair_of_group_elements_once(monkeypatch):
     # GL_2 x GL_2 x GL_2 would be 2 x 216 = 432
     path = path_quiver()
     solves = []
-    original = counting.hom_space
+    original = counting.hom_dim
 
     def counted(v, w):
         solves.append((v.maps[0].entries, w.maps[0].entries))
         return original(v, w)
 
-    monkeypatch.setattr(counting, "hom_space", counted)
+    monkeypatch.setattr(counting, "hom_dim", counted)
     assert count_iso_classes(path, (2, 2, 2), 2) == 10
     assert len(solves) == len(set(solves)) == 36
     monkeypatch.undo()

@@ -16,6 +16,7 @@ from quiverforge import (
     direct_sum,
     endo_structure,
     ext1_dim,
+    hom_dim,
     hom_space,
     is_absolutely_indecomposable,
     is_indecomposable,
@@ -71,9 +72,29 @@ def test_hom_rejects_mismatched_inputs(kron2, a2, f2, f3):
     w_a2 = Representation.zero(a2, f2, (1, 1))
     with pytest.raises(ValidationError):
         hom_space(w_kron, w_a2)
+    with pytest.raises(ValidationError):
+        hom_dim(w_kron, w_a2)
     w_f3 = Representation.zero(kron2, f3, (1, 1))
     with pytest.raises(ValidationError):
         hom_space(w_kron, w_f3)
+    with pytest.raises(ValidationError):
+        hom_dim(w_kron, w_f3)
+
+
+@pytest.mark.parametrize(
+    "quiver_name,field_args,dims",
+    [
+        ("kron2", (2,), [(1, 1), (2, 1), (1, 2), (0, 1)]),
+        ("jordan", (2,), [(1,), (2,)]),
+        ("jordan", (2, 2), [(1,)]),
+    ],
+)
+def test_hom_dim_is_the_dimension_of_the_hom_basis(quiver_name, field_args, dims, jordan, kron2):
+    quiver = {"jordan": jordan, "kron2": kron2}[quiver_name]
+    field = make_field(*field_args)
+    points = [w for d in dims for w in all_representations(quiver, field, d)]
+    for w1, w2 in itertools.product(points, repeat=2):
+        assert hom_dim(w1, w2) == hom_space(w1, w2).dim, (w1, w2)
 
 
 def test_ext_examples(kron2, jordan, f2):
