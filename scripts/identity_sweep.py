@@ -4,7 +4,11 @@
 For each (quiver, d, theta) instance and each prime power q, this prints
 the level-set count, the moduli point count, both sides of the point-count
 identity, and the lifting-fiber verdict.  Degenerate characteristics (where
-the division fails or the identity breaks) are reported as data.
+the division fails or the identity breaks) are reported as data.  It then
+prints M, I and A of every instance and q from the orbit partition, each
+cross-checked by the formula chain (Hua -> Galois descent ->
+Krull-Schmidt); a disagreement raises ConsistencyError and the script
+exits non-zero.
 
 Usage: python scripts/identity_sweep.py [--qmax 8]
 """
@@ -15,6 +19,7 @@ from quiverforge import (
     SmallCharacteristic,
     a2_quiver,
     cbvdb_identity_check,
+    count_report,
     enumerate_level_set,
     hua_identity_check,
     jordan_quiver,
@@ -59,6 +64,17 @@ def main():
             print(
                 f"{name:<14}{q:<4}{level:<8}{points:<7}{expected:<7}{verdict:<10}"
                 f"{'ok' if lifting.holds else 'FAILS'}"
+            )
+
+    print()
+    print("class counts (orbit partition, cross-checked by the formula chain):")
+    print(f"{'instance':<14}{'q':<4}{'M':<7}{'I':<7}A")
+    for name, quiver, d, _ in instances:
+        for q in q_values(args.qmax):
+            report = count_report(quiver, d, q, cap=args.cap, cross_check=True)
+            print(
+                f"{name:<14}{q:<4}{report.iso_classes:<7}{report.indecomposable:<7}"
+                f"{report.absolutely_indecomposable}"
             )
 
     print()

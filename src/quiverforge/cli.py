@@ -404,7 +404,7 @@ def _build_parser() -> _Parser:
     count_p.add_argument(
         "--cross-check",
         action="store_true",
-        help="also count M by Burnside over GL_d and compare",
+        help="also compute M, I and A by Hua -> Galois descent -> Krull-Schmidt and compare",
     )
     add("kac", _cmd_kac, d=True)
     add("hua", _cmd_hua, q="required", degree=True)

@@ -4,24 +4,27 @@ M, I and A come from the canonical orbit partition and ``hom_dim``: M
 counts orbits, and each representative W has |Aut W| = |GL_d| / |orbit|
 (Aut W is W's stabilizer) and dim End(W) = dim Hom(W, W), from which the
 unit-count rule of ``reps`` reads locality and the residue degree.
-Burnside's formula over the elements of GL_d, whose fixed spaces are Hom
-spaces between Jordan representations (Kac, LNM 996, 1983), is the one
-independent oracle for M.
 
-Kac polynomials take A from Hua's formula (J. Algebra 226, 2000), a
-plethystic logarithm over tuples of partitions that never enumerates
-Rep(Q, d); the orbit partition's A is its test oracle.  Values at several
-prime powers feed an exact Lagrange interpolation whose result is verified
-at two surplus evaluation points before being returned.
+Their one independent oracle is a formula chain that enumerates neither a
+representation nor a group element.  A_e(q) comes from Hua's formula
+(J. Algebra 226, 2000), a plethystic logarithm over tuples of partitions;
+Galois descent turns A into I_e(q); and M_d(q) is the X^d coefficient of
+the Krull-Schmidt product prod_{0 < e <= d} (1 - X^e)^(-I_e) (Kac, LNM
+996, 1983).
+
+Kac polynomials take A from Hua's formula too; the orbit partition's A is
+their test oracle.  Values at several prime powers feed an exact Lagrange
+interpolation whose result is verified at two surplus evaluation points
+before being returned.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, prod
 
 from .errors import (
     ConsistencyError,
@@ -31,17 +34,11 @@ from .errors import (
     check_cap,
     DEFAULT_CAP,
 )
-from .ffield import Field, enumerate_gl, gl_order, make_field
+from .ffield import Field, gl_order, make_field
 from .orbits import decode_representation, orbit_partition
-from .quiver import Quiver, jordan_quiver
+from .quiver import Quiver
 from .reps import Representation, _local_structure, hom_dim
-from .series import (
-    ExactPolynomial,
-    TruncatedSeries,
-    geometric_inverse_power,
-    lagrange_interpolate,
-    monomials_up_to,
-)
+from .series import ExactPolynomial, lagrange_interpolate, monomials_up_to
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
@@ -95,65 +92,6 @@ def moebius(n: int) -> int:
 
 def divisors(n: int) -> list[int]:
     return [r for r in range(1, n + 1) if n % r == 0]
-
-
-# ---------------------------------------------------------------------------
-# iso-class counting (Burnside over group elements)
-
-
-def count_iso_classes(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> int:
-    """Number of iso classes of d-dimensional representations over F_q, by
-    Burnside over GL_d: M = (1/|GL_d|) sum_g #{X in Rep(Q,d) : g.X = X}.
-
-    X is fixed by g = (g_v) iff g_h X_a = X_a g_t on every arrow a: t -> h,
-    i.e. X_a is in Hom((F^{d_t}, g_t), (F^{d_h}, g_h)) between Jordan
-    representations.  Each pair (g_t, g_h) is solved once, whatever the
-    other components of g and however many arrows join t to h.
-
-    The independent oracle for the orbit partition's M; an inexact division
-    is a hard error.
-    """
-    field = field_from_order(q)
-    d = quiver.check_dim(d)
-    order = gl_order(d, q)
-    check_cap(order, cap, "group-element enumeration")
-    for dv in d:
-        check_cap(q ** (dv * dv), cap, "GL candidate enumeration")
-    jordan = jordan_quiver()
-    gls = {
-        dv: [Representation(jordan, field, (dv,), [g]) for g in enumerate_gl(field, dv)]
-        for dv in set(d)
-    }
-    # dim Hom(J(g_t), J(g_h)) depends only on the pair (g_t, g_h): one table
-    # per (d_t, d_h), or one diagonal per d_v for loops, shared by every
-    # vertex pair with those dimensions
-    tables: dict = {}
-    factors = []
-    vertices = range(len(d))
-    for t in vertices:
-        for h in vertices:
-            m = quiver.arrows_between(t, h)
-            if not m:
-                continue
-            key = (d[t],) if t == h else (d[t], d[h])
-            if key not in tables:
-                if t == h:
-                    tables[key] = [hom_dim(w, w) for w in gls[d[t]]]
-                else:
-                    tables[key] = [[hom_dim(a, b) for b in gls[d[h]]] for a in gls[d[t]]]
-            factors.append((t, h, m, tables[key]))
-
-    fixed_total = 0
-    for combo in itertools.product(*(range(len(gls[dv])) for dv in d)):
-        fixed_log = 0
-        for t, h, m, table in factors:
-            dim = table[combo[t]] if t == h else table[combo[t]][combo[h]]
-            fixed_log += m * dim
-        fixed_total += q**fixed_log
-    count, rem = divmod(fixed_total, order)
-    if rem:
-        raise ConsistencyError("Burnside sum over group elements is not divisible by |GL_d|")
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +189,13 @@ def count_report(
     counts = classify_classes(quiver, d, q, cap=cap)
     method = "orbit-partition"
     if cross_check:
-        by_burnside = count_iso_classes(quiver, d, q, cap=cap)
-        if by_burnside != counts.iso_classes:
-            raise ConsistencyError(
-                f"orbit partition found {counts.iso_classes} classes, Burnside {by_burnside}"
-            )
+        by_chain = class_counts_by_hua(quiver, d, q, cap=cap)
+        for label, found, expected in zip("MIA", astuple(counts), astuple(by_chain)):
+            if found != expected:
+                raise ConsistencyError(
+                    f"orbit partition found {label} = {found}, the formula chain {expected}"
+                )
+        # the label predates the chain; cached payloads pin it
         method = "orbit-partition+burnside"
     return CountReport(
         quiver_hash=quiver.content_hash(),
@@ -329,7 +269,9 @@ def abs_indecomposable_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP)
 
     pi running over tuples of partitions, one per vertex, with |pi_i| <= d_i,
     and [X^d] Log P = sum_{r | gcd d} (mu(r)/r) [X^(d/r)] log P(X, q^r).
-    No representation is enumerated; the cap budgets the partition tuples.
+    No representation is enumerated; the cap budgets the partition tuples
+    and, separately, the log's pair products, sum over those r with
+    mu(r) != 0 of prod_i (d_i/r + 1)(d_i/r + 2)/2.
     A non-integer result is a hard error.
     """
     d = quiver.check_dim(d)
@@ -338,10 +280,11 @@ def abs_indecomposable_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP)
     if not isinstance(q, int) or q < 2:
         raise ValidationError(f"Hua's formula needs an integer q >= 2, got {q!r}")
     counts = _partition_counts(max(d))
-    needed = 1
-    for dv in d:
-        needed *= sum(counts[: dv + 1])
-    check_cap(needed, cap, "partition-tuple enumeration")
+    check_cap(prod(sum(counts[: dv + 1]) for dv in d), cap, "partition-tuple enumeration")
+    squarefree = [r for r in divisors(gcd(*d)) if moebius(r)]
+    # _log_coefficient pairs every k <= m for every m in the box d/r
+    pairs = sum(prod((x // r + 1) * (x // r + 2) // 2 for x in d) for r in squarefree)
+    check_cap(pairs, cap, "log-coefficient pair products")
 
     per_vertex = [
         [(n, *_hua_data(lam)) for n in range(dv + 1) for lam in _partitions(n)] for dv in d
@@ -359,14 +302,8 @@ def abs_indecomposable_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP)
             ks.extend(vertex_ks)
         terms[(tuple(part[0] for part in pi), e, tuple(sorted(ks)))] += 1
 
-    g = 0
-    for x in d:
-        g = gcd(g, x)
     total = Fraction(0)
-    for r in divisors(g):
-        mu = moebius(r)
-        if not mu:
-            continue
+    for r in squarefree:
         box = tuple(x // r for x in d)
         big_q = q**r
         coeffs: dict = {}
@@ -377,7 +314,7 @@ def abs_indecomposable_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP)
             for k in ks:
                 denominator *= big_q**k - 1
             coeffs[m] = coeffs.get(m, 0) + Fraction(big_q) ** e * count / denominator
-        total += Fraction(mu, r) * _log_coefficient(coeffs, box)
+        total += Fraction(moebius(r), r) * _log_coefficient(coeffs, box)
     value = (q - 1) * total
     if value.denominator != 1:
         raise ConsistencyError(f"Hua's formula gives a non-integer A_d({q}) = {value} for d={d}")
@@ -455,11 +392,8 @@ def galois_descent_I(quiver: Quiver, d, q: int, a_fn=None, cap: int = DEFAULT_CA
         raise ValidationError("descent needs a nonzero dimension vector")
     if a_fn is None:
         a_fn = lambda dd, qq: count_abs_indecomposable(quiver, dd, qq, cap=cap)
-    g = 0
-    for x in d:
-        g = gcd(g, x)
     total = Fraction(0)
-    for r in divisors(g):
+    for r in divisors(gcd(*d)):
         inner = 0
         d_over_r = tuple(x // r for x in d)
         for m in divisors(r):
@@ -495,7 +429,66 @@ def check_galois_descent(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP, a_fn
 
 
 # ---------------------------------------------------------------------------
-# the Krull-Schmidt generating identity
+# the formula chain Hua -> Galois descent -> Krull-Schmidt
+
+
+def _krull_schmidt_coefficient(indec: dict, d: tuple[int, ...]) -> int:
+    """[X^d] prod_{0 < e <= d} (1 - X^e)^(-indec[e]), in integers.
+
+    No monomial outside the box <= d reaches X^d, so the product is kept on
+    that box alone, one factor sum_j C(I_e + j - 1, j) X^(j e) at a time.
+    """
+    box = list(itertools.product(*(range(x + 1) for x in d)))
+    coeffs = dict.fromkeys(box, 0)
+    coeffs[box[0]] = 1
+    for e in box[1:]:
+        n = indec[e]
+        if not n:
+            continue
+        # lexicographically descending, so every m - j e read is still unmultiplied
+        for m in reversed(box):
+            j, k = 1, tuple(a - b for a, b in zip(m, e))
+            while min(k) >= 0:
+                coeffs[m] += comb(n + j - 1, j) * coeffs[k]
+                j, k = j + 1, tuple(a - b for a, b in zip(k, e))
+    return coeffs[d]
+
+
+def class_counts_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> ClassCounts:
+    """M, I and A without enumerating Rep(Q, d) or GL_d:
+
+        A_e(q^s) from Hua's formula, each (e, q^s) evaluated once;
+        I_e = galois_descent_I over those values, for every 0 < e <= d;
+        M_d = [X^d] prod_{0 < e <= d} (1 - X^e)^(-I_e).
+
+    The independent oracle for ``classify_classes``; the cap budgets each
+    Hua evaluation.
+    """
+    field_from_order(q)  # the counts are over the field F_q
+    d = quiver.check_dim(d)
+    a_values: dict = {}
+
+    def a_fn(e, big_q):
+        if (e, big_q) not in a_values:
+            a_values[e, big_q] = abs_indecomposable_by_hua(quiver, e, big_q, cap=cap)
+        return a_values[e, big_q]
+
+    indec = {
+        e: galois_descent_I(quiver, e, q, a_fn=a_fn)
+        for e in itertools.product(*(range(x + 1) for x in d))
+        if any(e)
+    }
+    return ClassCounts(
+        iso_classes=_krull_schmidt_coefficient(indec, d),
+        indecomposable=indec.get(d, 0),
+        absolutely_indecomposable=a_fn(d, q) if any(d) else 0,
+    )
+
+
+def count_iso_classes(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> int:
+    """Number of iso classes of d-dimensional representations over F_q: the
+    M of ``class_counts_by_hua``, which ``classify_classes`` must match."""
+    return class_counts_by_hua(quiver, d, q, cap=cap).iso_classes
 
 
 def hua_identity_check(quiver: Quiver, q: int, degree: int, cap: int = DEFAULT_CAP) -> Fraction:
@@ -505,17 +498,16 @@ def hua_identity_check(quiver: Quiver, q: int, degree: int, cap: int = DEFAULT_C
 
     with M_d and I_d read off one ``classify_classes`` per d: the orbit
     partition, its orbit sizes and one ``hom_dim`` per class
-    representative.  The contract is zero.  Burnside agreement with the
-    orbit partition is checked on its own, by
-    ``count_report(cross_check=True)`` and ``count --cross-check``.
+    representative.  The right side's X^d coefficient is the chain's
+    Krull-Schmidt product over the box <= d.  The contract is zero.
     """
-    nvars = len(quiver.vertices)
-    dims = [m for m in monomials_up_to(nvars, degree) if any(m)]
-    lhs_coeffs = {(0,) * nvars: 1}
-    rhs = TruncatedSeries.one(nvars, degree)
-    for dv in dims:
-        counts = classify_classes(quiver, dv, q, cap=cap)
-        lhs_coeffs[dv] = counts.iso_classes
-        rhs = rhs.mul(geometric_inverse_power(dv, counts.indecomposable, nvars, degree))
-    lhs = TruncatedSeries(nvars, degree, lhs_coeffs)
-    return lhs.max_abs_difference(rhs)
+    classes: dict = {}
+    indec: dict = {}
+    for dv in monomials_up_to(len(quiver.vertices), degree):
+        if any(dv):
+            counts = classify_classes(quiver, dv, q, cap=cap)
+            classes[dv], indec[dv] = counts.iso_classes, counts.indecomposable
+    return max(
+        (Fraction(abs(m - _krull_schmidt_coefficient(indec, dv))) for dv, m in classes.items()),
+        default=Fraction(0),
+    )

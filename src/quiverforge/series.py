@@ -2,8 +2,7 @@
 
 Univariate polynomials carry Fraction coefficients (trailing zeros trimmed)
 and are what Kac-polynomial interpolation produces.  Truncated series live
-in variables indexed by quiver vertices, cut at a total-degree bound, and
-are used to compare the two sides of the Krull-Schmidt generating identity.
+in variables indexed by quiver vertices, cut at a total-degree bound.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import astuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -109,6 +110,47 @@ def stabilizer_burnside_count(quiver, d, q):
     return count
 
 
+def group_burnside_count(quiver, d, q):
+    """Independent oracle: Burnside over GL_d,
+    M = (1/|GL_d|) sum_g #{X in Rep(Q,d) : g.X = X}.
+
+    X is fixed by g = (g_v) iff g_h X_a = X_a g_t on every arrow a: t -> h,
+    i.e. X_a is in Hom((F^{d_t}, g_t), (F^{d_h}, g_h)) between Jordan
+    representations (Kac, LNM 996, 1983).  Each pair (g_t, g_h) is solved
+    once, whatever the other components of g and however many arrows join
+    t to h."""
+    field = make_field(*prime_power(q))
+    jordan = jordan_quiver()
+    gls = {
+        dv: [reps.Representation(jordan, field, (dv,), [g]) for g in enumerate_gl(field, dv)]
+        for dv in set(d)
+    }
+    # dim Hom(J(g_t), J(g_h)) depends only on (g_t, g_h): one table per
+    # (d_t, d_h), or one diagonal per d_v for loops
+    tables = {}
+    factors = []
+    for t, h in itertools.product(range(len(d)), repeat=2):
+        m = quiver.arrows_between(t, h)
+        if not m:
+            continue
+        key = (d[t],) if t == h else (d[t], d[h])
+        if key not in tables:
+            if t == h:
+                tables[key] = [reps.hom_dim(w, w) for w in gls[d[t]]]
+            else:
+                tables[key] = [[reps.hom_dim(a, b) for b in gls[d[h]]] for a in gls[d[t]]]
+        factors.append((t, h, m, tables[key]))
+    total = 0
+    for combo in itertools.product(*(range(len(gls[dv])) for dv in d)):
+        total += q ** sum(
+            m * (table[combo[t]] if t == h else table[combo[t]][combo[h]])
+            for t, h, m, table in factors
+        )
+    count, rem = divmod(total, gl_order(d, q))
+    assert rem == 0
+    return count
+
+
 # -- iso-class counts
 
 
@@ -143,13 +185,21 @@ ORBIT_M = {
     ("jordan", (2,), 4): 20,
     ("kron2", (2, 2), 3): 24,
     ("jordan", (2,), 8): 72,
+    ("kron3", (2, 1), 2): 15,
+    ("kron3", (2, 2), 2): 148,
+    ("loop+arrow", (1, 1), 3): 6,
+    ("loop+arrow", (2, 2), 2): 22,
+    ("path3", (1, 1, 1), 3): 4,
+    ("star", (2, 1, 1, 1, 1), 2): 51,
+    ("2-cycle", (1, 1), 3): 5,
+    ("2-cycle", (2, 2), 2): 16,
 }
 
 
 @pytest.mark.parametrize("name,d,q", list(ORBIT_M))
-def test_orbit_partition_agrees_with_burnside(name, d, q, jordan, kron2, a2):
-    quiver = {"jordan": jordan, "kron2": kron2, "kron3": kronecker_quiver(3), "a2": a2}[name]
-    report = count_report(quiver, d, q, cross_check=True)
+def test_orbit_partition_agrees_with_burnside(name, d, q):
+    # the cross-check compares M, I and A with the formula chain
+    report = count_report(QUIVERS[name], d, q, cross_check=True)
     assert report.method == "orbit-partition+burnside"
     assert report.iso_classes == ORBIT_M[name, d, q]
     assert 0 <= report.absolutely_indecomposable <= report.indecomposable <= report.iso_classes
@@ -173,19 +223,20 @@ def test_group_and_point_burnside_agree(name, d, q, jordan, kron2, a2):
     # the paper's dual Burnside routes: fixed points over GL_d, stabilizers over Rep(Q,d)
     quiver = {"jordan": jordan, "kron2": kron2, "kron3": kronecker_quiver(3), "a2": a2}[name]
     by_point = stabilizer_burnside_count(quiver, d, q)
-    assert by_point == count_iso_classes(quiver, d, q)
+    assert by_point == group_burnside_count(quiver, d, q)
     assert by_point == classify_classes(quiver, d, q).iso_classes
 
 
 def test_burnside_walks_no_points_and_scans_no_end_ring(jordan, monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("Burnside over GL_d reached a per-point route")
+        raise AssertionError("the formula chain reached a per-point route")
 
     for module in (reps, counting):
         monkeypatch.setattr(module, "scan_endomorphisms", forbidden, raising=False)
         monkeypatch.setattr(module, "all_representations", forbidden, raising=False)
+    monkeypatch.setattr(counting, "orbit_partition", forbidden)
     assert count_iso_classes(jordan, (2,), 3) == 12
-    # budgeted by the group alone: 9^2 points exceed the cap, |GL_(1,1)(F_9)| = 64 does not
+    # budgeted by Hua's partition tuples and pair products alone: 9^3 points exceed the cap
     assert count_iso_classes(kronecker_quiver(3), (1, 1), 9, cap=100) == 92
 
 
@@ -195,14 +246,14 @@ def test_burnside_solves_each_pair_of_group_elements_once(monkeypatch):
     # GL_2 x GL_2 x GL_2 would be 2 x 216 = 432
     path = path_quiver()
     solves = []
-    original = counting.hom_dim
+    original = reps.hom_dim
 
     def counted(v, w):
         solves.append((v.maps[0].entries, w.maps[0].entries))
         return original(v, w)
 
-    monkeypatch.setattr(counting, "hom_dim", counted)
-    assert count_iso_classes(path, (2, 2, 2), 2) == 10
+    monkeypatch.setattr(reps, "hom_dim", counted)
+    assert group_burnside_count(path, (2, 2, 2), 2) == 10
     assert len(solves) == len(set(solves)) == 36
     monkeypatch.undo()
     assert classify_classes(path, (2, 2, 2), 2).iso_classes == 10
@@ -496,6 +547,18 @@ def test_hua_charges_the_cap_before_enumerating(kron2, monkeypatch):
     assert info.value.needed == 16
 
 
+def test_hua_charges_the_cap_for_the_log_pair_products(kron2, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("log coefficients computed past the cap")
+
+    monkeypatch.setattr(counting, "_log_coefficient", forbidden)
+    with pytest.raises(CapExceeded) as info:
+        counting.abs_indecomposable_by_hua(kron2, (2, 2), 3, cap=20)
+    # the 16 partition tuples fit; the pair products (3 * 4 / 2)^2 = 36 of
+    # the box (2, 2) and (2 * 3 / 2)^2 = 9 of the box (1, 1) do not
+    assert info.value.needed == 45
+
+
 def test_hua_refuses_bad_input(kron2):
     with pytest.raises(ValidationError):
         counting.abs_indecomposable_by_hua(kron2, (1, 1), 1)
@@ -616,6 +679,86 @@ def test_prime_power_stream():
     assert prime_power(12) is None
     assert prime_power(27) == (3, 3)
     assert field_from_order(9).q == 9
+
+
+# -- the formula chain Hua -> Galois descent -> Krull-Schmidt
+
+
+def jordan_closed_forms(n, q):
+    """Independent oracle for the Jordan quiver at dimension n:
+    M_n = sum_{lam |- n} q^len(lam), the similarity classes of n x n
+    matrices; I_n = sum_{e | n} N_e(q), one indecomposable F[x]/(f^(n/e))
+    per monic irreducible f of degree e; and A_n = q."""
+    irreducible = {}
+    for e in range(1, n + 1):
+        # q^e = sum_{k | e} k N_k(q)
+        irreducible[e] = (q**e - sum(k * irreducible[k] for k in range(1, e) if e % k == 0)) // e
+
+    def lengths(m, largest):
+        if m == 0:
+            yield 0
+            return
+        for first in range(min(m, largest), 0, -1):
+            for rest in lengths(m - first, first):
+                yield rest + 1
+
+    iso = sum(q**length for length in lengths(n, n))
+    return iso, sum(irreducible[e] for e in range(1, n + 1) if n % e == 0), q
+
+
+@pytest.mark.parametrize(
+    "n,q,expected", [(3, 4, (84, 24, 4)), (8, 9, (49_106_502, 5_381_685, 9))]
+)
+def test_chain_matches_the_jordan_closed_forms(n, q, expected):
+    # (8,) at q = 9 would need 9^64 points of the orbit partition
+    assert jordan_closed_forms(n, q) == expected
+    assert astuple(counting.class_counts_by_hua(QUIVERS["jordan"], (n,), q)) == expected
+    assert count_iso_classes(QUIVERS["jordan"], (n,), q) == expected[0]
+
+
+@pytest.mark.parametrize("name", list(QUIVERS))
+def test_chain_matches_the_orbit_partition_on_small_boxes(name):
+    quiver = QUIVERS[name]
+    n = len(quiver.vertices)
+    for d in itertools.product(range(3 if n <= 3 else 2), repeat=n):
+        rep_dim = sum(d[quiver.vertex_index[a.tail]] * d[quiver.vertex_index[a.head]]
+                      for a in quiver.arrows)
+        for q in (2, 3):
+            if q**rep_dim <= 2**6:
+                assert counting.class_counts_by_hua(quiver, d, q) == classify_classes(
+                    quiver, d, q
+                ), (d, q)
+
+
+def test_chain_evaluates_each_hua_value_once(jordan, monkeypatch):
+    # I_2, I_3 and I_4 all need A((1,), 2), and I_2 and I_4 both need
+    # A((2,), 2) and A((1,), 4): 13 evaluations without the memo
+    evaluated = []
+    original = counting.abs_indecomposable_by_hua
+
+    def counted(quiver, d, q, *args, **kwargs):
+        evaluated.append((tuple(d), q))
+        return original(quiver, d, q, *args, **kwargs)
+
+    monkeypatch.setattr(counting, "abs_indecomposable_by_hua", counted)
+    assert astuple(counting.class_counts_by_hua(jordan, (4,), 2)) == jordan_closed_forms(4, 2)
+    assert sorted(evaluated) == [
+        ((1,), 2), ((1,), 4), ((1,), 8), ((1,), 16), ((2,), 2), ((2,), 4), ((3,), 2), ((4,), 2),
+    ]
+
+
+@pytest.mark.parametrize("label,index", [("M", 0), ("I", 1), ("A", 2)])
+def test_cross_check_names_the_quantity_that_disagrees(jordan, monkeypatch, label, index):
+    original = counting.class_counts_by_hua
+
+    def off_by_one(*args, **kwargs):
+        counts = list(astuple(original(*args, **kwargs)))
+        counts[index] += 1
+        return counting.ClassCounts(*counts)
+
+    monkeypatch.setattr(counting, "class_counts_by_hua", off_by_one)
+    with pytest.raises(ConsistencyError, match=f"found {label} = "):
+        count_report(jordan, (2,), 3, cross_check=True)
 
 
 # -- the generating identity
