@@ -19,6 +19,7 @@ from pathlib import Path
 from . import __version__
 from .cache import cache_lookup, cache_store
 from .counting import (
+    _orbit_representatives,
     count_report,
     field_from_order,
     hua_identity_check,
@@ -34,7 +35,7 @@ from .quiver import (
     pairing,
     slope,
 )
-from .reps import all_representations, stability_verdict
+from .reps import stability_verdict
 from .series import ExactPolynomial
 
 USAGE_EXIT = 64
@@ -218,14 +219,12 @@ def _cmd_stability(args) -> tuple[dict, str]:
     }
     summary = f"theta.d = {payload['pairing']}, generic = {payload['generic']}"
     if args.q is not None:
-        field = field_from_order(args.q)
         tallies = {"stable": 0, "semistable-not-stable": 0, "unstable": 0}
-        total = 0
-        for w in all_representations(quiver, field, d, cap=args.cap):
-            tallies[stability_verdict(w, theta, cap=args.cap).kind] += 1
-            total += 1
+        # the verdict is iso-invariant: each orbit counts with its size
+        for w, size in _orbit_representatives(quiver, field_from_order(args.q), d, args.cap):
+            tallies[stability_verdict(w, theta, cap=args.cap).kind] += size
         payload["verdicts"] = tallies
-        payload["total"] = total
+        payload["total"] = sum(tallies.values())
         summary += f"; verdicts over F_{args.q}: {tallies}"
     return payload, summary
 

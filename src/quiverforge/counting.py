@@ -37,7 +37,7 @@ from .errors import (
 from .ffield import Field, gl_order, make_field
 from .orbits import decode_representation, orbit_partition
 from .quiver import Quiver
-from .reps import Representation, _local_structure, hom_dim
+from .reps import EndoStructure, Representation, _local_structure, hom_dim
 from .series import ExactPolynomial, lagrange_interpolate, monomials_up_to
 
 
@@ -103,10 +103,24 @@ def iso_class_representatives(
 ) -> list[Representation]:
     """Canonical orbit representatives: the lexicographically smallest
     element of every GL_d-orbit, in lexicographic order."""
-    field = field_from_order(q)
-    d = quiver.check_dim(d)
-    indices, _, _ = orbit_partition(quiver, field, d, cap=cap)
-    return [decode_representation(quiver, field, d, i) for i in indices]
+    return [w for w, _ in _orbit_representatives(quiver, field_from_order(q), d, cap)]
+
+
+def _orbit_representatives(quiver: Quiver, field: Field, d, cap: int):
+    """(W, |orbit of W|) for each canonical representative W, in lex order."""
+    indices, _, sizes = orbit_partition(quiver, field, d, cap=cap)
+    for index, size in zip(indices, sizes):
+        yield decode_representation(quiver, field, d, index), size
+
+
+def _end_structure(w: Representation, orbit_size: int) -> EndoStructure:
+    """End(W) from |Aut W| = |GL_d| / orbit_size (Aut W is W's stabilizer) and
+    hom_dim(W, W); an orbit size that does not divide |GL_d| is a hard error."""
+    order = gl_order(w.d, w.field.q)
+    units, rem = divmod(order, orbit_size)
+    if rem:
+        raise ConsistencyError(f"orbit of size {orbit_size} does not divide |GL_d| = {order}")
+    return _local_structure(hom_dim(w, w), units, w.field.q)
 
 
 @dataclass(frozen=True)
@@ -122,29 +136,13 @@ class ClassCounts:
 
 
 def classify_classes(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> ClassCounts:
-    """M, I and A from one orbit partition; the cap budgets its q^n points.
-    An orbit size that does not divide |GL_d| is a hard error."""
+    """M, I and A from one orbit partition; the cap budgets its q^n points."""
     field = field_from_order(q)
-    d = quiver.check_dim(d)
-    indices, _, sizes = orbit_partition(quiver, field, d, cap=cap)
-    order = gl_order(d, q)
-    indec = 0
-    abs_indec = 0
-    for index, size in zip(indices, sizes):
-        units, rem = divmod(order, size)
-        if rem:
-            raise ConsistencyError(f"orbit of size {size} does not divide |GL_d| = {order}")
-        w = decode_representation(quiver, field, d, index)
-        end = _local_structure(hom_dim(w, w), units, q)
-        if not end.is_local:
-            continue
-        indec += 1
-        if end.residue_degree == 1:
-            abs_indec += 1
+    ends = [_end_structure(w, size) for w, size in _orbit_representatives(quiver, field, d, cap)]
     return ClassCounts(
-        iso_classes=len(indices),
-        indecomposable=indec,
-        absolutely_indecomposable=abs_indec,
+        iso_classes=len(ends),
+        indecomposable=sum(end.is_local for end in ends),
+        absolutely_indecomposable=sum(end.residue_degree == 1 for end in ends),
     )
 
 

@@ -506,9 +506,11 @@ def gl_order(d, q: int) -> int:
 
 
 def g_order(d, q: int) -> int:
-    """|G_d(F_q)| for G_d = GL_d / (diagonal scalars)."""
+    """|G_d(F_q)| for G_d = GL_d / (diagonal scalars), d nonzero."""
+    if not any(d):
+        raise ValidationError(f"d={tuple(d)} is zero; G_d needs a nonzero d")
     order, rem = divmod(gl_order(d, q), q - 1)
-    if rem:  # pragma: no cover - gl_order is always divisible by q-1 for d != 0
+    if rem:  # pragma: no cover - q-1 divides q^n - 1, a factor of gl_order for d != 0
         raise ConsistencyError("gl_order not divisible by q-1")
     return order
 

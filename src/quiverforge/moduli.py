@@ -14,11 +14,11 @@ Rep(Q, d) (Crawley-Boevey & Van den Bergh, Invent. Math. 155, 2004).  For a
 fixed X the moment value is linear in X* and vanishes at X* = 0, so the
 fiber {X* : mu(X, X*) = eta.I} is an affine F_q-space: q^(n - rank) points
 when the linear system is consistent and none otherwise, n = dim Rep(Q, d).
-One row reduction per point of Rep(Q, d) replaces the walk of all q^(2n)
-points of the doubled space; ``level_set_points`` keeps that walk as the
-brute oracle.  The system is read off the formula above, not taken from
-``hom_space``, so ``lifting_fiber_check`` compares two independent
-computations: the fibers here and the End-ring scans of ``reps``.
+The fiber size is GL_d-invariant (mu is equivariant, eta.I central), so one
+row reduction per orbit of Rep(Q, d), times its size, replaces the walk of
+the q^(2n) doubled points that ``level_set_points`` keeps as brute oracle.
+The system is read off the formula above, not from ``hom_space``, so the
+fibers are independent of the ``hom_dim`` that ``lifting_fiber_check`` uses.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from .errors import (
 )
 from .ffield import Field, FqMatrix, g_order
 from .quiver import Quiver, is_generic
-from .reps import Representation, all_representations, arrow_shapes, scan_endomorphisms
+from .reps import Representation, all_representations, arrow_shapes
+from .counting import _end_structure, _orbit_representatives
 from .counting import count_abs_indecomposable, field_from_order
 from .series import ExactPolynomial
 
@@ -141,7 +142,8 @@ def _fiber_terms(half: Quiver, d) -> tuple[list[tuple[int, int, int, bool]], lis
 
 
 def _fiber_sizes(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
-    """(X, |{X* : mu(X, X*) = eta.I}|) for every X in Rep(Q, d), in lex order.
+    """(X, |orbit of X|, |{X* : mu(X, X*) = eta.I}|) for each canonical
+    GL_d-orbit representative X of Rep(Q, d), in lex order.
 
     For a doubled quiver the forward arrows carry X and their partners X*.
     The budget is the q^(2n) of the doubled space, as for the walk.
@@ -154,7 +156,7 @@ def _fiber_sizes(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
     n = sum(r * c for r, c in arrow_shapes(half, d))
     check_cap(q ** (2 * n), cap, "representation-space enumeration")
     terms, diagonal = _fiber_terms(half, d)
-    for x in all_representations(half, field, d, cap=cap):
+    for x, size in _orbit_representatives(half, field, d, cap):
         flat = x.entry_key()
         system = [[0] * n + [b] for b in rhs]
         for e, u, p, negated in terms:
@@ -169,12 +171,12 @@ def _fiber_sizes(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
             if trace:
                 raise ConsistencyError("moment value escaped the trace-zero subalgebra")
         _, pivots = FqMatrix(field, system).rref()
-        yield x, 0 if n in pivots else q ** (n - len(pivots))
+        yield x, size, 0 if n in pivots else q ** (n - len(pivots))
 
 
 def enumerate_level_set(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP) -> int:
-    """|mu^-1(eta.I)| in the doubled space, summed fiber by fiber over Rep(Q, d)."""
-    return sum(fiber for _, fiber in _fiber_sizes(quiver, d, eta, q, cap=cap))
+    """|mu^-1(eta.I)| in the doubled space, summed orbit by orbit over Rep(Q, d)."""
+    return sum(size * fiber for _, size, fiber in _fiber_sizes(quiver, d, eta, q, cap=cap))
 
 
 def _check_generic(quiver: Quiver, d, theta) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -274,18 +276,17 @@ def lifting_fiber_check(
     d, theta = _check_generic(quiver, d, theta)
     level_count = 0
     counterexample = None
-    for w, observed in _fiber_sizes(quiver, d, theta, q, cap=cap):
-        level_count += observed
-        if counterexample is not None:
-            continue
+    for w, size, observed in _fiber_sizes(quiver, d, theta, q, cap=cap):
+        level_count += size * observed
         expected = 0
-        dim_end, local, _ = scan_endomorphisms(w, cap=cap, early_exit=True)
-        if local:  # indecomposable: dim Ext^1(W, W) = dim End(W) - <d, d>
-            ext = dim_end - quiver.euler_form(d, d)
+        end = _end_structure(w, size)
+        if end.is_local:  # indecomposable: dim Ext^1(W, W) = dim End(W) - <d, d>
+            ext = end.dim_end - quiver.euler_form(d, d)
             if ext < 0:
                 raise ConsistencyError("negative Ext dimension; Hom solver is broken")
             expected = q**ext
-        if observed != expected:
+        # both sides are iso-invariant, so the first offending orbit holds the lex-first point
+        if observed != expected and counterexample is None:
             counterexample = w.entry_key()
     return LiftingCheck(
         holds=counterexample is None,

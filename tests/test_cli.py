@@ -22,7 +22,7 @@ from quiverforge import (
     kronecker_quiver,
     moduli,
 )
-from quiverforge import cache
+from quiverforge import cache, reps
 from quiverforge.cache import cache_lookup, cache_store
 from quiverforge.cli import main, parse_quiver, serialize_quiver
 
@@ -177,6 +177,79 @@ def test_forms_roots_stability(capsys, kron2_file):
     payload = json.loads(out)
     assert payload["generic"] is True
     assert payload["verdicts"] == {"stable": 3, "semistable-not-stable": 0, "unstable": 1}
+
+
+def _point_tallies(quiver, d, theta, q):
+    """Per-point oracle: one verdict for every point of Rep(Q, d)."""
+    tallies = {"stable": 0, "semistable-not-stable": 0, "unstable": 0}
+    for w in reps.all_representations(quiver, counting.field_from_order(q), d):
+        tallies[reps.stability_verdict(w, theta).kind] += 1
+    return tallies
+
+
+STABILITY_CASES = [
+    (name, d, theta, q)
+    for name, d, theta in [
+        ("kron2", (1, 1), (-1, 1)),
+        ("kron2", (2, 1), (-1, 2)),
+        ("kron3", (1, 1), (-1, 1)),
+        ("a2", (1, 1), (-1, 1)),
+        ("a2", (2, 1), (-1, 2)),
+        ("a2", (1, 1), (1, -1)),
+        ("jordan", (1,), (0,)),
+        ("jordan", (2,), (0,)),
+    ]
+    for q in (2, 3)
+] + [("kron2", (2, 2), (-1, 1), 2)]  # non-generic theta: semistable-not-stable points
+
+
+@pytest.mark.parametrize("name,d,theta,q", STABILITY_CASES)
+def test_stability_tallies_match_the_point_oracle(capsys, tmp_path, name, d, theta, q):
+    quiver = {
+        "kron2": kronecker_quiver(2),
+        "kron3": kronecker_quiver(3),
+        "a2": a2_quiver(),
+        "jordan": jordan_quiver(),
+    }[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(serialize_quiver(quiver))
+    vec = lambda v: ",".join(map(str, v))
+    code, out, _ = run_cli(
+        capsys,
+        ["stability", "--quiver", str(path), "--d", vec(d), "--theta", vec(theta), "--q", str(q)],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdicts"] == _point_tallies(quiver, d, theta, q)
+    assert payload["total"] == q ** sum(r * c for r, c in reps.arrow_shapes(quiver, d))
+
+
+def test_stability_tally_pinned_case(capsys, kron2_file):
+    code, out, _ = run_cli(
+        capsys,
+        ["stability", "--quiver", kron2_file, "--d", "2,1", "--theta", "-1,2", "--q", "3"],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdicts"] == {"stable": 48, "semistable-not-stable": 0, "unstable": 33}
+    assert payload["total"] == 81
+
+
+def test_production_passes_walk_no_point_and_no_end_ring(capsys, kron2_file, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a production pass walked Rep(Q, d) point by point")
+
+    for module in (reps, moduli, cli):
+        monkeypatch.setattr(module, "all_representations", forbidden, raising=False)
+    monkeypatch.setattr(reps, "_iter_span", forbidden)
+    kron2 = kronecker_quiver(2)
+    assert moduli.enumerate_level_set(kron2, (2, 1), (-1, 2), 3) == 48
+    assert moduli.lifting_fiber_check(kron2, (2, 1), (-1, 2), 3).holds
+    code, out, _ = run_cli(
+        capsys,
+        ["stability", "--quiver", kron2_file, "--d", "2,1", "--theta", "-1,2", "--q", "3"],
+    )
+    assert code == 0 and json.loads(out)["total"] == 81
 
 
 def test_hua_and_moduli_commands(capsys, jordan_file, kron2_file):

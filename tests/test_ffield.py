@@ -259,6 +259,14 @@ def test_gl_order_examples():
     assert g_order((1, 1), 5) == 4
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [(0,), (0, 0)])
+def test_g_order_refuses_zero_d_at_every_q(d, q):
+    # once answered 1 at q = 2 but raised ConsistencyError at q = 3
+    with pytest.raises(ValidationError, match=r"is zero; G_d needs a nonzero d"):
+        g_order(d, q)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("d", [(1,), (2,), (1, 1)])
 def test_gl_order_matches_rank_oracle(d, q):

@@ -31,7 +31,9 @@ from quiverforge import (
     jordan_quiver,
     kronecker_quiver,
 )
-from quiverforge import moduli, reps
+from quiverforge import counting, moduli, reps
+from quiverforge.counting import prime_power
+from quiverforge.ffield import enumerate_gl
 from quiverforge.moduli import level_set_points
 from quiverforge.quiver import Quiver, is_generic, is_indivisible, normalize_to_degree_zero
 from quiverforge.reps import all_representations
@@ -184,16 +186,53 @@ def _forward_key(w: Representation) -> tuple[int, ...]:
     return tuple(v for a in quiver.forward_arrows() for v in w.map_for(a.id).flat())
 
 
+def _half(quiver: Quiver) -> Quiver:
+    return Quiver(quiver.vertices, quiver.forward_arrows()) if quiver.is_doubled else quiver
+
+
 @pytest.mark.parametrize("name,d,eta,q", FIBER_CASES)
 def test_fibers_match_the_doubled_walk(name, d, eta, q):
     quiver = FIBER_QUIVERS[name]
     brute = collections.Counter(_forward_key(w) for w in level_set_points(quiver, d, eta, q))
     fibers = list(moduli._fiber_sizes(quiver, d, eta, q))
-    keys = [x.entry_key() for x, _ in fibers]
-    assert keys == sorted(keys) and len(set(keys)) == len(keys)  # lex order, each X once
-    assert len(keys) == q ** sum(r * c for r, c in reps.arrow_shapes(fibers[0][0].quiver, d))
-    assert {key: f for key, f in zip(keys, (f for _, f in fibers)) if f} == dict(brute)
-    assert enumerate_level_set(quiver, d, eta, q) == sum(brute.values())
+    keys = [x.entry_key() for x, _, _ in fibers]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)  # lex order, each orbit once
+    n = sum(r * c for r, c in reps.arrow_shapes(_half(quiver), d))
+    assert sum(size for _, size, _ in fibers) == q**n
+    assert [fiber for _, _, fiber in fibers] == [brute[key] for key in keys]
+    total = sum(size * fiber for _, size, fiber in fibers)
+    assert total == enumerate_level_set(quiver, d, eta, q) == sum(brute.values())
+
+
+@pytest.mark.parametrize("name,d,eta,q", FIBER_CASES)
+def test_fiber_size_is_constant_on_orbits(name, d, eta, q):
+    # the orbit sum behind enumerate_level_set: X -> |fiber over X| is
+    # GL_d-invariant, checked on every point against the brute walk
+    quiver = FIBER_QUIVERS[name]
+    half = _half(quiver)
+    field = make_field(*prime_power(q))
+    brute = collections.Counter(_forward_key(w) for w in level_set_points(quiver, d, eta, q))
+    group = [
+        (combo, tuple(g.inverse() for g in combo))
+        for combo in itertools.product(*[list(enumerate_gl(field, dv)) for dv in d])
+    ]
+    orbit_of = {}
+    for x in all_representations(half, field, d):
+        if x.entry_key() in orbit_of:
+            continue
+        orbit = set()
+        for g, ginv in group:
+            maps = [
+                g[half.vertex_index[a.head]].mul(m).mul(ginv[half.vertex_index[a.tail]])
+                for a, m in zip(half.arrows, x.maps)
+            ]
+            orbit.add(tuple(v for m in maps for v in m.flat()))
+        orbit_of.update((key, min(orbit)) for key in orbit)
+        assert len({brute[key] for key in orbit}) == 1
+    sizes = collections.Counter(orbit_of.values())
+    assert [(x.entry_key(), size) for x, size, _ in moduli._fiber_sizes(quiver, d, eta, q)] == (
+        sorted(sizes.items())
+    )
 
 
 def test_fiber_route_keeps_the_doubled_space_cap(kron2):
@@ -327,10 +366,10 @@ def test_generic_theta_forces_an_indivisible_d(d, raw):
 def test_lifting_reports_the_lex_first_counterexample(kron2, monkeypatch):
     # with every End ring reported local, the zero representation (empty
     # fiber) is the first point whose fiber disagrees
-    def all_local(w, cap, early_exit):
-        return 1, True, 0
+    def all_local(w, orbit_size):
+        return reps.EndoStructure(dim_end=1, is_local=True, dim_radical=0, residue_degree=1)
 
-    monkeypatch.setattr(moduli, "scan_endomorphisms", all_local)
+    monkeypatch.setattr(moduli, "_end_structure", all_local)
     result = lifting_fiber_check(kron2, (1, 1), (-1, 1), 3)
     assert not result.holds
     assert result.counterexample == (0, 0)
@@ -339,16 +378,17 @@ def test_lifting_reports_the_lex_first_counterexample(kron2, monkeypatch):
 
 def test_lifting_scans_each_end_ring_once(kron2, monkeypatch):
     calls = []
-    original = reps.hom_space
+    original = counting.hom_dim
 
     def counted(w1, w2):
         calls.append(w1.entry_key())
         return original(w1, w2)
 
-    monkeypatch.setattr(reps, "hom_space", counted)
+    monkeypatch.setattr(counting, "hom_dim", counted)
     assert lifting_fiber_check(kron2, (1, 1), (-1, 1), 3).holds
-    # one End(W) per point of Rep(Q, d), and no second Hom solve for Ext^1
-    assert len(calls) == len(set(calls)) == 9
+    # one dim End(W) per orbit of Rep(Q, d), the zero point and the four
+    # lines of F_3^2, and no second Hom solve for Ext^1
+    assert len(calls) == len(set(calls)) == 5
 
 
 def test_specific_fiber_sizes(kron2, f3):
