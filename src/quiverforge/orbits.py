@@ -10,30 +10,51 @@ the same index read in base p has n*k digits, and every group element acts
 F_p-linearly on them.  The orbit partition lets a generating set of GL_d act
 on the whole space at once: each generator is one integer matrix on those
 digits, applied to every point as a matrix product reduced mod p, which
-yields a permutation of indices; orbits are the connected components of the
-union of those permutation graphs.  The accumulator dtype is chosen so that
-no sum of products wraps, so the partition is exact for every F_{p^k};
-canonical class representatives are the lexicographically smallest orbit
-elements, and an orbit's size is its component's size.
+yields a permutation of indices.  The accumulator dtype is chosen so that
+no sum of products wraps, so the images are exact for every F_{p^k}.
+
+Orbits are then found by min-label propagation (Shiloach and Vishkin,
+J. Algorithms 3, 1982) over those permutations: every point starts labelled
+by its own index; a round gives both ends of every generator edge
+i -> g(i) the smaller of their two labels, one generator at a time, then
+pointer-jumps labels = labels[labels] until that is stable; rounds repeat
+until one changes nothing.  This is exact: a label only ever falls and always names a
+point of its own orbit, and at the fixed point labels agree across every
+generator edge, so they are constant on each orbit, hence equal to the
+orbit's smallest index.  Canonical class representatives are the points
+that keep their own label (the lexicographically smallest orbit elements),
+and an orbit's size is the number of points carrying its label.
+
+numpy is bound on the first orbit partition, not on import, so callers
+that never partition a representation space never load it.
 """
 
 from __future__ import annotations
-
-import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError, check_cap, DEFAULT_CAP
 from .ffield import Field, gl_generators
 from .quiver import Quiver
 from .reps import Representation, _from_flat, arrow_shapes
 
+np = None  # numpy, bound by _bind_numpy on first use
+
+
+def _bind_numpy():
+    """Import numpy into this module on first use."""
+    global np
+    if np is None:
+        import numpy
+
+        np = numpy
+
 
 def _accumulator(width: int, p: int):
-    """Integer dtype that holds a sum of ``width`` products of base-p digits."""
+    """Integer dtype that holds a sum of ``width`` products of base-p digits.
+    Binds numpy, after the refusal, for every caller of the array kernels."""
     bound = width * (p - 1) ** 2
     if bound >= 2**63:
         raise ValidationError(f"F_{p} is too large for exact orbit arithmetic")
+    _bind_numpy()
     return np.int32 if bound < 2**31 else np.int64
 
 
@@ -64,6 +85,29 @@ def _images(digits: np.ndarray, action_t: np.ndarray, p: int, powers: np.ndarray
     return image.astype(powers.dtype, copy=False) @ powers
 
 
+def _min_labels(idx, perms):
+    """Smallest index in each point's orbit under the group generated by
+    the permutations ``perms`` of ``idx`` = 0..n-1 (see the module docstring)."""
+    labels = idx.copy()
+    changed = True
+    while changed:
+        before = labels.copy()
+        for perm in perms:
+            # both ends of each edge i -> perm[i] take the smaller label;
+            # perm is a bijection, so the scatter writes each point once
+            edge_min = labels[perm]
+            np.minimum(edge_min, labels, out=edge_min)
+            labels[perm] = edge_min
+            np.minimum(labels, edge_min, out=labels)
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        changed = not np.array_equal(labels, before)
+    return labels
+
+
 def orbit_partition(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
     """Partition the representation space into GL_d-orbits.
 
@@ -91,24 +135,15 @@ def orbit_partition(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
     for j, power in enumerate(powers):
         digits[:, j] = (idx // power) % p
 
-    edge_dst = []
+    perms = []
     for v, g in generators:
         action_t = np.array(_action_matrix(quiver, field, d, width, v, g), dtype=acc)
-        edge_dst.append(_images(digits, action_t, p, powers))
-    del digits  # n_points x width, no longer needed: keep it out of the graph's peak
+        perms.append(_images(digits, action_t, p, powers))
+    del digits  # n_points x width, no longer needed: keep it out of the labels' peak
 
-    src = np.tile(idx, len(edge_dst))
-    dst = np.concatenate(edge_dst)
-    graph = coo_matrix(
-        (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n_points, n_points)
-    )
-    _, labels = connected_components(graph, directed=False)
-
-    order = np.argsort(labels, kind="stable")  # stable: minimal index first per label
-    sorted_labels = labels[order]
-    firsts = np.nonzero(np.r_[True, sorted_labels[1:] != sorted_labels[:-1]])[0]
-    canonical = np.sort(order[firsts])
-    sizes = np.bincount(labels)[labels[canonical]]
+    labels = _min_labels(idx, perms)
+    canonical = np.flatnonzero(labels == idx)
+    sizes = np.bincount(labels)[canonical]
     return [int(x) for x in canonical], n_points, [int(x) for x in sizes]
 
 

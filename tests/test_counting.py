@@ -405,6 +405,75 @@ def test_orbit_arithmetic_refuses_sums_past_int64(jordan, monkeypatch):
         orbit_partition(jordan, field, (1,), cap=10**10)
 
 
+def union_find_orbits(n, perms):
+    """Independent oracle: {orbit minimum: orbit size} by a pure-Python
+    union-find over the edges i -> perm[i]."""
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for perm in perms:
+        for i, j in enumerate(perm):
+            a, b = root(i), root(int(j))
+            if a != b:
+                parent[max(a, b)] = min(a, b)  # the root stays the component's minimum
+    sizes = {}
+    for i in range(n):
+        r = root(i)
+        sizes[r] = sizes.get(r, 0) + 1
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "name,d,q",
+    [
+        ("kron2", (2, 1), 5),  # prime field
+        ("kron2", (2, 2), 4),  # extension fields
+        ("jordan", (2,), 9),
+        ("jordan", (1,), 5),  # a single generator
+        ("jordan", (3,), 3),  # orbits of more than 1000 points
+    ],
+)
+def test_min_labels_match_union_find_over_the_generator_images(name, d, q, monkeypatch):
+    seen = {}
+    original = orbits._min_labels
+
+    def record(idx, perms):
+        seen["perms"] = [[int(x) for x in perm] for perm in perms]
+        return original(idx, perms)
+
+    monkeypatch.setattr(orbits, "_min_labels", record)
+    canonical, n_points, sizes = orbit_partition(QUIVERS[name], field_from_order(q), d)
+    perms = seen["perms"]
+    assert n_points == q ** sum(r * c for r, c in reps.arrow_shapes(QUIVERS[name], d))
+    assert all(sorted(perm) == list(range(n_points)) for perm in perms)
+    oracle = union_find_orbits(n_points, perms)
+    assert dict(zip(canonical, sizes)) == oracle
+    assert canonical == sorted(oracle)
+    assert sum(sizes) == n_points
+    if name == "jordan" and d == (1,):
+        assert len(perms) == 1 and sizes == [1] * n_points
+    if d == (3,):
+        assert max(sizes) > 1000
+
+
+def test_min_labels_follow_the_cycles_of_one_permutation():
+    # cycles (0 4 1 7), (2 3 9 6), (5) and (8)
+    perm = np.array([4, 7, 3, 9, 1, 5, 2, 0, 8, 6])
+    labels = orbits._min_labels(np.arange(10), [perm])
+    assert [int(x) for x in labels] == [0, 0, 2, 2, 0, 5, 2, 0, 8, 2]
+    assert union_find_orbits(10, [perm]) == {0: 4, 2: 4, 5: 1, 8: 1}
+    # one 2000-cycle visiting the points in descending order: the minimum
+    # has to travel the whole cycle
+    n = 2000
+    perm = np.array([(i - 1) % n for i in range(n)])
+    assert not orbits._min_labels(np.arange(n), [perm]).any()
+
+
 def test_representatives_are_lex_minimal(jordan):
     reps = iso_class_representatives(jordan, (2,), 2)
     field = make_field(2)

@@ -1,0 +1,51 @@
+"""What a fresh process loads: numpy only once an orbit partition runs, and
+scipy never.  Each check runs in a subprocess, because this one already has
+numpy loaded (the tests import it)."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import quiverforge
+from quiverforge import kronecker_quiver
+from quiverforge.cli import serialize_quiver
+
+SRC = str(Path(quiverforge.__file__).resolve().parent.parent)
+
+REPORT = 'print(json.dumps({m: m in sys.modules for m in ("numpy", "scipy")}))'
+
+
+def loaded_after(body: str) -> dict:
+    """Run ``body`` after ``import quiverforge`` in a fresh interpreter and
+    report whether numpy and scipy are in its ``sys.modules``."""
+    env = {k: v for k, v in os.environ.items() if k != "QUIVERFORGE_CACHE"}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    script = f"import json, sys\nimport quiverforge\n{body}\n{REPORT}\n"
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_kac_forms_roots_and_betti_load_neither_numpy_nor_scipy(tmp_path):
+    path = tmp_path / "kron2.json"
+    path.write_text(serialize_quiver(kronecker_quiver(2)))
+    body = "\n".join([
+        "from quiverforge import cli, kac_polynomial, kronecker_quiver",
+        "assert kac_polynomial(kronecker_quiver(2), (1, 1)).integer_coefficients() == [1, 1]",
+        f"assert cli.main(['forms', '--quiver', {str(path)!r}, '--d', '2,1']) == 0",
+        f"assert cli.main(['roots', '--quiver', {str(path)!r}, '--d', '3,3']) == 0",
+        f"assert cli.main(['betti', '--quiver', {str(path)!r}, '--d', '1,1', '--theta', '-1,1']) == 0",
+    ])
+    assert loaded_after(body) == {"numpy": False, "scipy": False}
+
+
+def test_orbit_partition_loads_numpy_but_not_scipy():
+    body = "\n".join([
+        "from quiverforge import jordan_quiver, make_field",
+        "from quiverforge.orbits import orbit_partition",
+        "assert orbit_partition(jordan_quiver(), make_field(2), (2,))[1] == 16",
+    ])
+    assert loaded_after(body) == {"numpy": True, "scipy": False}
