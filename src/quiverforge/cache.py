@@ -6,11 +6,11 @@ of the package sources as the version, so records written by other code are
 misses.  A lookup is one pass over the file, so its cost still grows with the
 file, but it decodes only the lines that could be the asked quiver's records:
 a line in ``cache_store``'s canonical form for another quiver's hash is
-skipped unread, even when it is corrupt.  Other corrupt lines are skipped
-with a warning, and an unwritable path downgrades to a warning so
-computation can proceed uncached.  A store appends its record under an
-exclusive ``flock``, so processes that share a cache file never interleave
-their records.
+skipped unread, even when it is corrupt.  Other corrupt lines, undecodable
+bytes among them, are skipped with a warning naming the line, and an
+unwritable path downgrades to a warning so computation can proceed
+uncached.  A store appends its record under an exclusive ``flock``, so
+processes that share a cache file never interleave their records.
 """
 
 from __future__ import annotations
@@ -33,14 +33,16 @@ def cache_lookup(path: str, quiver_hash: str, op: str, params: dict, version: st
     own = '{"hash":' + json.dumps(quiver_hash) + ","
     found = None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # bytes that are not UTF-8 come in as lone surrogates instead of raising
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or (line.startswith('{"hash":"') and not line.startswith(own)):
                     continue
                 try:
+                    line.encode("utf-8")
                     record = json.loads(line)
-                except json.JSONDecodeError:
+                except (UnicodeEncodeError, json.JSONDecodeError):
                     print(f"warning: skipping corrupt cache line {lineno}", file=sys.stderr)
                     continue
                 if not isinstance(record, dict):

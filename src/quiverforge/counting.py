@@ -12,10 +12,19 @@ Galois descent turns A into I_e(q); and M_d(q) is the X^d coefficient of
 the Krull-Schmidt product prod_{0 < e <= d} (1 - X^e)^(-I_e) (Kac, LNM
 996, 1983).
 
-Kac polynomials take A from Hua's formula too; the orbit partition's A is
-their test oracle.  Values at several prime powers feed an exact Lagrange
-interpolation whose result is verified at two surplus evaluation points
-before being returned.
+Hua's formula is computed in two steps.  The tuples of partitions are
+tabulated once per (quiver, d), as merged terms X^m Q^e / prod_k (Q^k - 1)
+that serve every Q.  Each log P(X, Q) is then one integer series over a
+box: with D the lcm of the terms' denominators, P_m = p_m / D for integers
+p_m, and the Euler recurrence runs on the integers U_m = |m| [X^m] log P
+D^|m|, so the one division is the last one.  Before the table is built the
+cap is charged with the partition tuples; before a series runs it is
+charged with the series' pairs k <= m <= box.
+
+Kac polynomials take A from Hua's formula too, one table for all nodes; the
+orbit partition's A is their test oracle.  Values at several prime powers
+feed an exact Lagrange interpolation whose result is verified at two surplus
+evaluation points before being returned.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ import itertools
 from collections import Counter
 from dataclasses import astuple, dataclass
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 
 from .errors import (
     ConsistencyError,
@@ -242,20 +251,127 @@ def _pairing(conj1, conj2) -> int:
     return sum(a * b for a, b in zip(conj1, conj2))
 
 
-def _log_coefficient(coeffs: dict, box: tuple[int, ...]) -> Fraction:
-    """[X^box] log P for a series P with constant term 1, from the Euler
-    operator: |m| L_m = |m| P_m - sum_{0 < k < m} |k| L_k P_{m-k}."""
-    logs: dict = {}
-    for m in itertools.product(*(range(b + 1) for b in box)):
-        size = sum(m)
-        if not size:
-            continue
-        acc = size * coeffs[m]
-        for k in itertools.product(*(range(x + 1) for x in m)):
-            if k != m and any(k):
-                acc -= sum(k) * logs[k] * coeffs[tuple(a - b for a, b in zip(m, k))]
-        logs[m] = acc / size
-    return logs[box]
+def _pair_products(box: tuple[int, ...]) -> int:
+    """Pairs k <= m <= box, which the log series multiplies once each."""
+    return prod((b + 1) * (b + 2) // 2 for b in box)
+
+
+def _squarefree_divisors(n: int) -> list[int]:
+    return [r for r in divisors(n) if moebius(r)]
+
+
+def _hua_terms(quiver: Quiver, d: tuple[int, ...], cap: int, pairs: int = 0) -> Counter:
+    """Hua's P as q-free terms: (m, e, ks) -> count, one term
+    X^m Q^e / prod_{k in ks} (Q^k - 1) per tuple of partitions pi with
+    |pi_i| = m_i <= d_i, since 1/b_lam(1/Q) = Q^(sum ks) / prod (Q^k - 1);
+    tuples with equal (m, e, ks) are merged.  Q is q, or q^r for the r-th
+    Adams term, so one table serves every Q, and its terms with m <= b are
+    the table of the box b.  The cap is charged with the partition tuples,
+    then with ``pairs`` log pair products if given, before anything is built.
+    """
+    counts = _partition_counts(max(d))
+    check_cap(prod(sum(counts[: dv + 1]) for dv in d), cap, "partition-tuple enumeration")
+    if pairs:
+        check_cap(pairs, cap, "log-coefficient pair products")
+    per_vertex = [
+        [(n, *_hua_data(lam)) for n in range(dv + 1) for lam in _partitions(n)] for dv in d
+    ]
+    arrows = [(quiver.vertex_index[a.tail], quiver.vertex_index[a.head]) for a in quiver.arrows]
+    terms: Counter = Counter()
+    for pi in itertools.product(*per_vertex):
+        e = sum(_pairing(pi[t][1], pi[h][1]) for t, h in arrows)
+        ks: list[int] = []
+        for _, conj, vertex_ks in pi:
+            e += sum(vertex_ks) - _pairing(conj, conj)
+            ks.extend(vertex_ks)
+        terms[(tuple(part[0] for part in pi), e, tuple(sorted(ks)))] += 1
+    return terms
+
+
+def _log_series(terms: Counter, box: tuple[int, ...], big_q: int) -> tuple[dict, int]:
+    """log P(X, Q) on the box, in integers.
+
+    P = 1 + sum of count X^m Q^e / prod_{k in ks} (Q^k - 1) over the terms
+    with 0 < m <= box (the constant term is 1), at Q = big_q.  With D the
+    lcm of the denominators prod (Q^k - 1) Q^max(0, -e), P_m = p_m / D for
+    integers p_m (p_0 = D), and U_m = |m| L_m D^|m| satisfies Euler's
+    |m| L_m = |m| P_m - sum_{0 < k < m} |k| L_k P_{m-k} times D^|m|:
+
+        U_m = |m| p_m D^(|m|-1) - sum_{0 < k < m} U_k p_{m-k} D^(|m|-|k|-1).
+
+    Every value is an integer.  Returns (U, D) with U keyed by m, so that
+    [X^m] log P = U[m] / (|m| D^|m|).
+    """
+    points = list(itertools.product(*(range(b + 1) for b in box)))
+    size = len(points)
+    index = {m: flat for flat, m in enumerate(points)}
+    # k <= m gives index[m] - index[k] = index[m - k]
+    strides = [prod(b + 1 for b in box[i + 1:]) for i in range(len(box))]
+    # numerators count * Q^max(0, e), summed per (m, denominator)
+    numerators: Counter = Counter()
+    for (m, e, ks), count in terms.items():
+        flat = index.get(m)
+        if flat:  # None off the box, 0 for the constant term
+            numerators[flat, ks, max(0, -e)] += count * big_q ** max(0, e)
+    products = {ks: prod(big_q**k - 1 for k in ks) for ks in {ks for _, ks, _ in numerators}}
+    denominators = {
+        (ks, shift): products[ks] * big_q**shift for ks, shift in {key[1:] for key in numerators}
+    }
+    common = lcm(*denominators.values())
+    scale = {key: common // denominator for key, denominator in denominators.items()}
+    p = [common] + [0] * (size - 1)
+    for (flat, ks, shift), numerator in numerators.items():
+        p[flat] += numerator * scale[ks, shift]
+
+    degree = [sum(m) for m in points]
+    powers = [1]
+    u = [0] * size
+    for flat in range(1, size):
+        n = degree[flat]
+        while len(powers) < n:
+            powers.append(powers[-1] * common)
+        below = [0]
+        for x, stride in zip(points[flat], strides):
+            below = [k + j * stride for k in below for j in range(x + 1)]
+        # group the pair products by |k|, then sum over |k| by Horner in D
+        by_degree = [0] * n
+        for k in below[1:-1]:  # 0 < k < m: 0 comes first and m last
+            by_degree[degree[k]] += u[k] * p[flat - k]
+        acc = 0
+        for part in by_degree[1:]:
+            acc = acc * common + part
+        u[flat] = n * p[flat] * powers[n - 1] - acc
+    return dict(zip(points, u)), common
+
+
+def _log_value(series: tuple[dict, int], m: tuple[int, ...]) -> Fraction:
+    """[X^m] log P from ``_log_series``'s (U, D), for 0 < m <= its box."""
+    u, common = series
+    n = sum(m)
+    return Fraction(u[m], n * common**n)
+
+
+def _a_from_logs(d: tuple[int, ...], q: int, log_at) -> int:
+    """A_d(q) = (q - 1) sum_{r | gcd d} (mu(r)/r) [X^(d/r)] log P(X, q^r),
+    with ``log_at(r, m)`` = [X^m] log P(X, q^r).  A non-integer is a hard error."""
+    total = sum(
+        Fraction(moebius(r), r) * log_at(r, tuple(x // r for x in d))
+        for r in _squarefree_divisors(gcd(*d))
+    )
+    value = (q - 1) * total
+    if value.denominator != 1:
+        raise ConsistencyError(f"Hua's formula gives a non-integer A_d({q}) = {value} for d={d}")
+    return int(value)
+
+
+def _hua_at(terms: Counter, d: tuple[int, ...], q: int) -> int:
+    """A_d(q) from the term table of d: one log series per Adams term."""
+    return _a_from_logs(d, q, lambda r, m: _log_value(_log_series(terms, m, q**r), m))
+
+
+def _adams_pairs(d: tuple[int, ...]) -> int:
+    """Pair products of the log series at every Adams term of A_d."""
+    return sum(_pair_products(tuple(x // r for x in d)) for r in _squarefree_divisors(gcd(*d)))
 
 
 def abs_indecomposable_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> int:
@@ -267,9 +383,13 @@ def abs_indecomposable_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP)
 
     pi running over tuples of partitions, one per vertex, with |pi_i| <= d_i,
     and [X^d] Log P = sum_{r | gcd d} (mu(r)/r) [X^(d/r)] log P(X, q^r).
-    No representation is enumerated; the cap budgets the partition tuples
-    and, separately, the log's pair products, sum over those r with
-    mu(r) != 0 of prod_i (d_i/r + 1)(d_i/r + 2)/2.
+    No representation is enumerated.  P's terms are tabulated once, free of
+    q; each log P(X, q^r) is then taken in integers, by the Euler recurrence
+    on U_m = |m| L_m D^|m| with D the lcm of the terms' denominators, and
+    the one division is L_m = U_m / (|m| D^|m|) (see ``_log_series``).
+    Before the table is built the cap budgets the partition tuples,
+    prod_i sum_{n <= d_i} p(n), and then the log's pair products, sum over
+    the r with mu(r) != 0 of prod_i (d_i/r + 1)(d_i/r + 2)/2.
     A non-integer result is a hard error.
     """
     d = quiver.check_dim(d)
@@ -277,46 +397,7 @@ def abs_indecomposable_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP)
         raise ValidationError("A_d needs a nonzero dimension vector")
     if not isinstance(q, int) or q < 2:
         raise ValidationError(f"Hua's formula needs an integer q >= 2, got {q!r}")
-    counts = _partition_counts(max(d))
-    check_cap(prod(sum(counts[: dv + 1]) for dv in d), cap, "partition-tuple enumeration")
-    squarefree = [r for r in divisors(gcd(*d)) if moebius(r)]
-    # _log_coefficient pairs every k <= m for every m in the box d/r
-    pairs = sum(prod((x // r + 1) * (x // r + 2) // 2 for x in d) for r in squarefree)
-    check_cap(pairs, cap, "log-coefficient pair products")
-
-    per_vertex = [
-        [(n, *_hua_data(lam)) for n in range(dv + 1) for lam in _partitions(n)] for dv in d
-    ]
-    arrows = [(quiver.vertex_index[a.tail], quiver.vertex_index[a.head]) for a in quiver.arrows]
-    # P as a sum of terms X^m Q^e / prod_k (Q^k - 1), since 1/b_lam(1/Q) is
-    # Q^(sum ks) / prod (Q^k - 1); tuples with equal (m, e, ks) are merged,
-    # and Q is q, or q^r for the r-th Adams term
-    terms: Counter = Counter()
-    for pi in itertools.product(*per_vertex):
-        e = sum(_pairing(pi[t][1], pi[h][1]) for t, h in arrows)
-        ks: list[int] = []
-        for _, conj, vertex_ks in pi:
-            e += sum(vertex_ks) - _pairing(conj, conj)
-            ks.extend(vertex_ks)
-        terms[(tuple(part[0] for part in pi), e, tuple(sorted(ks)))] += 1
-
-    total = Fraction(0)
-    for r in squarefree:
-        box = tuple(x // r for x in d)
-        big_q = q**r
-        coeffs: dict = {}
-        for (m, e, ks), count in terms.items():
-            if any(a > b for a, b in zip(m, box)):
-                continue
-            denominator = 1
-            for k in ks:
-                denominator *= big_q**k - 1
-            coeffs[m] = coeffs.get(m, 0) + Fraction(big_q) ** e * count / denominator
-        total += Fraction(moebius(r), r) * _log_coefficient(coeffs, box)
-    value = (q - 1) * total
-    if value.denominator != 1:
-        raise ConsistencyError(f"Hua's formula gives a non-integer A_d({q}) = {value} for d={d}")
-    return int(value)
+    return _hua_at(_hua_terms(quiver, d, cap, pairs=_adams_pairs(d)), d, q)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +412,8 @@ def kac_polynomial(
     Evaluates A_d at the smallest prime powers, by Hua's formula unless
     ``a_fn(d, q)`` is given (``count_abs_indecomposable``, the orbit
     partition, is the brute-force oracle), interpolates exactly, and
-    verifies the result at two surplus prime powers.  If verification fails
+    verifies the result at two surplus prime powers.  Hua's term table is
+    built, and the cap charged, once for all nodes.  If verification fails
     the degree bound is raised once; a second failure raises
     NonPolynomialBehavior carrying all evaluations.
     """
@@ -339,7 +421,8 @@ def kac_polynomial(
     if not any(d):
         raise ValidationError("Kac polynomial needs a nonzero dimension vector")
     if a_fn is None:
-        a_fn = lambda dd, qq: abs_indecomposable_by_hua(quiver, dd, qq, cap=cap)
+        terms = _hua_terms(quiver, d, cap, pairs=_adams_pairs(d))
+        a_fn = lambda dd, qq: _hua_at(terms, dd, qq)
     degree_bound = max(0, quiver.expected_moduli_dim(d))
     evaluations: dict[int, int] = {}
 
@@ -455,20 +538,35 @@ def _krull_schmidt_coefficient(indec: dict, d: tuple[int, ...]) -> int:
 def class_counts_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> ClassCounts:
     """M, I and A without enumerating Rep(Q, d) or GL_d:
 
-        A_e(q^s) from Hua's formula, each (e, q^s) evaluated once;
+        A_e(q^s) = (q^s - 1) sum_{r | gcd e} (mu(r)/r) L_{e/r}(q^(sr)) from
+            Hua's formula, L_m(Q) = [X^m] log P(X, Q);
         I_e = galois_descent_I over those values, for every 0 < e <= d;
         M_d = [X^d] prod_{0 < e <= d} (1 - X^e)^(-I_e).
 
-    The independent oracle for ``classify_classes``; the cap budgets each
-    Hua evaluation.
+    Hua's term table is built once, for d, and each Q = q^t gets one
+    integer log series, on the box floor(d/t): every L_m(q^t) read has
+    m = e/(r r') with t dividing r r', so m <= floor(d/t).  The independent
+    oracle for ``classify_classes``; the cap is charged with the table's
+    partition tuples once and with each series' pair products.
     """
     field_from_order(q)  # the counts are over the field F_q
     d = quiver.check_dim(d)
+    terms = _hua_terms(quiver, d, cap) if any(d) else Counter()
+    exponent = {q**t: t for t in range(1, max(d, default=0) + 1)}
+    series: dict = {}
     a_values: dict = {}
+
+    def log_at(t, m):
+        if t not in series:
+            box = tuple(x // t for x in d)
+            check_cap(_pair_products(box), cap, "log-coefficient pair products")
+            series[t] = _log_series(terms, box, q**t)
+        return _log_value(series[t], m)
 
     def a_fn(e, big_q):
         if (e, big_q) not in a_values:
-            a_values[e, big_q] = abs_indecomposable_by_hua(quiver, e, big_q, cap=cap)
+            s = exponent[big_q]
+            a_values[e, big_q] = _a_from_logs(e, big_q, lambda r, m: log_at(s * r, m))
         return a_values[e, big_q]
 
     indec = {

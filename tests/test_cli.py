@@ -504,6 +504,21 @@ def test_cache_skips_corrupt_lines(tmp_path, capsys):
     assert "corrupt" in capsys.readouterr().err
 
 
+def test_cached_command_skips_an_undecodable_line(capsys, kron2_file, tmp_path):
+    argv = ["kac", "--quiver", kron2_file, "--d", "1,1"]
+    code, fresh, _ = run_cli(capsys, argv)
+    assert code == 0
+    path = tmp_path / "cache.jsonl"
+    run_cli(capsys, [*argv, "--cache", str(path)])
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe garbage\n")
+    code, out, err = run_cli(capsys, [*argv, "--cache", str(path)])
+    assert code == 0
+    assert out == fresh
+    assert "skipping corrupt cache line 2" in err
+    assert "cached" in err
+
+
 def test_lookup_decodes_only_the_asked_quivers_records(tmp_path, monkeypatch):
     path = str(tmp_path / "cache.jsonl")
     rng = random.Random(0)
@@ -527,13 +542,18 @@ def test_lookup_decodes_only_the_asked_quivers_records(tmp_path, monkeypatch):
 
 
 def _full_parse_lookup(path, quiver_hash, op, params, version):
-    """The lookup that decodes every line: the oracle for ``cache_lookup``."""
+    """The lookup that decodes every line: the oracle for ``cache_lookup``.
+    It reads bytes, so it assumes no line holds a carriage return."""
     wanted = cache._canonical(params)
     found = None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    line = raw.decode("utf-8").strip()
+                except UnicodeDecodeError:
+                    print(f"warning: skipping corrupt cache line {lineno}", file=sys.stderr)
+                    continue
                 if not line:
                     continue
                 try:
@@ -569,10 +589,18 @@ pool_records = st.tuples(
     st.sampled_from(POOL_VERSIONS),
     st.one_of(st.integers(-5, 5), st.lists(st.integers(0, 3), max_size=3)),
 )
+# bytes that are not UTF-8 (a lone continuation byte, a cut two-byte lead, an
+# encoded surrogate), mixed with one that is
+junk_bytes = st.lists(
+    st.sampled_from([b"\xff", b"\xfe", b"\x80", b"\xc3", b"\xed\xa0\x80", "\u00e9".encode()]),
+    min_size=1,
+    max_size=3,
+).map(b"".join)
 cache_lines = st.one_of(
     st.tuples(st.just("record"), pool_records),
     st.tuples(st.just("text"), st.sampled_from(["", "   ", "not json", "[1]", "3"])),
     st.tuples(st.just("truncated"), pool_records, st.floats(0, 1, exclude_max=True)),
+    st.tuples(st.just("spliced"), pool_records, st.floats(0, 1), junk_bytes),
 )
 
 
@@ -590,17 +618,21 @@ def test_lookup_agrees_with_the_full_parse(lines):
                 cache_store(path, *rest[0])
                 continue
             if kind == "text":
-                text = rest[0]
+                data = rest[0].encode("utf-8")
             else:
                 full_path = os.path.join(tmp, "full.jsonl")
                 cache_store(full_path, *rest[0])
                 with open(full_path, "rb") as fh:
                     full = fh.read().rstrip(b"\n")
                 os.remove(full_path)
-                text = full[: 1 + int(rest[1] * (len(full) - 1))].decode("ascii")
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        with open(path, encoding="utf-8") as fh:
+                if kind == "truncated":
+                    data = full[: 1 + int(rest[1] * (len(full) - 1))]
+                else:
+                    cut = int(rest[1] * len(full))
+                    data = full[:cut] + rest[2] + full[cut:]
+            with open(path, "ab") as fh:
+                fh.write(data + b"\n")
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             stored = [line.strip() for line in fh]
         for h in POOL_HASHES:
             own = '{"hash":' + json.dumps(h) + ","

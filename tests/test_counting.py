@@ -1,9 +1,13 @@
 import itertools
+from collections import Counter
 from dataclasses import astuple
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverforge import (
     CapExceeded,
@@ -591,6 +595,35 @@ def test_hua_matches_brute_force(name, d):
         ), q
 
 
+# A_d(q) at q where no field exists, from the Fraction log series that the
+# integer one replaced
+HUA_AT_6_10_12 = {
+    ("jordan", (1,)): [6, 10, 12], ("jordan", (2,)): [6, 10, 12],
+    ("jordan", (3,)): [6, 10, 12], ("jordan", (4,)): [6, 10, 12],
+    ("kron2", (1, 1)): [7, 11, 13], ("kron2", (2, 1)): [1, 1, 1], ("kron2", (1, 2)): [1, 1, 1],
+    ("kron2", (2, 2)): [7, 11, 13], ("kron2", (3, 1)): [0, 0, 0],
+    ("kron3", (1, 1)): [43, 111, 157], ("kron3", (2, 1)): [43, 111, 157],
+    ("kron3", (1, 2)): [43, 111, 157], ("kron3", (2, 2)): [9847, 113331, 275221],
+    ("a2", (1, 1)): [1, 1, 1], ("a2", (2, 1)): [0, 0, 0], ("a2", (2, 2)): [0, 0, 0],
+    ("path3", (1, 1, 0)): [1, 1, 1], ("path3", (1, 1, 1)): [1, 1, 1],
+    ("path3", (1, 2, 1)): [0, 0, 0], ("path3", (2, 2, 2)): [0, 0, 0],
+    ("star", (1, 1, 1, 1, 1)): [1, 1, 1], ("star", (2, 1, 1, 1, 1)): [10, 14, 16],
+    ("2-cycle", (1, 1)): [7, 11, 13], ("2-cycle", (2, 1)): [1, 1, 1],
+    ("2-cycle", (2, 2)): [7, 11, 13],
+}
+
+
+@pytest.mark.parametrize("name,d", HUA_GRID)
+def test_hua_is_pinned_at_non_prime_powers(name, d):
+    values = [counting.abs_indecomposable_by_hua(QUIVERS[name], d, q) for q in (6, 10, 12)]
+    assert values == HUA_AT_6_10_12[name, d]
+
+
+# A(1) = 9357
+KRON3_55 = [16, 66, 187, 377, 624, 850, 1018, 1071, 1040, 928, 791, 636, 499, 374,
+            278, 197, 141, 95, 65, 41, 27, 16, 10, 5, 3, 1, 1]
+
+
 @pytest.mark.parametrize(
     "name,d,coeffs",
     [
@@ -599,6 +632,9 @@ def test_hua_matches_brute_force(name, d):
         ("jordan", (5,), [0, 1]),
         ("kron3", (2, 2), [1, 3, 3, 3, 1, 1]),
         ("star", (2, 1, 1, 1, 1), [4, 1]),
+        # Kac: A_{n delta} = q + #vertices - 1 for an affine quiver
+        ("star", (4, 2, 2, 2, 2), [4, 1]),
+        ("kron3", (5, 5), KRON3_55),
     ],
 )
 def test_kac_polynomials_beyond_brute_force(name, d, coeffs):
@@ -620,12 +656,65 @@ def test_hua_charges_the_cap_for_the_log_pair_products(kron2, monkeypatch):
     def forbidden(*args):
         raise AssertionError("log coefficients computed past the cap")
 
-    monkeypatch.setattr(counting, "_log_coefficient", forbidden)
+    monkeypatch.setattr(counting, "_log_series", forbidden)
     with pytest.raises(CapExceeded) as info:
         counting.abs_indecomposable_by_hua(kron2, (2, 2), 3, cap=20)
     # the 16 partition tuples fit; the pair products (3 * 4 / 2)^2 = 36 of
     # the box (2, 2) and (2 * 3 / 2)^2 = 9 of the box (1, 1) do not
     assert info.value.needed == 45
+
+
+def fraction_log_series(coeffs: dict, box: tuple[int, ...]) -> dict:
+    """[X^m] log P for every 0 < m <= box, for P = 1 + sum coeffs[m] X^m, by
+    the Euler operator in Fractions: |m| L_m = |m| P_m - sum_{0<k<m} |k| L_k P_{m-k}.
+    The oracle for ``counting._log_series``."""
+    logs: dict = {}
+    for m in itertools.product(*(range(b + 1) for b in box)):
+        size = sum(m)
+        if not size:
+            continue
+        acc = size * coeffs.get(m, 0)
+        for k in itertools.product(*(range(x + 1) for x in m)):
+            if k != m and any(k):
+                acc -= sum(k) * logs[k] * coeffs.get(tuple(a - b for a, b in zip(m, k)), 0)
+        logs[m] = Fraction(acc, size)
+    return logs
+
+
+@st.composite
+def hua_like_series(draw):
+    """(terms, box, Q): a box of 1-3 vertices and terms count X^m Q^e /
+    prod_{k in ks} (Q^k - 1), some of them off the box, with negative e too."""
+    box = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    reach = st.tuples(*(st.integers(0, b + 1) for b in box))
+    term = st.tuples(
+        reach,
+        st.integers(-4, 4),
+        st.lists(st.integers(1, 3), max_size=3).map(lambda ks: tuple(sorted(ks))),
+        st.integers(-5, 5),
+    )
+    terms = Counter({((0,) * len(box), 0, ()): 1})
+    for m, e, ks, count in draw(st.lists(term, max_size=12)):
+        if any(m):
+            terms[m, e, ks] += count
+    return terms, box, draw(st.integers(2, 7))
+
+
+@settings(deadline=None)
+@given(hua_like_series())
+def test_integer_log_series_matches_the_fraction_recurrence(series):
+    terms, box, big_q = series
+    coeffs: dict = {}
+    for (m, e, ks), count in terms.items():
+        if any(m) and all(a <= b for a, b in zip(m, box)):
+            value = Fraction(big_q) ** e * count
+            for k in ks:
+                value /= big_q**k - 1
+            coeffs[m] = coeffs.get(m, 0) + value
+    expected = fraction_log_series(coeffs, box)
+    found = counting._log_series(terms, box, big_q)
+    for m, value in expected.items():
+        assert counting._log_value(found, m) == value, m
 
 
 def test_hua_refuses_bad_input(kron2):
@@ -800,20 +889,38 @@ def test_chain_matches_the_orbit_partition_on_small_boxes(name):
 
 
 def test_chain_evaluates_each_hua_value_once(jordan, monkeypatch):
-    # I_2, I_3 and I_4 all need A((1,), 2), and I_2 and I_4 both need
-    # A((2,), 2) and A((1,), 4): 13 evaluations without the memo
-    evaluated = []
-    original = counting.abs_indecomposable_by_hua
+    # descent reads A_e(2^s) for (e, s) in (1..4, 1), (1..2, 2), (1, 3) and
+    # (1, 4), and their Adams terms need log P at Q = 2^t for t up to 4: one
+    # integer log series per Q, on the box floor(4/t)
+    series = []
+    original = counting._log_series
 
-    def counted(quiver, d, q, *args, **kwargs):
-        evaluated.append((tuple(d), q))
-        return original(quiver, d, q, *args, **kwargs)
+    def counted(terms, box, big_q):
+        series.append((big_q, box))
+        return original(terms, box, big_q)
 
-    monkeypatch.setattr(counting, "abs_indecomposable_by_hua", counted)
+    monkeypatch.setattr(counting, "_log_series", counted)
     assert astuple(counting.class_counts_by_hua(jordan, (4,), 2)) == jordan_closed_forms(4, 2)
-    assert sorted(evaluated) == [
-        ((1,), 2), ((1,), 4), ((1,), 8), ((1,), 16), ((2,), 2), ((2,), 4), ((3,), 2), ((4,), 2),
-    ]
+    assert sorted(series) == [(2, (4,)), (4, (2,)), (8, (1,)), (16, (1,))]
+
+
+def test_chain_charges_the_table_once_and_each_series_alone(kron2, monkeypatch):
+    # abs_indecomposable_by_hua(kron2, (2, 2)) charges 36 + 9 = 45 pair
+    # products at once; the chain's largest series charge is the 36 at Q = q
+    assert counting.class_counts_by_hua(kron2, (2, 2), 3, cap=36) == classify_classes(
+        kron2, (2, 2), 3
+    )
+
+    def forbidden(*args):
+        raise AssertionError("log series taken past the cap")
+
+    monkeypatch.setattr(counting, "_log_series", forbidden)
+    with pytest.raises(CapExceeded) as info:
+        counting.class_counts_by_hua(kron2, (2, 2), 3, cap=35)
+    assert info.value.needed == 36
+    with pytest.raises(CapExceeded) as info:
+        counting.class_counts_by_hua(kron2, (2, 2), 3, cap=15)
+    assert info.value.needed == 16
 
 
 @pytest.mark.parametrize("label,index", [("M", 0), ("I", 1), ("A", 2)])
