@@ -33,8 +33,9 @@ def cache_lookup(path: str, quiver_hash: str, op: str, params: dict, version: st
     own = '{"hash":' + json.dumps(quiver_hash) + ","
     found = None
     try:
-        # bytes that are not UTF-8 come in as lone surrogates instead of raising
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        # bytes that are not UTF-8 come in as lone surrogates instead of raising;
+        # only "\n" ends a line, so a stray "\r" does not shift line numbers
+        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or (line.startswith('{"hash":"') and not line.startswith(own)):

@@ -17,9 +17,11 @@ tabulated once per (quiver, d), as merged terms X^m Q^e / prod_k (Q^k - 1)
 that serve every Q.  Each log P(X, Q) is then one integer series over a
 box: with D the lcm of the terms' denominators, P_m = p_m / D for integers
 p_m, and the Euler recurrence runs on the integers U_m = |m| [X^m] log P
-D^|m|, so the one division is the last one.  Before the table is built the
-cap is charged with the partition tuples; before a series runs it is
-charged with the series' pairs k <= m <= box.
+D^|m|, so the one division is the last one.  Every reader of log P, at
+Q = q^t, goes through ``_log_reader``: one series per t, on the box
+floor(d/t).  Before the table is built the cap is charged with the
+partition tuples; before a series runs it is charged with that series'
+pairs k <= m <= box.
 
 Kac polynomials take A from Hua's formula too, one table for all nodes; the
 orbit partition's A is their test oracle.  Values at several prime powers
@@ -116,10 +118,10 @@ def iso_class_representatives(
 
 
 def _orbit_representatives(quiver: Quiver, field: Field, d, cap: int):
-    """(W, |orbit of W|) for each canonical representative W, in lex order."""
+    """(W, |orbit of W|) for each canonical representative W, in lex order.
+    The partition runs, and charges the cap, on the call."""
     indices, _, sizes = orbit_partition(quiver, field, d, cap=cap)
-    for index, size in zip(indices, sizes):
-        yield decode_representation(quiver, field, d, index), size
+    return ((decode_representation(quiver, field, d, i), size) for i, size in zip(indices, sizes))
 
 
 def _end_structure(w: Representation, orbit_size: int) -> EndoStructure:
@@ -260,19 +262,17 @@ def _squarefree_divisors(n: int) -> list[int]:
     return [r for r in divisors(n) if moebius(r)]
 
 
-def _hua_terms(quiver: Quiver, d: tuple[int, ...], cap: int, pairs: int = 0) -> Counter:
+def _hua_terms(quiver: Quiver, d: tuple[int, ...], cap: int) -> Counter:
     """Hua's P as q-free terms: (m, e, ks) -> count, one term
     X^m Q^e / prod_{k in ks} (Q^k - 1) per tuple of partitions pi with
     |pi_i| = m_i <= d_i, since 1/b_lam(1/Q) = Q^(sum ks) / prod (Q^k - 1);
     tuples with equal (m, e, ks) are merged.  Q is q, or q^r for the r-th
     Adams term, so one table serves every Q, and its terms with m <= b are
-    the table of the box b.  The cap is charged with the partition tuples,
-    then with ``pairs`` log pair products if given, before anything is built.
+    the table of the box b.  The cap is charged with the partition tuples
+    before anything is built.
     """
     counts = _partition_counts(max(d))
     check_cap(prod(sum(counts[: dv + 1]) for dv in d), cap, "partition-tuple enumeration")
-    if pairs:
-        check_cap(pairs, cap, "log-coefficient pair products")
     per_vertex = [
         [(n, *_hua_data(lam)) for n in range(dv + 1) for lam in _partitions(n)] for dv in d
     ]
@@ -344,11 +344,22 @@ def _log_series(terms: Counter, box: tuple[int, ...], big_q: int) -> tuple[dict,
     return dict(zip(points, u)), common
 
 
-def _log_value(series: tuple[dict, int], m: tuple[int, ...]) -> Fraction:
-    """[X^m] log P from ``_log_series``'s (U, D), for 0 < m <= its box."""
-    u, common = series
-    n = sum(m)
-    return Fraction(u[m], n * common**n)
+def _log_reader(terms: Counter, d: tuple[int, ...], q: int, cap: int):
+    """``log_at(t, m)`` = [X^m] log P(X, q^t) for 0 < m <= floor(d/t), from
+    ``terms``, a table that covers d.  Each t gets one ``_log_series``, on
+    the box floor(d/t), charged with its pair products just before it runs."""
+    series: dict = {}
+
+    def log_at(t: int, m: tuple[int, ...]) -> Fraction:
+        if t not in series:
+            box = tuple(x // t for x in d)
+            check_cap(_pair_products(box), cap, "log-coefficient pair products")
+            series[t] = _log_series(terms, box, q**t)
+        u, common = series[t]
+        n = sum(m)
+        return Fraction(u[m], n * common**n)
+
+    return log_at
 
 
 def _a_from_logs(d: tuple[int, ...], q: int, log_at) -> int:
@@ -362,16 +373,6 @@ def _a_from_logs(d: tuple[int, ...], q: int, log_at) -> int:
     if value.denominator != 1:
         raise ConsistencyError(f"Hua's formula gives a non-integer A_d({q}) = {value} for d={d}")
     return int(value)
-
-
-def _hua_at(terms: Counter, d: tuple[int, ...], q: int) -> int:
-    """A_d(q) from the term table of d: one log series per Adams term."""
-    return _a_from_logs(d, q, lambda r, m: _log_value(_log_series(terms, m, q**r), m))
-
-
-def _adams_pairs(d: tuple[int, ...]) -> int:
-    """Pair products of the log series at every Adams term of A_d."""
-    return sum(_pair_products(tuple(x // r for x in d)) for r in _squarefree_divisors(gcd(*d)))
 
 
 def abs_indecomposable_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> int:
@@ -388,8 +389,8 @@ def abs_indecomposable_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP)
     on U_m = |m| L_m D^|m| with D the lcm of the terms' denominators, and
     the one division is L_m = U_m / (|m| D^|m|) (see ``_log_series``).
     Before the table is built the cap budgets the partition tuples,
-    prod_i sum_{n <= d_i} p(n), and then the log's pair products, sum over
-    the r with mu(r) != 0 of prod_i (d_i/r + 1)(d_i/r + 2)/2.
+    prod_i sum_{n <= d_i} p(n); before each log P(X, q^r) runs, its pair
+    products prod_i (d_i/r + 1)(d_i/r + 2)/2.
     A non-integer result is a hard error.
     """
     d = quiver.check_dim(d)
@@ -397,7 +398,7 @@ def abs_indecomposable_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP)
         raise ValidationError("A_d needs a nonzero dimension vector")
     if not isinstance(q, int) or q < 2:
         raise ValidationError(f"Hua's formula needs an integer q >= 2, got {q!r}")
-    return _hua_at(_hua_terms(quiver, d, cap, pairs=_adams_pairs(d)), d, q)
+    return _a_from_logs(d, q, _log_reader(_hua_terms(quiver, d, cap), d, q, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +414,8 @@ def kac_polynomial(
     ``a_fn(d, q)`` is given (``count_abs_indecomposable``, the orbit
     partition, is the brute-force oracle), interpolates exactly, and
     verifies the result at two surplus prime powers.  Hua's term table is
-    built, and the cap charged, once for all nodes.  If verification fails
+    built, and its partition tuples charged, once for all nodes; each log
+    series is charged just before it runs.  If verification fails
     the degree bound is raised once; a second failure raises
     NonPolynomialBehavior carrying all evaluations.
     """
@@ -421,8 +423,8 @@ def kac_polynomial(
     if not any(d):
         raise ValidationError("Kac polynomial needs a nonzero dimension vector")
     if a_fn is None:
-        terms = _hua_terms(quiver, d, cap, pairs=_adams_pairs(d))
-        a_fn = lambda dd, qq: _hua_at(terms, dd, qq)
+        terms = _hua_terms(quiver, d, cap)
+        a_fn = lambda dd, qq: _a_from_logs(dd, qq, _log_reader(terms, dd, qq, cap))
     degree_bound = max(0, quiver.expected_moduli_dim(d))
     evaluations: dict[int, int] = {}
 
@@ -485,19 +487,19 @@ def galois_descent_I(quiver: Quiver, d, q: int, a_fn=None, cap: int = DEFAULT_CA
     return int(total)
 
 
-def check_galois_descent(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP, a_fn=None) -> int:
+def check_galois_descent(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> int:
     """Descent value, verified against the brute-force indecomposable count.
 
-    One classification of (d, q) gives both the brute-force I and, unless
-    the caller supplies ``a_fn``, the descent sum's r = m = 1 term A(d, q).
+    One classification of (d, q) gives both the brute-force I and the
+    descent sum's r = m = 1 term A(d, q).
     """
     d = quiver.check_dim(d)
     counts = classify_classes(quiver, d, q, cap=cap)
-    if a_fn is None:
-        def a_fn(dd, qq):
-            if (dd, qq) == (d, q):
-                return counts.absolutely_indecomposable
-            return count_abs_indecomposable(quiver, dd, qq, cap=cap)
+
+    def a_fn(dd, qq):
+        if (dd, qq) == (d, q):
+            return counts.absolutely_indecomposable
+        return count_abs_indecomposable(quiver, dd, qq, cap=cap)
 
     by_descent = galois_descent_I(quiver, d, q, a_fn=a_fn, cap=cap)
     by_force = counts.indecomposable
@@ -552,16 +554,9 @@ def class_counts_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> Cl
     field_from_order(q)  # the counts are over the field F_q
     d = quiver.check_dim(d)
     terms = _hua_terms(quiver, d, cap) if any(d) else Counter()
+    log_at = _log_reader(terms, d, q, cap)
     exponent = {q**t: t for t in range(1, max(d, default=0) + 1)}
-    series: dict = {}
     a_values: dict = {}
-
-    def log_at(t, m):
-        if t not in series:
-            box = tuple(x // t for x in d)
-            check_cap(_pair_products(box), cap, "log-coefficient pair products")
-            series[t] = _log_series(terms, box, q**t)
-        return _log_value(series[t], m)
 
     def a_fn(e, big_q):
         if (e, big_q) not in a_values:

@@ -2,7 +2,9 @@
 
 Every operation that walks a q-power-sized set takes a ``cap`` argument
 (default ``DEFAULT_CAP``) and raises :class:`CapExceeded` instead of
-silently truncating or sampling.
+silently truncating or sampling.  The charge is the number of elements the
+enumeration about to run will walk, made before anything is built; only a
+walk that may stop early (the early-exit End-ring scan) counts as it goes.
 """
 
 from __future__ import annotations
@@ -22,11 +24,20 @@ class SingularMatrixError(QuiverForgeError):
     """Inverse requested for a singular matrix."""
 
 
+def _count_text(n: int) -> str:
+    """n in decimal, or a power-of-two bound when n has more digits than
+    Python's int-to-str limit allows."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2^{n.bit_length() - 1}"
+
+
 class CapExceeded(QuiverForgeError):
     """An enumeration would exceed its element budget."""
 
     def __init__(self, what: str, needed: int, cap: int):
-        super().__init__(f"{what} needs {needed} elements, cap is {cap}")
+        super().__init__(f"{what} needs {_count_text(needed)} elements, cap is {_count_text(cap)}")
         self.what = what
         self.needed = needed
         self.cap = cap

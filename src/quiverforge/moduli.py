@@ -17,6 +17,8 @@ when the linear system is consistent and none otherwise, n = dim Rep(Q, d).
 The fiber size is GL_d-invariant (mu is equivariant, eta.I central), so one
 row reduction per orbit of Rep(Q, d), times its size, replaces the walk of
 the q^(2n) doubled points that ``level_set_points`` keeps as brute oracle.
+Each route is charged with what it walks: the fiber route with the q^n
+points of the orbit partition, the oracle with the q^(2n) doubled points.
 The system is read off the formula above, not from ``hom_space``, so the
 fibers are independent of the ``hom_dim`` that ``lifting_fiber_check`` uses.
 """
@@ -32,7 +34,6 @@ from .errors import (
     TheoremViolation,
     ValidationError,
     DEFAULT_CAP,
-    check_cap,
 )
 from .ffield import Field, FqMatrix, g_order
 from .quiver import Quiver, is_generic
@@ -146,7 +147,8 @@ def _fiber_sizes(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
     GL_d-orbit representative X of Rep(Q, d), in lex order.
 
     For a doubled quiver the forward arrows carry X and their partners X*.
-    The budget is the q^(2n) of the doubled space, as for the walk.
+    The walk is the orbit partition of Rep(Q, d), which charges the cap with
+    its q^n points before the fiber system is built.
     """
     doubled = _doubled(quiver)
     field = field_from_order(q)
@@ -154,9 +156,9 @@ def _fiber_sizes(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
     d = doubled.check_dim(d)
     half = Quiver(quiver.vertices, quiver.forward_arrows()) if quiver.is_doubled else quiver
     n = sum(r * c for r, c in arrow_shapes(half, d))
-    check_cap(q ** (2 * n), cap, "representation-space enumeration")
+    orbits = _orbit_representatives(half, field, d, cap)
     terms, diagonal = _fiber_terms(half, d)
-    for x, size in _orbit_representatives(half, field, d, cap):
+    for x, size in orbits:
         flat = x.entry_key()
         system = [[0] * n + [b] for b in rhs]
         for e, u, p, negated in terms:

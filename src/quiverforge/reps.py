@@ -20,7 +20,7 @@ from .errors import (
     check_cap,
     DEFAULT_CAP,
 )
-from .ffield import Field, FqMatrix, grassmannian, in_rowspace, make_field
+from .ffield import Field, FqMatrix, gaussian_binomial, grassmannian, in_rowspace, make_field
 from .quiver import Quiver, iter_proper_subdims, pairing
 
 
@@ -399,15 +399,15 @@ class StabilityVerdict:
 
 
 def _subspace_tuples(w: Representation, sub_dims, cap: int):
+    """Every tuple of subspaces of dimensions ``sub_dims``, one per vertex;
+    the cap is charged with the Gaussian binomials' running product before
+    any Grassmannian is listed."""
     field = w.field
-    per_vertex = []
     total = 1
     for dv, kv in zip(w.d, sub_dims):
-        choices = list(grassmannian(field, dv, kv))
-        total *= len(choices)
+        total *= gaussian_binomial(dv, kv, field.q)
         check_cap(total, cap, "subspace enumeration")
-        per_vertex.append(choices)
-    return itertools.product(*per_vertex)
+    return itertools.product(*(grassmannian(field, dv, kv) for dv, kv in zip(w.d, sub_dims)))
 
 
 def _is_subrepresentation(w: Representation, subspaces) -> bool:

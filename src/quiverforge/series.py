@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
 
 from .errors import ValidationError
 
@@ -151,19 +150,3 @@ def monomials_up_to(nvars: int, bound: int):
         if sum(mono) <= bound:
             yield mono
 
-
-def geometric_inverse_power(d, exponent: int, nvars: int, bound: int) -> TruncatedSeries:
-    """(1 - X^d)^(-exponent) truncated at total degree <= bound."""
-    d = tuple(int(x) for x in d)
-    if not any(d):
-        raise ValidationError("geometric factor needs a nonzero exponent vector")
-    if exponent < 0:
-        raise ValidationError("negative multiplicities are not supported")
-    coeffs = {(0,) * nvars: Fraction(1)}
-    if exponent > 0:
-        step = sum(d)
-        j = 1
-        while j * step <= bound:
-            coeffs[tuple(j * x for x in d)] = Fraction(comb(exponent + j - 1, j))
-            j += 1
-    return TruncatedSeries(nvars, bound, coeffs)

@@ -316,7 +316,8 @@ def test_moduli_theta_walks_the_level_set_once(capsys, kron2_file, monkeypatch):
             ["--d", "1,1", "--theta", "-1,1", "--q", "5", "--cap", "10"],
             2,
             '{"error":{"kind":"cap",'
-            '"message":"representation-space enumeration needs 625 elements, cap is 10"}}',
+            '"message":"orbit enumeration of the representation space needs 25 elements, '
+            'cap is 10"}}',
         ),
         (
             ["--d", "0,0", "--theta", "0,0", "--q", "3"],
@@ -392,6 +393,33 @@ def test_exit_code_cap(capsys, kron2_file, extra):
     assert error["message"] == (
         "orbit enumeration of the representation space needs 6561 elements, cap is 10"
     )
+
+
+def test_exit_code_cap_past_the_digit_limit(capsys, kron2_file):
+    # 2^16200 points: more decimal digits than int-to-str allows by default
+    code, out, _ = run_cli(capsys, ["count", "--quiver", kron2_file, "--d", "90,90", "--q", "2"])
+    assert code == 2
+    try:
+        needed = str(2**16200)
+    except ValueError:
+        needed = "at least 2^16200"
+    assert json.loads(out)["error"] == {
+        "kind": "cap",
+        "message": f"orbit enumeration of the representation space needs {needed} elements, "
+        "cap is 1000000",
+    }
+
+
+def test_kac_and_moduli_answer_within_the_cap_of_what_they_walk(capsys, kron2_file):
+    # the largest log series of A_(2,2) has 36 pair products and the table
+    # 16 partition tuples; the (2, 2) level set walks the 3^8 orbits' points
+    code, out, _ = run_cli(capsys, ["kac", "--quiver", kron2_file, "--d", "2,2", "--cap", "40"])
+    assert (code, out) == (0, '{"polynomial":[1,1]}\n')
+    code, out, _ = run_cli(
+        capsys, ["moduli", "--quiver", kron2_file, "--d", "2,2", "--eta", "0,0", "--q", "3"]
+    )
+    assert code == 0
+    assert json.loads(out) == {"level_set": 116289, "q": 3, "trace_obstruction_ok": True}
 
 
 def test_exit_code_usage(capsys, kron2_file):
@@ -504,6 +532,16 @@ def test_cache_skips_corrupt_lines(tmp_path, capsys):
     assert "corrupt" in capsys.readouterr().err
 
 
+def test_cache_warnings_count_only_newlines(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(b"junk\rmore junk\n")
+    cache_store(str(path), "h", "op", {"a": 1}, "v", 42)
+    with open(path, "ab") as fh:
+        fh.write(b"bad line\n")
+    assert cache_lookup(str(path), "h", "op", {"a": 1}, "v") == 42
+    assert _warned_lines(capsys.readouterr().err) == {1, 3}
+
+
 def test_cached_command_skips_an_undecodable_line(capsys, kron2_file, tmp_path):
     argv = ["kac", "--quiver", kron2_file, "--d", "1,1"]
     code, fresh, _ = run_cli(capsys, argv)
@@ -543,7 +581,7 @@ def test_lookup_decodes_only_the_asked_quivers_records(tmp_path, monkeypatch):
 
 def _full_parse_lookup(path, quiver_hash, op, params, version):
     """The lookup that decodes every line: the oracle for ``cache_lookup``.
-    It reads bytes, so it assumes no line holds a carriage return."""
+    It reads bytes, so only "\\n" ends a line, as in ``cache_lookup``."""
     wanted = cache._canonical(params)
     found = None
     try:
@@ -590,9 +628,11 @@ pool_records = st.tuples(
     st.one_of(st.integers(-5, 5), st.lists(st.integers(0, 3), max_size=3)),
 )
 # bytes that are not UTF-8 (a lone continuation byte, a cut two-byte lead, an
-# encoded surrogate), mixed with one that is
+# encoded surrogate), mixed with one that is and with a stray carriage return
 junk_bytes = st.lists(
-    st.sampled_from([b"\xff", b"\xfe", b"\x80", b"\xc3", b"\xed\xa0\x80", "\u00e9".encode()]),
+    st.sampled_from(
+        [b"\xff", b"\xfe", b"\x80", b"\xc3", b"\xed\xa0\x80", "\u00e9".encode(), b"\r"]
+    ),
     min_size=1,
     max_size=3,
 ).map(b"".join)
@@ -632,7 +672,7 @@ def test_lookup_agrees_with_the_full_parse(lines):
                     data = full[:cut] + rest[2] + full[cut:]
             with open(path, "ab") as fh:
                 fh.write(data + b"\n")
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
             stored = [line.strip() for line in fh]
         for h in POOL_HASHES:
             own = '{"hash":' + json.dumps(h) + ","

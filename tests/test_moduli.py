@@ -236,13 +236,43 @@ def test_fiber_size_is_constant_on_orbits(name, d, eta, q):
 
 
 def test_fiber_route_keeps_the_doubled_space_cap(kron2):
-    # the doubled space of kron2 at (1, 1) over F_5 has 5^4 = 625 points
-    message = "representation-space enumeration needs 625 elements, cap is 624"
-    with pytest.raises(CapExceeded, match=message):
-        enumerate_level_set(kron2, (1, 1), (-1, 1), 5, cap=624)
-    with pytest.raises(CapExceeded, match=message):
+    # the fiber route walks the 5^2 = 25 points of Rep(kron2, (1, 1)) over
+    # F_5 by orbits; the brute walk, the 5^4 = 625 points of the doubled space
+    with pytest.raises(
+        CapExceeded,
+        match="orbit enumeration of the representation space needs 25 elements, cap is 24",
+    ):
+        enumerate_level_set(kron2, (1, 1), (-1, 1), 5, cap=24)
+    assert enumerate_level_set(kron2, (1, 1), (-1, 1), 5, cap=25) == 120
+    with pytest.raises(
+        CapExceeded, match="representation-space enumeration needs 625 elements, cap is 624"
+    ):
         next(level_set_points(kron2, (1, 1), (-1, 1), 5, cap=624))
-    assert enumerate_level_set(kron2, (1, 1), (-1, 1), 5, cap=625) == 120
+
+
+def test_fiber_route_is_charged_before_its_system_is_built(kron2, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("fiber system built past the cap")
+
+    monkeypatch.setattr(moduli, "_fiber_terms", forbidden)
+    for check in (enumerate_level_set, lifting_fiber_check):
+        with pytest.raises(CapExceeded) as info:
+            check(kron2, (40, 41), (-41, 40), 3)
+        assert info.value.needed == 3 ** (2 * 40 * 41)
+
+
+def test_a_refusal_past_the_digit_limit_is_still_a_refusal(kron2):
+    with pytest.raises(CapExceeded) as info:
+        enumerate_level_set(kron2, (80, 80), (0, 0), 3)
+    assert info.value.needed == 3**12800
+    try:
+        needed = str(3**12800)
+    except ValueError:  # more digits than int-to-str allows
+        needed = "at least 2^20287"
+    assert str(info.value) == (
+        f"orbit enumeration of the representation space needs {needed} elements, cap is 1000000"
+    )
+
 
 
 def test_fiber_route_checks_the_trace(kron2, monkeypatch):

@@ -378,6 +378,20 @@ def test_stability_subspace_cap(kron2, f3):
         stability_verdict(w, (1, -1), cap=1)
 
 
+def test_subspace_cap_is_charged_before_a_grassmannian_is_listed(jordan, f2, monkeypatch):
+    # Gr(2, 12) over F_2 has 2794155 points; Gr(1, 12) has 4095 and is walked
+    original = reps.grassmannian
+
+    def listed_under_the_cap(field, n, k):
+        assert k < 2, "Gr(2, 12) listed past the cap"
+        return original(field, n, k)
+
+    monkeypatch.setattr(reps, "grassmannian", listed_under_the_cap)
+    zero = Representation.zero(jordan, f2, (12,))
+    with pytest.raises(CapExceeded, match="subspace enumeration needs 2794155 elements, cap is"):
+        stability_verdict(zero, (0,))
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_stable_implies_indecomposable(kron2, q):
     field = make_field(q)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from quiverforge import ExactPolynomial, TruncatedSeries, ValidationError, lagrange_interpolate
-from quiverforge.series import geometric_inverse_power, monomials_up_to
+from quiverforge.series import monomials_up_to
 
 
 def test_polynomial_trims_and_evaluates():
@@ -32,19 +32,10 @@ def test_lagrange_rejects_repeated_nodes():
         lagrange_interpolate([(1, 1), (1, 2)])
 
 
-def test_geometric_inverse_power_coefficients():
-    # (1 - X)^(-2) = 1 + 2X + 3X^2 + ...
-    s = geometric_inverse_power((1,), 2, 1, 4)
-    assert [s.coefficient((j,)) for j in range(5)] == [1, 2, 3, 4, 5]
-    # exponent 0 gives the constant series 1
-    s0 = geometric_inverse_power((1,), 0, 1, 4)
-    assert s0.coefficient((0,)) == 1 and s0.coefficient((1,)) == 0
-
-
 def test_series_product_inverts_one_minus_x():
     bound = 5
     one_minus_x = TruncatedSeries(1, bound, {(0,): 1, (1,): -1})
-    inverse = geometric_inverse_power((1,), 1, 1, bound)
+    inverse = TruncatedSeries(1, bound, {(j,): 1 for j in range(bound + 1)})
     product = one_minus_x.mul(inverse)
     assert product.max_abs_difference(TruncatedSeries.one(1, bound)) == 0
 
