@@ -16,6 +16,7 @@ Usage: python scripts/identity_sweep.py [--qmax 8]
 import argparse
 
 from quiverforge import (
+    DEFAULT_CAP,
     SmallCharacteristic,
     a2_quiver,
     cbvdb_identity_check,
@@ -41,7 +42,7 @@ def q_values(qmax):
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--qmax", type=int, default=8)
-    parser.add_argument("--cap", type=int, default=10**6)
+    parser.add_argument("--cap", type=int, default=DEFAULT_CAP)
     args = parser.parse_args()
 
     instances = [

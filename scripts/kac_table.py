@@ -7,6 +7,7 @@ Usage: python scripts/kac_table.py [--max-total-dim N]
 import argparse
 
 from quiverforge import (
+    DEFAULT_CAP,
     a2_quiver,
     betti_from_kac,
     is_indivisible,
@@ -27,7 +28,7 @@ def dimension_vectors(n_vertices, max_total):
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--max-total-dim", type=int, default=2)
-    parser.add_argument("--cap", type=int, default=10**6)
+    parser.add_argument("--cap", type=int, default=DEFAULT_CAP)
     args = parser.parse_args()
 
     quivers = [

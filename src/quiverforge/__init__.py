@@ -46,17 +46,17 @@ from .reps import (
 )
 from .series import ExactPolynomial, TruncatedSeries, lagrange_interpolate
 from .counting import (
+    ClassCounts,
     CountReport,
     abs_indecomposable_by_hua,
-    count_abs_indecomposable,
-    count_indecomposable,
-    count_iso_classes,
+    class_counts_by_hua,
+    classify_classes,
     count_report,
     galois_descent_I,
     check_galois_descent,
     hua_identity_check,
-    iso_class_representatives,
     kac_polynomial,
+    orbit_representatives,
 )
 from .moduli import (
     BettiReport,

@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import reps
 from .counting import (
     check_galois_descent,
-    count_abs_indecomposable,
+    classify_classes,
     hua_identity_check,
     kac_polynomial,
 )
@@ -77,7 +77,7 @@ def criterion_2_kac_polynomials() -> CriterionResult:
     ]
     for quiver, d, want, cap in cases:
         def brute_force(dd, qq):
-            return count_abs_indecomposable(quiver, dd, qq, cap=cap)
+            return classify_classes(quiver, dd, qq, cap=cap).absolutely_indecomposable
 
         poly = kac_polynomial(quiver, d, cap=cap, a_fn=brute_force)
         got = poly.integer_coefficients()
@@ -222,15 +222,15 @@ def criterion_9_weyl_orientation_invariance() -> CriterionResult:
     failures = []
     kron = kronecker_quiver(2)
     for q in (2, 3):
-        a_21 = count_abs_indecomposable(kron, (2, 1), q)
-        a_01 = count_abs_indecomposable(kron, (0, 1), q)
+        a_21 = classify_classes(kron, (2, 1), q).absolutely_indecomposable
+        a_01 = classify_classes(kron, (0, 1), q).absolutely_indecomposable
         if not (a_21 == a_01 == 1):
             failures.append(f"2-Kronecker q={q}: A(2,1)={a_21}, A(0,1)={a_01}, expected 1")
     a2 = a2_quiver()
     opposite = a2.opposite()
     for q in (2, 3):
-        lhs = count_abs_indecomposable(a2, (1, 1), q)
-        rhs = count_abs_indecomposable(opposite, (1, 1), q)
+        lhs = classify_classes(a2, (1, 1), q).absolutely_indecomposable
+        rhs = classify_classes(opposite, (1, 1), q).absolutely_indecomposable
         if lhs != rhs:
             failures.append(f"A_2 vs opposite at q={q}: {lhs} != {rhs}")
     return _result(9, "Weyl and orientation invariance of the counts", failures)

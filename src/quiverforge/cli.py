@@ -19,11 +19,11 @@ from pathlib import Path
 from . import __version__
 from .cache import cache_lookup, cache_store
 from .counting import (
-    _orbit_representatives,
     count_report,
     field_from_order,
     hua_identity_check,
     kac_polynomial,
+    orbit_representatives,
 )
 from .errors import CapExceeded, DEFAULT_CAP, QuiverForgeError, ValidationError
 from .moduli import betti_from_kac, cbvdb_identity_check, enumerate_level_set, trace_obstruction
@@ -161,17 +161,18 @@ def _code_fingerprint() -> str:
 
 
 def _cached(args, quiver: Quiver, op: str, params: dict, compute):
-    """Run compute() through the JSON-lines cache when one is configured."""
+    """Run compute() through the JSON-lines cache when one is configured;
+    returns (result, the summary suffix: " (cached)" on a hit, else "")."""
     path = args.cache or os.environ.get("QUIVERFORGE_CACHE")
     if not path:
-        return compute(), False
+        return compute(), ""
     key = quiver.content_hash()
     hit = cache_lookup(path, key, op, params, _code_fingerprint())
     if hit is not None:
-        return hit, True
+        return hit, " (cached)"
     result = compute()
     cache_store(path, key, op, params, _code_fingerprint(), result)
-    return result, False
+    return result, ""
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +222,7 @@ def _cmd_stability(args) -> tuple[dict, str]:
     if args.q is not None:
         tallies = {"stable": 0, "semistable-not-stable": 0, "unstable": 0}
         # the verdict is iso-invariant: each orbit counts with its size
-        for w, size in _orbit_representatives(quiver, field_from_order(args.q), d, args.cap):
+        for w, size in orbit_representatives(quiver, d, args.q, args.cap):
             tallies[stability_verdict(w, theta, cap=args.cap).kind] += size
         payload["verdicts"] = tallies
         payload["total"] = sum(tallies.values())
@@ -238,8 +239,7 @@ def _cmd_count(args) -> tuple[dict, str]:
         report = count_report(quiver, d, args.q, cap=args.cap, cross_check=args.cross_check)
         return report.to_json_dict()
 
-    payload, was_cached = _cached(args, quiver, "count", params, compute)
-    suffix = " (cached)" if was_cached else ""
+    payload, suffix = _cached(args, quiver, "count", params, compute)
     summary = (
         f"M = {payload['M']}, I = {payload['I']}, A = {payload['A']} "
         f"for d = {list(d)} over F_{args.q}{suffix}"
@@ -260,8 +260,7 @@ def _kac_record(args, quiver: Quiver, d):
 def _cmd_kac(args) -> tuple[dict, str]:
     quiver, named_d, _ = load_quiver_file(args.quiver)
     d = _parse_vector(args.d, named_d, "--d")
-    payload, was_cached = _kac_record(args, quiver, d)
-    suffix = " (cached)" if was_cached else ""
+    payload, suffix = _kac_record(args, quiver, d)
     return payload, f"counting polynomial coefficients {payload['polynomial']}{suffix}"
 
 
@@ -273,8 +272,7 @@ def _cmd_hua(args) -> tuple[dict, str]:
         gap = hua_identity_check(quiver, args.q, args.degree, cap=args.cap)
         return {"q": args.q, "degree": args.degree, "max_discrepancy": str(gap)}
 
-    payload, was_cached = _cached(args, quiver, "hua", params, compute)
-    suffix = " (cached)" if was_cached else ""
+    payload, suffix = _cached(args, quiver, "hua", params, compute)
     return payload, f"max coefficient discrepancy {payload['max_discrepancy']}{suffix}"
 
 
@@ -299,8 +297,7 @@ def _cmd_moduli(args) -> tuple[dict, str]:
                 "scope": "theorem" if check.in_theorem_scope else "heuristic",
             }
 
-        payload, was_cached = _cached(args, quiver, "moduli", params, compute)
-        suffix = " (cached)" if was_cached else ""
+        payload, suffix = _cached(args, quiver, "moduli", params, compute)
         summary = (
             f"|level set| = {payload['level_set']}, |X(F_q)| = {payload['point_count']}, "
             f"identity holds: {payload['identity_holds']}{suffix}"
@@ -318,8 +315,7 @@ def _cmd_moduli(args) -> tuple[dict, str]:
             "trace_obstruction_ok": trace_obstruction(eta, d, field.p),
         }
 
-    payload, was_cached = _cached(args, quiver, "moduli-level", params, compute)
-    suffix = " (cached)" if was_cached else ""
+    payload, suffix = _cached(args, quiver, "moduli-level", params, compute)
     return payload, f"|level set| = {payload['level_set']}{suffix}"
 
 

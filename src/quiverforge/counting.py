@@ -1,25 +1,26 @@
 """Counting machinery over F_q.
 
-M, I and A come from the canonical orbit partition and ``hom_dim``: M
+The module has one public entry point per route.  ``classify_classes``
+reads M, I and A off the canonical orbit partition and ``hom_dim``: M
 counts orbits, and each representative W has |Aut W| = |GL_d| / |orbit|
 (Aut W is W's stabilizer) and dim End(W) = dim Hom(W, W), from which the
 unit-count rule of ``reps`` reads locality and the residue degree.
 
-Their one independent oracle is a formula chain that enumerates neither a
-representation nor a group element.  A_e(q) comes from Hua's formula
-(J. Algebra 226, 2000), a plethystic logarithm over tuples of partitions;
-Galois descent turns A into I_e(q); and M_d(q) is the X^d coefficient of
-the Krull-Schmidt product prod_{0 < e <= d} (1 - X^e)^(-I_e) (Kac, LNM
-996, 1983).
+Their one independent oracle, ``class_counts_by_hua``, is a formula chain
+that enumerates neither a representation nor a group element.  A_e(q)
+comes from Hua's formula (J. Algebra 226, 2000), a plethystic logarithm
+over tuples of partitions; Galois descent turns A into I_e(q); and M_d(q)
+is the X^d coefficient of the Krull-Schmidt product
+prod_{0 < e <= d} (1 - X^e)^(-I_e) (Kac, LNM 996, 1983).
 
 Hua's formula is computed in two steps.  The tuples of partitions are
 tabulated once per (quiver, d), as merged terms X^m Q^e / prod_k (Q^k - 1)
 that serve every Q.  Each log P(X, Q) is then one integer series over a
 box: with D the lcm of the terms' denominators, P_m = p_m / D for integers
 p_m, and the Euler recurrence runs on the integers U_m = |m| [X^m] log P
-D^|m|, so the one division is the last one.  Every reader of log P, at
-Q = q^t, goes through ``_log_reader``: one series per t, on the box
-floor(d/t).  Before the table is built the cap is charged with the
+D^|m|, so the one division is the last one.  Every A_e(Q) is read through
+``_a_reader``, built once per (table, d, q): one series per Q = q^t, on
+the box floor(d/t).  Before the table is built the cap is charged with the
 partition tuples; before a series runs it is charged with that series'
 pairs k <= m <= box.
 
@@ -109,17 +110,12 @@ def divisors(n: int) -> list[int]:
 # class representatives and indecomposability counts
 
 
-def iso_class_representatives(
-    quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP
-) -> list[Representation]:
-    """Canonical orbit representatives: the lexicographically smallest
-    element of every GL_d-orbit, in lexicographic order."""
-    return [w for w, _ in _orbit_representatives(quiver, field_from_order(q), d, cap)]
-
-
-def _orbit_representatives(quiver: Quiver, field: Field, d, cap: int):
-    """(W, |orbit of W|) for each canonical representative W, in lex order.
-    The partition runs, and charges the cap, on the call."""
+def orbit_representatives(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP):
+    """(W, |orbit of W|) for each canonical representative W of Rep(Q, d)
+    over F_q, the lexicographically smallest element of its GL_d-orbit, in
+    lex order.  The partition runs, and charges the cap with its q^n points,
+    on the call; the representatives are decoded as they are read."""
+    field = field_from_order(q)
     indices, _, sizes = orbit_partition(quiver, field, d, cap=cap)
     return ((decode_representation(quiver, field, d, i), size) for i, size in zip(indices, sizes))
 
@@ -148,21 +144,12 @@ class ClassCounts:
 
 def classify_classes(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> ClassCounts:
     """M, I and A from one orbit partition; the cap budgets its q^n points."""
-    field = field_from_order(q)
-    ends = [_end_structure(w, size) for w, size in _orbit_representatives(quiver, field, d, cap)]
+    ends = [_end_structure(w, size) for w, size in orbit_representatives(quiver, d, q, cap)]
     return ClassCounts(
         iso_classes=len(ends),
         indecomposable=sum(end.is_local for end in ends),
         absolutely_indecomposable=sum(end.residue_degree == 1 for end in ends),
     )
-
-
-def count_indecomposable(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> int:
-    return classify_classes(quiver, d, q, cap=cap).indecomposable
-
-
-def count_abs_indecomposable(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> int:
-    return classify_classes(quiver, d, q, cap=cap).absolutely_indecomposable
 
 
 @dataclass(frozen=True)
@@ -344,11 +331,19 @@ def _log_series(terms: Counter, box: tuple[int, ...], big_q: int) -> tuple[dict,
     return dict(zip(points, u)), common
 
 
-def _log_reader(terms: Counter, d: tuple[int, ...], q: int, cap: int):
-    """``log_at(t, m)`` = [X^m] log P(X, q^t) for 0 < m <= floor(d/t), from
-    ``terms``, a table that covers d.  Each t gets one ``_log_series``, on
-    the box floor(d/t), charged with its pair products just before it runs."""
+def _a_reader(terms: Counter, d: tuple[int, ...], q: int, cap: int):
+    """``a_at(e, Q)`` = A_e(Q) for 0 < e <= d and Q = q^s with s e <= d, from
+    ``terms``, a table that covers d, each value computed once:
+
+        A_e(Q) = (Q - 1) sum_{r | gcd e} (mu(r)/r) [X^(e/r)] log P(X, Q^r).
+
+    Each t gets one ``_log_series`` at q^t, on the box floor(d/t), charged
+    with its pair products just before it runs: every [X^m] log P(X, q^t)
+    read has m = e/r with t = s r, so m <= floor(d/t).  A non-integer value
+    is a hard error."""
+    exponent = {q**t: t for t in range(1, max(d, default=0) + 1)}
     series: dict = {}
+    values: dict = {}
 
     def log_at(t: int, m: tuple[int, ...]) -> Fraction:
         if t not in series:
@@ -359,20 +354,22 @@ def _log_reader(terms: Counter, d: tuple[int, ...], q: int, cap: int):
         n = sum(m)
         return Fraction(u[m], n * common**n)
 
-    return log_at
+    def a_at(e: tuple[int, ...], big_q: int) -> int:
+        if (e, big_q) not in values:
+            s = exponent[big_q]
+            total = sum(
+                Fraction(moebius(r), r) * log_at(s * r, tuple(x // r for x in e))
+                for r in _squarefree_divisors(gcd(*e))
+            )
+            value = (big_q - 1) * total
+            if value.denominator != 1:
+                raise ConsistencyError(
+                    f"Hua's formula gives a non-integer A_d({big_q}) = {value} for d={e}"
+                )
+            values[e, big_q] = int(value)
+        return values[e, big_q]
 
-
-def _a_from_logs(d: tuple[int, ...], q: int, log_at) -> int:
-    """A_d(q) = (q - 1) sum_{r | gcd d} (mu(r)/r) [X^(d/r)] log P(X, q^r),
-    with ``log_at(r, m)`` = [X^m] log P(X, q^r).  A non-integer is a hard error."""
-    total = sum(
-        Fraction(moebius(r), r) * log_at(r, tuple(x // r for x in d))
-        for r in _squarefree_divisors(gcd(*d))
-    )
-    value = (q - 1) * total
-    if value.denominator != 1:
-        raise ConsistencyError(f"Hua's formula gives a non-integer A_d({q}) = {value} for d={d}")
-    return int(value)
+    return a_at
 
 
 def abs_indecomposable_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> int:
@@ -398,7 +395,7 @@ def abs_indecomposable_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP)
         raise ValidationError("A_d needs a nonzero dimension vector")
     if not isinstance(q, int) or q < 2:
         raise ValidationError(f"Hua's formula needs an integer q >= 2, got {q!r}")
-    return _a_from_logs(d, q, _log_reader(_hua_terms(quiver, d, cap), d, q, cap))
+    return _a_reader(_hua_terms(quiver, d, cap), d, q, cap)(d, q)
 
 
 # ---------------------------------------------------------------------------
@@ -411,20 +408,20 @@ def kac_polynomial(
     """The counting polynomial of absolutely indecomposable classes.
 
     Evaluates A_d at the smallest prime powers, by Hua's formula unless
-    ``a_fn(d, q)`` is given (``count_abs_indecomposable``, the orbit
-    partition, is the brute-force oracle), interpolates exactly, and
-    verifies the result at two surplus prime powers.  Hua's term table is
-    built, and its partition tuples charged, once for all nodes; each log
-    series is charged just before it runs.  If verification fails
-    the degree bound is raised once; a second failure raises
-    NonPolynomialBehavior carrying all evaluations.
+    ``a_fn(d, q)`` is given (the orbit partition's A, read off
+    ``classify_classes``, is the brute-force oracle), interpolates exactly,
+    and verifies the result at two surplus prime powers.  Hua's term table
+    is built, and its partition tuples charged, once for all nodes, with one
+    ``_a_reader`` per node; each log series is charged just before it runs.
+    If verification fails the degree bound is raised once; a second failure
+    raises NonPolynomialBehavior carrying all evaluations.
     """
     d = quiver.check_dim(d)
     if not any(d):
         raise ValidationError("Kac polynomial needs a nonzero dimension vector")
     if a_fn is None:
         terms = _hua_terms(quiver, d, cap)
-        a_fn = lambda dd, qq: _a_from_logs(dd, qq, _log_reader(terms, dd, qq, cap))
+        a_fn = lambda dd, qq: _a_reader(terms, dd, qq, cap)(dd, qq)
     degree_bound = max(0, quiver.expected_moduli_dim(d))
     evaluations: dict[int, int] = {}
 
@@ -462,8 +459,9 @@ def kac_polynomial(
 # Galois descent
 
 
-def galois_descent_I(quiver: Quiver, d, q: int, a_fn=None, cap: int = DEFAULT_CAP) -> int:
-    """Indecomposable count from absolutely-indecomposable counts:
+def galois_descent_I(quiver: Quiver, d, q: int, a_fn) -> int:
+    """Indecomposable count from absolutely-indecomposable counts
+    ``a_fn(e, Q)`` = A_e(Q):
 
         I(d, q) = sum_{r | d} (1/r) sum_{m | r} mu(m) A(d/r, q^{r/m})
 
@@ -473,8 +471,6 @@ def galois_descent_I(quiver: Quiver, d, q: int, a_fn=None, cap: int = DEFAULT_CA
     d = quiver.check_dim(d)
     if not any(d):
         raise ValidationError("descent needs a nonzero dimension vector")
-    if a_fn is None:
-        a_fn = lambda dd, qq: count_abs_indecomposable(quiver, dd, qq, cap=cap)
     total = Fraction(0)
     for r in divisors(gcd(*d)):
         inner = 0
@@ -499,9 +495,9 @@ def check_galois_descent(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> i
     def a_fn(dd, qq):
         if (dd, qq) == (d, q):
             return counts.absolutely_indecomposable
-        return count_abs_indecomposable(quiver, dd, qq, cap=cap)
+        return classify_classes(quiver, dd, qq, cap=cap).absolutely_indecomposable
 
-    by_descent = galois_descent_I(quiver, d, q, a_fn=a_fn, cap=cap)
+    by_descent = galois_descent_I(quiver, d, q, a_fn)
     by_force = counts.indecomposable
     if by_descent != by_force:
         raise ConsistencyError(
@@ -545,41 +541,26 @@ def class_counts_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> Cl
         I_e = galois_descent_I over those values, for every 0 < e <= d;
         M_d = [X^d] prod_{0 < e <= d} (1 - X^e)^(-I_e).
 
-    Hua's term table is built once, for d, and each Q = q^t gets one
-    integer log series, on the box floor(d/t): every L_m(q^t) read has
-    m = e/(r r') with t dividing r r', so m <= floor(d/t).  The independent
-    oracle for ``classify_classes``; the cap is charged with the table's
-    partition tuples once and with each series' pair products.
+    Hua's term table is built once, for d, and one ``_a_reader`` serves
+    every A_e(q^s) that descent reads, with one integer log series per
+    Q = q^t.  The independent oracle for ``classify_classes``; the cap is
+    charged with the table's partition tuples once and with each series'
+    pair products.
     """
     field_from_order(q)  # the counts are over the field F_q
     d = quiver.check_dim(d)
     terms = _hua_terms(quiver, d, cap) if any(d) else Counter()
-    log_at = _log_reader(terms, d, q, cap)
-    exponent = {q**t: t for t in range(1, max(d, default=0) + 1)}
-    a_values: dict = {}
-
-    def a_fn(e, big_q):
-        if (e, big_q) not in a_values:
-            s = exponent[big_q]
-            a_values[e, big_q] = _a_from_logs(e, big_q, lambda r, m: log_at(s * r, m))
-        return a_values[e, big_q]
-
+    a_at = _a_reader(terms, d, q, cap)
     indec = {
-        e: galois_descent_I(quiver, e, q, a_fn=a_fn)
+        e: galois_descent_I(quiver, e, q, a_at)
         for e in itertools.product(*(range(x + 1) for x in d))
         if any(e)
     }
     return ClassCounts(
         iso_classes=_krull_schmidt_coefficient(indec, d),
         indecomposable=indec.get(d, 0),
-        absolutely_indecomposable=a_fn(d, q) if any(d) else 0,
+        absolutely_indecomposable=a_at(d, q) if any(d) else 0,
     )
-
-
-def count_iso_classes(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> int:
-    """Number of iso classes of d-dimensional representations over F_q: the
-    M of ``class_counts_by_hua``, which ``classify_classes`` must match."""
-    return class_counts_by_hua(quiver, d, q, cap=cap).iso_classes
 
 
 def hua_identity_check(quiver: Quiver, q: int, degree: int, cap: int = DEFAULT_CAP) -> Fraction:
@@ -590,8 +571,11 @@ def hua_identity_check(quiver: Quiver, q: int, degree: int, cap: int = DEFAULT_C
     with M_d and I_d read off one ``classify_classes`` per d: the orbit
     partition, its orbit sizes and one ``hom_dim`` per class
     representative.  The right side's X^d coefficient is the chain's
-    Krull-Schmidt product over the box <= d.  The contract is zero.
+    Krull-Schmidt product over the box <= d.  The contract is zero; a
+    negative degree is refused.
     """
+    if degree < 0:
+        raise ValidationError(f"the degree bound must be nonnegative, got {degree}")
     classes: dict = {}
     indec: dict = {}
     for dv in monomials_up_to(len(quiver.vertices), degree):

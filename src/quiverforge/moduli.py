@@ -36,10 +36,9 @@ from .errors import (
     DEFAULT_CAP,
 )
 from .ffield import Field, FqMatrix, g_order
-from .quiver import Quiver, is_generic
+from .quiver import Quiver, is_generic, pairing
 from .reps import Representation, all_representations, arrow_shapes
-from .counting import _end_structure, _orbit_representatives
-from .counting import count_abs_indecomposable, field_from_order
+from .counting import _end_structure, classify_classes, field_from_order, orbit_representatives
 from .series import ExactPolynomial
 
 
@@ -98,7 +97,7 @@ def trace_obstruction(eta, d, p: int) -> bool:
     """True when eta . d vanishes mod p; otherwise the level set is empty."""
     if len(eta) != len(d):
         raise ValidationError("eta and d are indexed by different vertex sets")
-    return sum(int(e) * int(x) for e, x in zip(eta, d)) % p == 0
+    return pairing(eta, d) % p == 0
 
 
 def _doubled(quiver: Quiver) -> Quiver:
@@ -156,7 +155,7 @@ def _fiber_sizes(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
     d = doubled.check_dim(d)
     half = Quiver(quiver.vertices, quiver.forward_arrows()) if quiver.is_doubled else quiver
     n = sum(r * c for r, c in arrow_shapes(half, d))
-    orbits = _orbit_representatives(half, field, d, cap)
+    orbits = orbit_representatives(half, d, q, cap)
     terms, diagonal = _fiber_terms(half, d)
     for x, size in orbits:
         flat = x.entry_key()
@@ -247,7 +246,7 @@ def cbvdb_identity_check(
     e = quiver.expected_moduli_dim(d)
     if e < 0:
         raise ValidationError(f"expected moduli dimension is negative for d={d}")
-    abs_count = count_abs_indecomposable(quiver, d, q, cap=cap)
+    abs_count = classify_classes(quiver, d, q, cap=cap).absolutely_indecomposable
     return CbvdbCheck(
         holds=(points == q**e * abs_count),
         q=q,

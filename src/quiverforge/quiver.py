@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -20,6 +21,20 @@ from typing import NamedTuple, Sequence
 from .errors import ValidationError
 
 FORMAT_VERSION = 1
+
+
+def _integer(x) -> int:
+    """x as an int.  Integer types such as numpy's pass through
+    ``operator.index``; bools, floats and numeric strings are refused rather
+    than truncated or parsed."""
+    if type(x) is int:  # the common case, kept fast: vectors are walked often
+        return x
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValidationError(f"vector entries must be integers, got {x!r}")
 
 
 class Arrow(NamedTuple):
@@ -120,7 +135,7 @@ class Quiver:
         ]
 
     def check_vector(self, v, name: str = "vector", nonnegative: bool = False) -> tuple[int, ...]:
-        vt = tuple(int(x) for x in v)
+        vt = tuple(_integer(x) for x in v)
         if len(vt) != len(self.vertices):
             raise ValidationError(
                 f"{name} has {len(vt)} entries; quiver has {len(self.vertices)} vertices"
@@ -283,7 +298,7 @@ class CartanData:
         r_i(alpha_j) = alpha_j - a_ij alpha_i."""
         if i not in self.fundamental:
             raise ValidationError(f"vertex index {i} carries a loop; no reflection there")
-        d = tuple(int(x) for x in d)
+        d = tuple(_integer(x) for x in d)
         if len(d) != len(self.a):
             raise ValidationError("vector length does not match the Cartan matrix")
         pairing = sum(self.a[i][j] * d[j] for j in range(len(d)))
@@ -297,7 +312,7 @@ class CartanData:
 def pairing(theta, d) -> int:
     if len(theta) != len(d):
         raise ValidationError("theta and d are indexed by different vertex sets")
-    return sum(int(t) * int(x) for t, x in zip(theta, d))
+    return sum(_integer(t) * _integer(x) for t, x in zip(theta, d))
 
 
 def iter_proper_subdims(d):
@@ -316,7 +331,7 @@ def is_generic(theta, d) -> bool:
 
 
 def slope(theta, d) -> Fraction:
-    total = sum(int(x) for x in d)
+    total = sum(_integer(x) for x in d)
     if total == 0:
         raise ValidationError("slope of the zero dimension vector is undefined")
     return Fraction(pairing(theta, d), total)
@@ -326,15 +341,15 @@ def normalize_to_degree_zero(theta, d) -> tuple[int, ...]:
     """theta'_v = theta_v * sum(d) - theta.d, so that theta'.d = 0."""
     if len(theta) != len(d):
         raise ValidationError("theta and d are indexed by different vertex sets")
-    total = sum(int(x) for x in d)
+    total = sum(_integer(x) for x in d)
     dot = pairing(theta, d)
-    return tuple(int(t) * total - dot for t in theta)
+    return tuple(_integer(t) * total - dot for t in theta)
 
 
 def is_indivisible(d) -> bool:
     g = 0
     for x in d:
-        g = gcd(g, int(x))
+        g = gcd(g, _integer(x))
     return g == 1
 
 

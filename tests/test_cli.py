@@ -272,6 +272,15 @@ def test_hua_and_moduli_commands(capsys, jordan_file, kron2_file):
     assert payload["level_set"] == 0 and payload["trace_obstruction_ok"] is False
 
 
+def test_hua_refuses_a_negative_degree(capsys, jordan_file):
+    code, out, _ = run_cli(capsys, ["hua", "--quiver", jordan_file, "--q", "2", "--degree", "-3"])
+    assert code == 1
+    assert out == (
+        '{"error":{"kind":"ValidationError",'
+        '"message":"the degree bound must be nonnegative, got -3"}}\n'
+    )
+
+
 def test_moduli_theta_walks_the_level_set_once(capsys, kron2_file, monkeypatch):
     walks = []
     original = moduli._fiber_sizes

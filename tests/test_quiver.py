@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,11 +8,16 @@ from hypothesis import strategies as st
 from quiverforge import (
     Quiver,
     ValidationError,
-    count_indecomposable,
+    classify_classes,
     is_generic,
+    is_indivisible,
+    kac_polynomial,
     kronecker_quiver,
+    moduli_point_count,
     normalize_to_degree_zero,
+    pairing,
     slope,
+    trace_obstruction,
 )
 from quiverforge.quiver import iter_proper_subdims
 
@@ -59,6 +67,40 @@ def test_symmetrized_and_tits_examples(jordan, kron2):
 def test_index_mismatch_is_error(kron2):
     with pytest.raises(ValidationError):
         kron2.euler_form((1,), (1, 1))
+
+
+@pytest.mark.parametrize("bad", [1.7, -1.5, 1.0, "2", True, False])
+def test_vector_entries_are_never_truncated(kron2, bad):
+    # each of these once read int(bad): 1.7 as 1, "2" as 2, True as 1
+    refused = [
+        lambda: kron2.check_dim((bad, 1)),
+        lambda: kron2.check_vector((1, bad)),
+        lambda: kron2.cartan().reflect(0, (bad, 1)),
+        lambda: pairing((bad, 1), (1, 1)),
+        lambda: pairing((1, 1), (1, bad)),
+        lambda: is_generic((bad, 1), (1, 1)),
+        lambda: slope((1, 1), (bad, 1)),
+        lambda: normalize_to_degree_zero((bad, 1), (1, 1)),
+        lambda: is_indivisible((bad, 1)),
+        lambda: trace_obstruction((bad, 1), (1, 1), 3),
+        lambda: kac_polynomial(kron2, (bad, 1)),
+        lambda: moduli_point_count(kron2, (1, 1), (bad, 1), 3),
+    ]
+    for call in refused:
+        with pytest.raises(ValidationError, match="must be integers"):
+            call()
+
+
+def test_numpy_integers_are_vector_entries(kron2):
+    d = np.array([2, 1])
+    theta = (np.int64(-1), np.int32(2))
+    checked = kron2.check_dim(d)
+    assert checked == (2, 1) and all(type(x) is int for x in checked)
+    assert pairing(theta, d) == 0 and is_generic(theta, d)
+    assert slope(theta, (1, 1)) == Fraction(1, 2)
+    assert normalize_to_degree_zero(theta, (1, 1)) == (-3, 3)
+    assert is_indivisible(d)
+    assert kron2.cartan().reflect(0, np.array([0, 1])) == (2, 1)
 
 
 @given(d=vec2, e=vec2, f=vec2)
@@ -223,6 +265,6 @@ def test_a2_roots_match_indecomposable_dimensions(a2):
     for dims in iter_proper_subdims((4, 4)):
         if sum(dims) == 0 or max(dims) > 3:
             continue
-        if count_indecomposable(a2, dims, 2) > 0:
+        if classify_classes(a2, dims, 2).indecomposable > 0:
             with_indec.add(dims)
     assert with_indec == roots

@@ -20,8 +20,8 @@ from quiverforge import (
     hom_space,
     is_absolutely_indecomposable,
     is_indecomposable,
-    iso_class_representatives,
     make_field,
+    orbit_representatives,
     stability_verdict,
 )
 from quiverforge import reps
@@ -429,7 +429,7 @@ def test_krull_schmidt_total_dim_three(quiver_name, jordan, a2, kron2, f2):
     indec_parts = []
     classes = {}
     for d in all_dims:
-        classes[d] = iso_class_representatives(quiver, d, 2)
+        classes[d] = [w for w, _ in orbit_representatives(quiver, d, 2)]
         for w in classes[d]:
             if is_indecomposable(w):
                 indec_parts.append((d, w))
