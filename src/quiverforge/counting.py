@@ -47,7 +47,7 @@ from .errors import (
     DEFAULT_CAP,
 )
 from .ffield import Field, gl_order, make_field
-from .orbits import decode_representation, orbit_partition
+from .orbits import orbit_partition, representation_decoder
 from .quiver import Quiver
 from .reps import EndoStructure, Representation, _local_structure, hom_dim
 from .series import ExactPolynomial, lagrange_interpolate, monomials_up_to
@@ -114,10 +114,12 @@ def orbit_representatives(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP):
     """(W, |orbit of W|) for each canonical representative W of Rep(Q, d)
     over F_q, the lexicographically smallest element of its GL_d-orbit, in
     lex order.  The partition runs, and charges the cap with its q^n points,
-    on the call; the representatives are decoded as they are read."""
+    on the call; the representatives are decoded as they are read, by one
+    decoder that checks d once."""
     field = field_from_order(q)
     indices, _, sizes = orbit_partition(quiver, field, d, cap=cap)
-    return ((decode_representation(quiver, field, d, i), size) for i, size in zip(indices, sizes))
+    decode = representation_decoder(quiver, field, d)
+    return ((decode(i), size) for i, size in zip(indices, sizes))
 
 
 def _end_structure(w: Representation, orbit_size: int) -> EndoStructure:
@@ -571,9 +573,11 @@ def hua_identity_check(quiver: Quiver, q: int, degree: int, cap: int = DEFAULT_C
     with M_d and I_d read off one ``classify_classes`` per d: the orbit
     partition, its orbit sizes and one ``hom_dim`` per class
     representative.  The right side's X^d coefficient is the chain's
-    Krull-Schmidt product over the box <= d.  The contract is zero; a
-    negative degree is refused.
+    Krull-Schmidt product over the box <= d.  The contract is zero; a q
+    that is not a prime power and a negative degree are refused, at every
+    degree.
     """
+    field_from_order(q)
     if degree < 0:
         raise ValidationError(f"the degree bound must be nonnegative, got {degree}")
     classes: dict = {}

@@ -492,7 +492,7 @@ class FqMatrix:
 
 
 # ---------------------------------------------------------------------------
-# group orders, GL enumeration, Grassmannians
+# group orders, GL generators, Grassmannians
 
 
 def gl_order(d, q: int) -> int:
@@ -513,19 +513,6 @@ def g_order(d, q: int) -> int:
     if rem:  # pragma: no cover - q-1 divides q^n - 1, a factor of gl_order for d != 0
         raise ConsistencyError("gl_order not divisible by q-1")
     return order
-
-
-def all_matrices(field: Field, rows: int, cols: int):
-    """All rows x cols matrices, lexicographic in the flat entry tuple."""
-    for flat in itertools.product(field.elements(), repeat=rows * cols):
-        yield FqMatrix.from_flat(field, rows, cols, flat)
-
-
-def enumerate_gl(field: Field, n: int):
-    """All invertible n x n matrices, in lexicographic order."""
-    for m in all_matrices(field, n, n):
-        if m.det() != 0:
-            yield m
 
 
 def gl_generators(field: Field, n: int) -> list[FqMatrix]:

@@ -10,8 +10,13 @@ the same index read in base p has n*k digits, and every group element acts
 F_p-linearly on them.  The orbit partition lets a generating set of GL_d act
 on the whole space at once: each generator is one integer matrix on those
 digits, applied to every point as a matrix product reduced mod p, which
-yields a permutation of indices.  The accumulator dtype is chosen so that
-no sum of products wraps, so the images are exact for every F_{p^k}.
+yields a permutation of indices.  That matrix is read off the entries of g
+and g^-1, one arrow block at a time (see ``_action_matrix``): g at v sends
+X_a to g X_a on an arrow with head v, to X_a g^-1 on one with tail v, and
+both on a loop at v, so a unit entry of arrow a spreads only over a's own
+block, and no point is decoded and no matrix product is taken.  The
+accumulator dtype is chosen so that no sum of products wraps, so the images
+are exact for every F_{p^k}.
 
 Orbits are then found by min-label propagation (Shiloach and Vishkin,
 J. Algorithms 3, 1982) over those permutations: every point starts labelled
@@ -23,7 +28,9 @@ point of its own orbit, and at the fixed point labels agree across every
 generator edge, so they are constant on each orbit, hence equal to the
 orbit's smallest index.  Canonical class representatives are the points
 that keep their own label (the lexicographically smallest orbit elements),
-and an orbit's size is the number of points carrying its label.
+and an orbit's size is the number of points carrying its label.  They are
+turned back into representations by ``representation_decoder``, which checks
+d and the arrow shapes once per partition, not once per representative.
 
 numpy is bound on the first orbit partition, not on import, so callers
 that never partition a representation space never load it.
@@ -32,7 +39,7 @@ that never partition a representation space never load it.
 from __future__ import annotations
 
 from .errors import ValidationError, check_cap, DEFAULT_CAP
-from .ffield import Field, gl_generators
+from .ffield import Field, FqMatrix, gl_generators
 from .quiver import Quiver
 from .reps import Representation, _from_flat, arrow_shapes
 
@@ -62,19 +69,40 @@ def _action_matrix(quiver: Quiver, field: Field, d, width: int, v: int, g) -> li
     """Transpose of the F_p-linear map X -> g.X on the ``width`` base-p digits
     of a point, with g acting at vertex v: row s holds the digits of the image
     of the unit point whose only nonzero digit is digit s (most significant
-    first)."""
-    ginv = g.inverse()
+    first).
+
+    The rows are read off the entries of g and g^-1, arrow block by arrow
+    block.  For arrow a put left = g if a's head is v and right = g^-1 if
+    its tail is v, each the identity otherwise.  The unit point with value
+    beta = x^t at entry (i, j) of a goes to left[x][i] * beta * right[j][y]
+    at each entry (x, y) of a and to 0 on every other arrow, so an arrow
+    that does not touch v contributes an identity block.
+    """
+    k = field.k
+    units = [field.p**t for t in range(k - 1, -1, -1)]  # x^t in digit order
+    g_rows, ginv_rows = g.entries, g.inverse().entries
     rows = []
-    for s in range(width):
-        x = decode_representation(quiver, field, d, field.p ** (width - 1 - s))
-        digits = []
-        for a, m in zip(quiver.arrows, x.maps):
-            if quiver.vertex_index[a.head] == v:
-                m = g.mul(m)
-            if quiver.vertex_index[a.tail] == v:
-                m = m.mul(ginv)
-            digits.extend(c for code in m.flat() for c in reversed(field.coeffs(code)))
-        rows.append(digits)
+    offset = 0
+    for (r, c), a in zip(arrow_shapes(quiver, d), quiver.arrows):
+        left = g_rows if quiver.vertex_index[a.head] == v else FqMatrix.identity(field, r).entries
+        right = ginv_rows if quiver.vertex_index[a.tail] == v else FqMatrix.identity(field, c).entries
+        for i in range(r):
+            column = [(x, left[x][i]) for x in range(r) if left[x][i]]
+            for j in range(c):
+                # (digit offset, left[x][i] * right[j][y]) over the nonzero products
+                spread = [
+                    (offset + (x * c + y) * k, field.mul(lx, ry))
+                    for x, lx in column
+                    for y, ry in enumerate(right[j])
+                    if ry
+                ]
+                for beta in units:
+                    row = [0] * width
+                    for start, scale in spread:
+                        value = scale if beta == 1 else field.mul(scale, beta)
+                        row[start : start + k] = field.coeffs(value)[::-1]
+                    rows.append(row)
+        offset += r * c * k
     return rows
 
 
@@ -147,13 +175,30 @@ def orbit_partition(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
     return [int(x) for x in canonical], n_points, [int(x) for x in sizes]
 
 
-def decode_representation(
-    quiver: Quiver, field: Field, d, index: int
-) -> Representation:
-    """Inverse of the base-q point encoding."""
+def representation_decoder(quiver: Quiver, field: Field, d):
+    """index -> Representation, the inverse of the base-q point encoding of
+    Rep(Q, d) over ``field``.  d and the arrow shapes are checked once, here;
+    each call peels the index's base-q digits off by divmod, least
+    significant (last entry) first, and refuses an index outside 0..q^n - 1."""
     d = quiver.check_dim(d)
     shapes = arrow_shapes(quiver, d)
     n_entries = sum(r * c for r, c in shapes)
     q = field.q
-    flat = [(index // q ** (n_entries - 1 - j)) % q for j in range(n_entries)]
-    return _from_flat(quiver, field, d, shapes, flat)
+    n_points = q**n_entries
+
+    def decode(index: int) -> Representation:
+        if not 0 <= index < n_points:
+            raise ValidationError(f"point index {index} is outside 0..{n_points - 1}")
+        flat = [0] * n_entries
+        for j in range(n_entries - 1, -1, -1):
+            index, flat[j] = divmod(index, q)
+        return _from_flat(quiver, field, d, shapes, flat)
+
+    return decode
+
+
+def decode_representation(
+    quiver: Quiver, field: Field, d, index: int
+) -> Representation:
+    """Inverse of the base-q point encoding."""
+    return representation_decoder(quiver, field, d)(index)

@@ -281,6 +281,14 @@ def test_hua_refuses_a_negative_degree(capsys, jordan_file):
     )
 
 
+@pytest.mark.parametrize("degree", ["0", "2"])
+def test_hua_refuses_a_q_that_is_not_a_prime_power(capsys, jordan_file, degree):
+    code, out, err = run_cli(capsys, ["hua", "--quiver", jordan_file, "--q", "6", "--degree", degree])
+    assert code == 1
+    assert out == '{"error":{"kind":"ValidationError","message":"6 is not a prime power"}}\n'
+    assert err == "error: 6 is not a prime power\n"
+
+
 def test_moduli_theta_walks_the_level_set_once(capsys, kron2_file, monkeypatch):
     walks = []
     original = moduli._fiber_sizes

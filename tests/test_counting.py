@@ -34,7 +34,8 @@ from quiverforge.counting import (
     prime_power,
     prime_powers,
 )
-from quiverforge.ffield import FqMatrix, enumerate_gl, gl_order
+from quiverforge.ffield import FqMatrix, gl_generators, gl_order
+from brute_force import enumerate_gl
 from quiverforge import orbits
 from quiverforge.orbits import orbit_partition
 from quiverforge.reps import all_representations, aut_order
@@ -396,6 +397,106 @@ def test_orbit_products_sum_without_wrapping():
     action_t = np.full((1, 1), p - 1, dtype=acc)
     powers = np.ones(1, dtype=np.int64)
     assert int(orbits._images(digits, action_t, p, powers)[0]) == (p - 1) ** 2 % p
+
+
+def action_matrix_by_multiplication(quiver, field, d, width, v, g):
+    """Independent oracle for ``orbits._action_matrix``: decode each unit
+    point to a representation, act by g at v with two matrix products per
+    arrow, and re-encode the image's digits."""
+    ginv = g.inverse()
+    rows = []
+    for s in range(width):
+        x = orbits.decode_representation(quiver, field, d, field.p ** (width - 1 - s))
+        digits = []
+        for a, m in zip(quiver.arrows, x.maps):
+            if quiver.vertex_index[a.head] == v:
+                m = g.mul(m)
+            if quiver.vertex_index[a.tail] == v:
+                m = m.mul(ginv)
+            digits.extend(c for code in m.flat() for c in reversed(field.coeffs(code)))
+        rows.append(digits)
+    return rows
+
+
+def dense_invertible(field, n):
+    """U L with U the all-ones upper unitriangular matrix and L lower
+    triangular with ones below the diagonal and diagonal (zeta, 1, ..., 1):
+    invertible, with no zero entry off its last row and column, so neither
+    elementary nor a permutation."""
+    zeta = field.primitive_element()
+    upper = FqMatrix(field, [[int(i <= j) for j in range(n)] for i in range(n)])
+    lower = FqMatrix(field, [[zeta if i == j == 0 else int(i >= j) for j in range(n)] for i in range(n)])
+    return upper.mul(lower)
+
+
+ACTION_DIMS = {
+    "jordan": [(1,), (2,), (3,), (0,)],
+    "kron2": [(2, 1), (1, 2), (0, 2)],
+    "kron3": [(1, 1), (2, 1), (2, 0)],
+    "a2": [(2, 2), (3, 1), (0, 3)],
+    "loop+arrow": [(2, 1), (1, 2), (2, 0)],
+}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("name", sorted(ACTION_DIMS))
+def test_action_matrix_matches_decode_and_multiply(name, q):
+    quiver, field = QUIVERS[name], field_from_order(q)
+    checked = 0
+    for d in ACTION_DIMS[name]:
+        width = field.k * sum(r * c for r, c in reps.arrow_shapes(quiver, d))
+        for v, dv in enumerate(d):
+            group = gl_generators(field, dv)
+            if dv >= 2:
+                dense = dense_invertible(field, dv)
+                assert dense.is_invertible() and dense not in group
+                group = group + [dense]
+            for g in group:
+                got = orbits._action_matrix(quiver, field, d, width, v, g)
+                assert len(got) == width and all(len(row) == width for row in got)
+                assert got == action_matrix_by_multiplication(quiver, field, d, width, v, g)
+                checked += 1
+    assert checked > 0
+
+
+def test_orbit_partition_decodes_and_multiplies_nothing(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the orbit partition reads its action off g and g^-1")
+
+    monkeypatch.setattr(orbits, "decode_representation", forbidden)
+    monkeypatch.setattr(orbits, "representation_decoder", forbidden)
+    monkeypatch.setattr(FqMatrix, "mul", forbidden)
+    monkeypatch.setattr(reps.Representation, "__init__", forbidden)
+    for name, d, q in [("kron2", (2, 1), 4), ("loop+arrow", (2, 1), 3), ("jordan", (2,), 9)]:
+        canonical, n_points, sizes = orbit_partition(QUIVERS[name], field_from_order(q), d)
+        assert sum(sizes) == n_points and len(canonical) > 1
+
+
+@pytest.mark.parametrize("name,d,q", [("kron2", (2, 1), 3), ("jordan", (2,), 4), ("loop+arrow", (1, 1), 3)])
+def test_classify_builds_one_representation_per_orbit(name, d, q, monkeypatch):
+    built = []
+    init = reps.Representation.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[2] if len(args) > 2 else kwargs["d"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(reps.Representation, "__init__", counted)
+    counts = classify_classes(QUIVERS[name], d, q)
+    assert len(built) == counts.iso_classes
+    assert set(built) == {d}
+
+
+def test_decoder_is_the_inverse_of_the_encoding(kron2, f3):
+    d = (2, 1)
+    decode = orbits.representation_decoder(kron2, f3, d)
+    n_points = 3**4
+    keys = [decode(i).entry_key() for i in range(n_points)]
+    assert keys == sorted(keys) == list(itertools.product(range(3), repeat=4))
+    assert orbits.decode_representation(kron2, f3, d, 5) == decode(5)
+    for index in (-1, n_points):
+        with pytest.raises(ValidationError, match="outside"):
+            decode(index)
 
 
 class _Forbidden:
@@ -974,6 +1075,14 @@ def test_hua_degree_zero_trivial(jordan):
 def test_hua_refuses_a_negative_degree(jordan):
     with pytest.raises(ValidationError, match="nonnegative"):
         hua_identity_check(jordan, 2, -3)
+
+
+@pytest.mark.parametrize("q", [6, 1, 0])
+@pytest.mark.parametrize("degree", [0, 2])
+def test_hua_refuses_a_q_that_is_not_a_prime_power(jordan, q, degree):
+    # degree 0 classifies nothing, so q is checked before any degree is read
+    with pytest.raises(ValidationError, match=f"^{q} is not a prime power$"):
+        hua_identity_check(jordan, q, degree)
 
 
 def test_hua_matches_hand_expansion(jordan):

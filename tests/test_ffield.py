@@ -9,13 +9,13 @@ from quiverforge import ffield
 from quiverforge.ffield import (
     Field,
     _poly_is_irreducible,
-    all_matrices,
     gaussian_binomial,
     gl_generators,
     grassmannian,
     in_rowspace,
     is_prime,
 )
+from brute_force import all_matrices
 
 
 # -- field construction

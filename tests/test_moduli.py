@@ -33,7 +33,7 @@ from quiverforge import (
 )
 from quiverforge import counting, moduli, reps
 from quiverforge.counting import prime_power
-from quiverforge.ffield import enumerate_gl
+from brute_force import enumerate_gl
 from quiverforge.moduli import level_set_points
 from quiverforge.quiver import Quiver, is_generic, is_indivisible, normalize_to_degree_zero
 from quiverforge.reps import all_representations

@@ -26,7 +26,7 @@ from quiverforge import (
 )
 from quiverforge import reps
 from quiverforge.counting import classify_classes
-from quiverforge.ffield import all_matrices
+from brute_force import all_matrices
 from quiverforge.reps import EndoStructure, aut_order, scan_endomorphisms
 
 
