@@ -281,6 +281,10 @@ def _cmd_moduli(args) -> tuple[dict, str]:
     d = _parse_vector(args.d, named_d, "--d")
     if args.theta is None and args.eta is None:
         raise ValidationError("moduli needs --theta (full point count) or --eta (level set only)")
+    if args.theta is not None and args.eta is not None:
+        raise ValidationError(
+            "moduli takes --theta (full point count) or --eta (level set only), not both"
+        )
     if args.theta is not None:
         theta = _parse_vector(args.theta, named_theta, "--theta")
         params = {"d": list(d), "theta": list(theta), "q": args.q}

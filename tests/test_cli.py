@@ -8,6 +8,8 @@ import random
 import re
 import sys
 import tempfile
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -348,6 +350,14 @@ def test_moduli_theta_walks_the_level_set_once(capsys, kron2_file, monkeypatch):
             '{"error":{"kind":"ValidationError",'
             '"message":"moduli needs --theta (full point count) or --eta (level set only)"}}',
         ),
+        # both flags once answered the theta question and dropped --eta
+        (
+            ["--d", "1,1", "--theta", "-1,1", "--eta", "1,-1", "--q", "3"],
+            1,
+            '{"error":{"kind":"ValidationError",'
+            '"message":"moduli takes --theta (full point count) or --eta (level set only), '
+            'not both"}}',
+        ),
     ],
 )
 def test_moduli_theta_error_payloads(capsys, kron2_file, argv, code, payload):
@@ -578,10 +588,11 @@ def test_lookup_decodes_only_the_asked_quivers_records(tmp_path, monkeypatch):
     path = str(tmp_path / "cache.jsonl")
     rng = random.Random(0)
     h = hashlib.sha256(b"asked").hexdigest()
-    for i in range(2000):
+    # longer than one block, with the asked quiver's records in different blocks
+    for i in range(cache._BLOCK_LINES + 2000):
         if i == 700:
             cache_store(path, h, "kac", {"d": [1, 1]}, "old", {"polynomial": [0]})
-        if i == 1500:
+        if i == cache._BLOCK_LINES + 700:
             cache_store(path, h, "kac", {"d": [1, 1]}, "new", {"polynomial": [1, 1]})
         cache_store(path, f"{rng.getrandbits(256):064x}", "kac", {"d": [1, 1]}, "new", i)
     decoded = []
@@ -706,6 +717,64 @@ def test_lookup_agrees_with_the_full_parse(lines):
                         assert _warned_lines(new_err.getvalue()) == (
                             _warned_lines(err.getvalue()) - foreign
                         )
+
+
+@given(st.lists(cache_lines, min_size=3, max_size=16))
+def test_lookup_agrees_with_the_full_parse_across_blocks(lines):
+    # blocks of two lines, so every generated file crosses a block boundary
+    with mock.patch.object(cache, "_BLOCK_LINES", 2):
+        test_lookup_agrees_with_the_full_parse.hypothesis.inner_test(lines)
+
+
+def test_lookup_across_a_block_boundary(tmp_path, capsys):
+    path = str(tmp_path / "cache.jsonl")
+    block = cache._BLOCK_LINES
+    rng = random.Random(0)
+    for _ in range(block - 4):
+        cache_store(path, f"{rng.getrandbits(256):064x}", "kac", {"d": [1, 1]}, "v", 0)
+
+    def noncanonical(d, result):
+        # the asked quiver's record, in a key order cache_store does not write
+        record = {"version": "v", "result": result, "params": {"d": d}, "op": "kac", "hash": "h"}
+        return json.dumps(record).encode()
+
+    tail = [
+        b"not json",                      # block - 3
+        b"\xff\xfe garbage",              # block - 2
+        noncanonical([1, 1], "first"),    # block - 1
+        ([2, 1], "early"),                # block, the last line of the first block
+        ([1, 1], "last"),                 # block + 1
+        noncanonical([2, 1], "late"),     # block + 2
+        b"\x80 junk",                     # block + 3
+        b"[1]",                           # block + 4
+        b'{"hash":"other",not json',      # block + 5: another quiver's, never read
+    ]
+    for line in tail:
+        if isinstance(line, tuple):
+            cache_store(path, "h", "kac", {"d": line[0]}, "v", line[1])
+        else:
+            with open(path, "ab") as fh:
+                fh.write(line + b"\n")
+    assert cache_lookup(path, "h", "kac", {"d": [1, 1]}, "v") == "last"
+    assert _warned_lines(capsys.readouterr().err) == {block - 3, block - 2, block + 3, block + 4}
+    assert cache_lookup(path, "h", "kac", {"d": [2, 1]}, "v") == "late"
+    assert _warned_lines(capsys.readouterr().err) == {block - 3, block - 2, block + 3, block + 4}
+
+
+def test_lookup_memory_is_one_block_not_the_file(tmp_path):
+    path = str(tmp_path / "cache.jsonl")
+    rng = random.Random(0)
+    for _ in range(4 * cache._BLOCK_LINES):
+        key = f"{rng.getrandbits(256):064x}"
+        cache_store(path, key, "count", {"d": [2, 3], "q": 5}, "v", {"A": 12, "I": 34, "M": 567})
+    cache_store(path, "h", "count", {"d": [2, 3], "q": 5}, "v", "hit")
+    tracemalloc.start()
+    try:
+        assert cache_lookup(path, "h", "count", {"d": [2, 3], "q": 5}, "v") == "hit"
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < os.path.getsize(path) / 2
 
 
 def test_cli_uses_cache(capsys, kron2_file, tmp_path):
