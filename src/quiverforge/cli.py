@@ -20,12 +20,12 @@ from . import __version__
 from .cache import cache_lookup, cache_store
 from .counting import (
     count_report,
-    field_from_order,
     hua_identity_check,
     kac_polynomial,
     orbit_representatives,
 )
 from .errors import CapExceeded, DEFAULT_CAP, QuiverForgeError, ValidationError
+from .ffield import field_from_order
 from .moduli import betti_from_kac, cbvdb_identity_check, enumerate_level_set, trace_obstruction
 from .quiver import (
     FORMAT_VERSION,
@@ -220,6 +220,9 @@ def _cmd_stability(args) -> tuple[dict, str]:
     }
     summary = f"theta.d = {payload['pairing']}, generic = {payload['generic']}"
     if args.q is not None:
+        # refused before Rep(Q, d) is partitioned, not on its first representative
+        if payload["pairing"] != 0:
+            raise ValidationError("stability verdicts need theta . dim W = 0")
         tallies = {"stable": 0, "semistable-not-stable": 0, "unstable": 0}
         # the verdict is iso-invariant: each orbit counts with its size
         for w, size in orbit_representatives(quiver, d, args.q, args.cap):
@@ -329,9 +332,11 @@ def _cmd_betti(args) -> tuple[dict, str]:
     theta = _parse_vector(args.theta, named_theta, "--theta")
     if not is_generic(theta, d):
         raise ValidationError(f"theta={list(theta)} is not generic for d={list(d)}")
+    e = quiver.expected_moduli_dim(d)
+    if e < 0:  # refused before the Kac polynomial is computed and cached
+        raise ValidationError("half-dimension e must be nonnegative")
     record, _ = _kac_record(args, quiver, d)
     poly = ExactPolynomial(record["polynomial"])
-    e = quiver.expected_moduli_dim(d)
     report = betti_from_kac(poly, e, in_theorem_scope=quiver.is_loop_free)
     payload = {"e": report.e, "betti": list(report.betti)}
     if report.scope != "theorem":

@@ -46,34 +46,11 @@ from .errors import (
     check_cap,
     DEFAULT_CAP,
 )
-from .ffield import Field, gl_order, make_field
-from .orbits import orbit_partition, representation_decoder
+from .ffield import field_from_order, gl_order, prime_power
+from .orbits import orbit_partition
 from .quiver import Quiver
-from .reps import EndoStructure, Representation, _local_structure, hom_dim
+from .reps import EndoStructure, Representation, _local_structure, hom_dim, representation_decoder
 from .series import ExactPolynomial, lagrange_interpolate, monomials_up_to
-
-
-def prime_power(n: int) -> tuple[int, int] | None:
-    """(p, k) with n = p^k, or None if n is not a prime power."""
-    if n < 2:
-        return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            return (p, k) if n == 1 else None
-        p += 1
-    return (n, 1)
-
-
-def field_from_order(q: int) -> Field:
-    pk = prime_power(q)
-    if pk is None:
-        raise ValidationError(f"{q} is not a prime power")
-    return make_field(*pk)
 
 
 def prime_powers():
@@ -114,8 +91,7 @@ def orbit_representatives(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP):
     """(W, |orbit of W|) for each canonical representative W of Rep(Q, d)
     over F_q, the lexicographically smallest element of its GL_d-orbit, in
     lex order.  The partition runs, and charges the cap with its q^n points,
-    on the call; the representatives are decoded as they are read, by one
-    decoder that checks d once."""
+    on the call; the representatives are decoded as they are read."""
     field = field_from_order(q)
     indices, _, sizes = orbit_partition(quiver, field, d, cap=cap)
     decode = representation_decoder(quiver, field, d)

@@ -22,16 +22,25 @@ from functools import lru_cache
 
 from .errors import ConsistencyError, SingularMatrixError, ValidationError
 
-def is_prime(n: int) -> bool:
-    """Trial division; exact and fast at this scale."""
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, k) with n = p^k, or None if n is not a prime power; trial
+    division, exact and fast at this scale."""
     if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+        return None
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            return (p, k) if n == 1 else None
+        p += 1
+    return (n, 1)
+
+
+def is_prime(n: int) -> bool:
+    return prime_power(n) == (n, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +206,6 @@ class Field:
     def elements(self) -> range:
         return range(self.q)
 
-    def units(self) -> range:
-        return range(1, self.q)
-
     def primitive_element(self) -> int:
         """Smallest generator of the unit group (identity element for q = 2)."""
         if self.q == 2:
@@ -259,6 +265,14 @@ class Field:
 def make_field(p: int, k: int = 1) -> Field:
     """Deterministic field constructor; caches so fields compare by identity too."""
     return Field(p, k)
+
+
+def field_from_order(q: int) -> Field:
+    """The field with q elements; refuses a q that is not a prime power."""
+    pk = prime_power(q)
+    if pk is None:
+        raise ValidationError(f"{q} is not a prime power")
+    return make_field(*pk)
 
 
 # ---------------------------------------------------------------------------
@@ -567,11 +581,3 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
     return num // den
-
-
-def in_rowspace(vec, basis: FqMatrix) -> bool:
-    """Whether vec lies in the row space of basis (basis rows independent)."""
-    if all(x == 0 for x in vec):
-        return True
-    stacked = FqMatrix(basis.field, list(basis.entries) + [list(vec)])
-    return stacked.rank() == basis.rows

@@ -35,10 +35,10 @@ from .errors import (
     ValidationError,
     DEFAULT_CAP,
 )
-from .ffield import Field, FqMatrix, g_order
+from .ffield import Field, FqMatrix, field_from_order, g_order
 from .quiver import Quiver, is_generic, pairing
 from .reps import Representation, all_representations, arrow_shapes
-from .counting import _end_structure, classify_classes, field_from_order, orbit_representatives
+from .counting import _end_structure, classify_classes, orbit_representatives
 from .series import ExactPolynomial
 
 
@@ -196,8 +196,8 @@ def _check_generic(quiver: Quiver, d, theta) -> tuple[tuple[int, ...], tuple[int
 
 
 def _level_and_points(quiver: Quiver, d, theta, q: int, cap: int) -> tuple[int, int]:
-    """(|level set|, |level set| / |G_d|) for a generic theta, from one fiber pass."""
-    d, theta = _check_generic(quiver, d, theta)
+    """(|level set|, |level set| / |G_d|) for (d, theta) as ``_check_generic``
+    returns them, from one fiber pass."""
     level = enumerate_level_set(quiver, d, theta, q, cap=cap)
     order = g_order(d, q)
     points, rem = divmod(level, order)
@@ -215,6 +215,7 @@ def moduli_point_count(quiver: Quiver, d, theta, q: int, cap: int = DEFAULT_CAP)
     Exactness of the division is the empirical stand-in for "characteristic
     large enough"; a remainder raises SmallCharacteristic.
     """
+    d, theta = _check_generic(quiver, d, theta)
     return _level_and_points(quiver, d, theta, q, cap)[1]
 
 
@@ -241,11 +242,11 @@ def cbvdb_identity_check(
 ) -> CbvdbCheck:
     """Compare the moduli point count with q^e times the absolutely
     indecomposable count; both sides brute force."""
-    level, points = _level_and_points(quiver, d, theta, q, cap)
-    d = quiver.check_dim(d)
+    d, theta = _check_generic(quiver, d, theta)
     e = quiver.expected_moduli_dim(d)
     if e < 0:
         raise ValidationError(f"expected moduli dimension is negative for d={d}")
+    level, points = _level_and_points(quiver, d, theta, q, cap)
     abs_count = classify_classes(quiver, d, q, cap=cap).absolutely_indecomposable
     return CbvdbCheck(
         holds=(points == q**e * abs_count),

@@ -29,8 +29,7 @@ generator edge, so they are constant on each orbit, hence equal to the
 orbit's smallest index.  Canonical class representatives are the points
 that keep their own label (the lexicographically smallest orbit elements),
 and an orbit's size is the number of points carrying its label.  They are
-turned back into representations by ``representation_decoder``, which checks
-d and the arrow shapes once per partition, not once per representative.
+turned back into representations by ``reps.representation_decoder``.
 
 numpy is bound on the first orbit partition, not on import, so callers
 that never partition a representation space never load it.
@@ -41,7 +40,7 @@ from __future__ import annotations
 from .errors import ValidationError, check_cap, DEFAULT_CAP
 from .ffield import Field, FqMatrix, gl_generators
 from .quiver import Quiver
-from .reps import Representation, _from_flat, arrow_shapes
+from .reps import arrow_shapes
 
 np = None  # numpy, bound by _bind_numpy on first use
 
@@ -174,31 +173,3 @@ def orbit_partition(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
     sizes = np.bincount(labels)[canonical]
     return [int(x) for x in canonical], n_points, [int(x) for x in sizes]
 
-
-def representation_decoder(quiver: Quiver, field: Field, d):
-    """index -> Representation, the inverse of the base-q point encoding of
-    Rep(Q, d) over ``field``.  d and the arrow shapes are checked once, here;
-    each call peels the index's base-q digits off by divmod, least
-    significant (last entry) first, and refuses an index outside 0..q^n - 1."""
-    d = quiver.check_dim(d)
-    shapes = arrow_shapes(quiver, d)
-    n_entries = sum(r * c for r, c in shapes)
-    q = field.q
-    n_points = q**n_entries
-
-    def decode(index: int) -> Representation:
-        if not 0 <= index < n_points:
-            raise ValidationError(f"point index {index} is outside 0..{n_points - 1}")
-        flat = [0] * n_entries
-        for j in range(n_entries - 1, -1, -1):
-            index, flat[j] = divmod(index, q)
-        return _from_flat(quiver, field, d, shapes, flat)
-
-    return decode
-
-
-def decode_representation(
-    quiver: Quiver, field: Field, d, index: int
-) -> Representation:
-    """Inverse of the base-q point encoding."""
-    return representation_decoder(quiver, field, d)(index)

@@ -20,7 +20,7 @@ from .errors import (
     check_cap,
     DEFAULT_CAP,
 )
-from .ffield import Field, FqMatrix, gaussian_binomial, grassmannian, in_rowspace, make_field
+from .ffield import Field, FqMatrix, gaussian_binomial, grassmannian, make_field
 from .quiver import Quiver, iter_proper_subdims, pairing
 
 
@@ -59,9 +59,6 @@ class Representation:
 
     def map_for(self, arrow_id: str) -> FqMatrix:
         return self.maps[self.quiver.arrow_index[arrow_id]]
-
-    def total_dim(self) -> int:
-        return sum(self.d)
 
     def entry_key(self) -> tuple[int, ...]:
         """Flat entry tuple in arrow-major, row-major order (the lex order)."""
@@ -102,6 +99,33 @@ def _from_flat(quiver: Quiver, field: Field, d, shapes, flat) -> Representation:
         maps.append(FqMatrix.from_flat(field, r, c, flat[pos : pos + r * c]))
         pos += r * c
     return Representation(quiver, field, d, maps)
+
+
+def representation_decoder(quiver: Quiver, field: Field, d):
+    """index -> Representation, the inverse of the point encoding of
+    Rep(Q, d) over ``field``: the entry key read as a base-q number, most
+    significant digit first, so index order is lexicographic order.
+
+    d and the arrow shapes are worked out once, here.  Each call refuses an
+    index outside 0..q^n - 1, peels the index's base-q digits off by divmod,
+    least significant (last entry) first, and builds the representation
+    through its checking constructor, which validates d and every map's
+    shape again."""
+    d = quiver.check_dim(d)
+    shapes = arrow_shapes(quiver, d)
+    n_entries = sum(r * c for r, c in shapes)
+    q = field.q
+    n_points = q**n_entries
+
+    def decode(index: int) -> Representation:
+        if not 0 <= index < n_points:
+            raise ValidationError(f"point index {index} is outside 0..{n_points - 1}")
+        flat = [0] * n_entries
+        for j in range(n_entries - 1, -1, -1):
+            index, flat[j] = divmod(index, q)
+        return _from_flat(quiver, field, d, shapes, flat)
+
+    return decode
 
 
 def all_representations(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
@@ -411,15 +435,18 @@ def _subspace_tuples(w: Representation, sub_dims, cap: int):
 
 
 def _is_subrepresentation(w: Representation, subspaces) -> bool:
+    """Whether every arrow maps its tail's subspace into its head's.  The
+    subspaces are given by independent basis rows, so an arrow does exactly
+    when stacking the nonzero images of the tail's rows under the head's
+    rows leaves the rank at the head subspace's dimension: at most one rank
+    per arrow."""
     quiver = w.quiver
-    for idx, a in enumerate(quiver.arrows):
-        t = quiver.vertex_index[a.tail]
-        h = quiver.vertex_index[a.head]
-        phi = w.maps[idx]
-        target = subspaces[h]
-        for basis_vec in subspaces[t].entries:
-            if not in_rowspace(phi.apply(basis_vec), target):
-                return False
+    for a, phi in zip(quiver.arrows, w.maps):
+        source = subspaces[quiver.vertex_index[a.tail]]
+        target = subspaces[quiver.vertex_index[a.head]]
+        images = [image for image in map(phi.apply, source.entries) if any(image)]
+        if images and FqMatrix(w.field, target.entries + tuple(images)).rank() != target.rows:
+            return False
     return True
 
 

@@ -24,7 +24,7 @@ from quiverforge import (
     kronecker_quiver,
     moduli,
 )
-from quiverforge import cache, reps
+from quiverforge import cache, ffield, reps
 from quiverforge.cache import cache_lookup, cache_store
 from quiverforge.cli import main, parse_quiver, serialize_quiver
 
@@ -184,7 +184,7 @@ def test_forms_roots_stability(capsys, kron2_file):
 def _point_tallies(quiver, d, theta, q):
     """Per-point oracle: one verdict for every point of Rep(Q, d)."""
     tallies = {"stable": 0, "semistable-not-stable": 0, "unstable": 0}
-    for w in reps.all_representations(quiver, counting.field_from_order(q), d):
+    for w in reps.all_representations(quiver, ffield.field_from_order(q), d):
         tallies[reps.stability_verdict(w, theta).kind] += 1
     return tallies
 
@@ -377,6 +377,51 @@ def test_moduli_theta_refuses_a_negative_expected_dimension(capsys, tmp_path):
     assert out == (
         '{"error":{"kind":"ValidationError",'
         '"message":"expected moduli dimension is negative for d=(2, 1)"}}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # e = 1 - <d, d> = -8 and -24: refused before the level-set walk, not by the cap
+        (["moduli", "--d", "4,1", "--theta", "-1,4", "--q", "3"],
+         "expected moduli dimension is negative for d=(4, 1)"),
+        (["moduli", "--d", "7,2", "--theta", "-2,7", "--q", "3"],
+         "expected moduli dimension is negative for d=(7, 2)"),
+        # refused before the Kac polynomial is computed or cached
+        (["betti", "--d", "4,1", "--theta", "-1,4"], "half-dimension e must be nonnegative"),
+        (["betti", "--d", "60,1", "--theta", "-1,60"], "half-dimension e must be nonnegative"),
+    ],
+)
+def test_negative_expected_dimension_is_refused_before_any_work(
+    capsys, kron2_file, tmp_path, monkeypatch, argv, message
+):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work done for a refused e < 0")
+
+    monkeypatch.setattr(counting, "orbit_partition", forbidden)
+    monkeypatch.setattr(cli, "kac_polynomial", forbidden)
+    cache = tmp_path / "cache.jsonl"
+    code, out, _ = run_cli(capsys, [argv[0], "--quiver", kron2_file, *argv[1:], "--cache", str(cache)])
+    assert code == 1
+    assert out == '{"error":{"kind":"ValidationError","message":"%s"}}\n' % message
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("d", ["3,2", "3,3"])
+def test_stability_refuses_a_theta_off_degree_zero_before_the_partition(capsys, kron2_file, monkeypatch, d):
+    # 3^12 points at (3, 2); 3^18, past the default cap, at (3, 3)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Rep(Q, d) partitioned for a theta the verdicts refuse")
+
+    monkeypatch.setattr(counting, "orbit_partition", forbidden)
+    code, out, _ = run_cli(
+        capsys, ["stability", "--quiver", kron2_file, "--d", d, "--theta", "1,1", "--q", "3"]
+    )
+    assert code == 1
+    assert out == (
+        '{"error":{"kind":"ValidationError",'
+        '"message":"stability verdicts need theta . dim W = 0"}}\n'
     )
 
 

@@ -27,14 +27,8 @@ from quiverforge import (
 )
 from quiverforge.quiver import Quiver, a2_quiver, jordan_quiver
 from quiverforge import acceptance, counting, reps
-from quiverforge.counting import (
-    classify_classes,
-    field_from_order,
-    moebius,
-    prime_power,
-    prime_powers,
-)
-from quiverforge.ffield import FqMatrix, gl_generators, gl_order
+from quiverforge.counting import classify_classes, moebius, prime_powers
+from quiverforge.ffield import FqMatrix, field_from_order, gl_generators, gl_order, prime_power
 from brute_force import enumerate_gl
 from quiverforge import orbits
 from quiverforge.orbits import orbit_partition
@@ -367,7 +361,7 @@ def test_orbit_sizes_are_group_order_over_automorphisms(name, d, q):
     indices, _, sizes = orbit_partition(quiver, field, d)
     assert len(sizes) == len(indices)
     for index, size in zip(indices, sizes):
-        w = orbits.decode_representation(quiver, field, d, index)
+        w = reps.representation_decoder(quiver, field, d)(index)
         assert size * aut_order(w) == gl_order(d, q)
 
 
@@ -406,7 +400,7 @@ def action_matrix_by_multiplication(quiver, field, d, width, v, g):
     ginv = g.inverse()
     rows = []
     for s in range(width):
-        x = orbits.decode_representation(quiver, field, d, field.p ** (width - 1 - s))
+        x = reps.representation_decoder(quiver, field, d)(field.p ** (width - 1 - s))
         digits = []
         for a, m in zip(quiver.arrows, x.maps):
             if quiver.vertex_index[a.head] == v:
@@ -463,8 +457,7 @@ def test_orbit_partition_decodes_and_multiplies_nothing(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the orbit partition reads its action off g and g^-1")
 
-    monkeypatch.setattr(orbits, "decode_representation", forbidden)
-    monkeypatch.setattr(orbits, "representation_decoder", forbidden)
+    monkeypatch.setattr(reps, "representation_decoder", forbidden)
     monkeypatch.setattr(FqMatrix, "mul", forbidden)
     monkeypatch.setattr(reps.Representation, "__init__", forbidden)
     for name, d, q in [("kron2", (2, 1), 4), ("loop+arrow", (2, 1), 3), ("jordan", (2,), 9)]:
@@ -489,11 +482,10 @@ def test_classify_builds_one_representation_per_orbit(name, d, q, monkeypatch):
 
 def test_decoder_is_the_inverse_of_the_encoding(kron2, f3):
     d = (2, 1)
-    decode = orbits.representation_decoder(kron2, f3, d)
+    decode = reps.representation_decoder(kron2, f3, d)
     n_points = 3**4
     keys = [decode(i).entry_key() for i in range(n_points)]
     assert keys == sorted(keys) == list(itertools.product(range(3), repeat=4))
-    assert orbits.decode_representation(kron2, f3, d, 5) == decode(5)
     for index in (-1, n_points):
         with pytest.raises(ValidationError, match="outside"):
             decode(index)

@@ -12,8 +12,8 @@ from quiverforge.ffield import (
     gaussian_binomial,
     gl_generators,
     grassmannian,
-    in_rowspace,
     is_prime,
+    prime_power,
 )
 from brute_force import all_matrices
 
@@ -138,6 +138,24 @@ def test_embedding_is_a_field_homomorphism():
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_is_prime_and_prime_power_match_a_sieve():
+    limit = 5000
+    sieve = [False, False] + [True] * (limit - 2)
+    for p in range(2, limit):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(range(p * p, limit, p))
+    powers = {}
+    for p in range(2, limit):
+        if sieve[p]:
+            n, k = p, 1
+            while n < limit:
+                powers[n] = (p, k)
+                n, k = n * p, k + 1
+    for n in range(limit):
+        assert is_prime(n) == sieve[n], n
+        assert prime_power(n) == powers.get(n), n
 
 
 # -- matrices
@@ -309,10 +327,3 @@ def test_grassmannian_count_and_canonicity(q, n, k):
         seen.append(m.entries)
     assert len(seen) == len(set(seen)) == gaussian_binomial(n, k, q)
 
-
-def test_in_rowspace(f2):
-    basis = FqMatrix(f2, [[1, 0, 1]])
-    assert in_rowspace((1, 0, 1), basis)
-    assert in_rowspace((0, 0, 0), basis)
-    assert not in_rowspace((1, 1, 0), basis)
-    assert not in_rowspace((1, 0, 0), FqMatrix.zeros(f2, 0, 3))

@@ -32,7 +32,7 @@ from quiverforge import (
     kronecker_quiver,
 )
 from quiverforge import counting, moduli, reps
-from quiverforge.counting import prime_power
+from quiverforge.ffield import prime_power
 from brute_force import enumerate_gl
 from quiverforge.moduli import level_set_points
 from quiverforge.quiver import Quiver, is_generic, is_indivisible, normalize_to_degree_zero

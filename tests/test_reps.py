@@ -2,6 +2,8 @@ import itertools
 from functools import reduce
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quiverforge import (
     CapExceeded,
@@ -10,6 +12,7 @@ from quiverforge import (
     Representation,
     UndecidedAtCap,
     ValidationError,
+    a2_quiver,
     all_representations,
     are_isomorphic,
     base_change,
@@ -20,6 +23,8 @@ from quiverforge import (
     hom_space,
     is_absolutely_indecomposable,
     is_indecomposable,
+    jordan_quiver,
+    kronecker_quiver,
     make_field,
     orbit_representatives,
     stability_verdict,
@@ -27,6 +32,7 @@ from quiverforge import (
 from quiverforge import reps
 from quiverforge.counting import classify_classes
 from brute_force import all_matrices
+from quiverforge.ffield import grassmannian
 from quiverforge.reps import EndoStructure, aut_order, scan_endomorphisms
 
 
@@ -390,6 +396,41 @@ def test_subspace_cap_is_charged_before_a_grassmannian_is_listed(jordan, f2, mon
     zero = Representation.zero(jordan, f2, (12,))
     with pytest.raises(CapExceeded, match="subspace enumeration needs 2794155 elements, cap is"):
         stability_verdict(zero, (0,))
+
+
+def subrep_by_vector(w, subspaces):
+    """The per-vector rule, the oracle for ``reps._is_subrepresentation``:
+    every image of a tail subspace's basis row lies in the head subspace,
+    one rank per basis row."""
+    quiver = w.quiver
+    for a, phi in zip(quiver.arrows, w.maps):
+        target = subspaces[quiver.vertex_index[a.head]]
+        for row in subspaces[quiver.vertex_index[a.tail]].entries:
+            image = phi.apply(row)
+            if any(image) and FqMatrix(w.field, list(target.entries) + [image]).rank() != target.rows:
+                return False
+    return True
+
+
+SUBREP_QUIVERS = {"jordan": jordan_quiver(), "kron2": kronecker_quiver(2), "a2": a2_quiver()}
+
+
+@given(st.data())
+def test_one_rank_per_arrow_matches_the_per_vector_rule(data):
+    quiver = SUBREP_QUIVERS[data.draw(st.sampled_from(sorted(SUBREP_QUIVERS)))]
+    field = make_field(*data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2)])))
+    n = len(quiver.vertices)
+    d = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    entries = st.integers(0, field.q - 1)
+    maps = [
+        FqMatrix.from_flat(field, r, c, data.draw(st.lists(entries, min_size=r * c, max_size=r * c)))
+        for r, c in reps.arrow_shapes(quiver, d)
+    ]
+    w = Representation(quiver, field, d, maps)
+    # every tuple of subspaces, zero-dimensional ones at heads and tails included
+    for sub_dims in itertools.product(*(range(dv + 1) for dv in d)):
+        for subspaces in itertools.product(*(grassmannian(field, dv, kv) for dv, kv in zip(d, sub_dims))):
+            assert reps._is_subrepresentation(w, subspaces) == subrep_by_vector(w, subspaces)
 
 
 @pytest.mark.parametrize("q", [2, 3])
