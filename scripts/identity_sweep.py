@@ -14,6 +14,7 @@ Usage: python scripts/identity_sweep.py [--qmax 8]
 """
 
 import argparse
+import itertools
 
 from quiverforge import (
     DEFAULT_CAP,
@@ -30,20 +31,12 @@ from quiverforge import (
 from quiverforge.counting import prime_powers
 
 
-def q_values(qmax):
-    stream = prime_powers()
-    while True:
-        q = next(stream)
-        if q > qmax:
-            return
-        yield q
-
-
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--qmax", type=int, default=8)
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP)
     args = parser.parse_args()
+    q_values = list(itertools.takewhile(lambda q: q <= args.qmax, prime_powers()))
 
     instances = [
         ("kronecker-2", kronecker_quiver(2), (1, 1), (-1, 1)),
@@ -53,7 +46,7 @@ def main():
     ]
     print(f"{'instance':<14}{'q':<4}{'level':<8}{'|X|':<7}{'q^e*A':<7}{'identity':<10}lifting")
     for name, quiver, d, theta in instances:
-        for q in q_values(args.qmax):
+        for q in q_values:
             try:
                 check = cbvdb_identity_check(quiver, d, theta, q, cap=args.cap)
                 level, points, expected = check.level_set, check.point_count, check.expected
@@ -71,7 +64,7 @@ def main():
     print("class counts (orbit partition, cross-checked by the formula chain):")
     print(f"{'instance':<14}{'q':<4}{'M':<7}{'I':<7}A")
     for name, quiver, d, _ in instances:
-        for q in q_values(args.qmax):
+        for q in q_values:
             report = count_report(quiver, d, q, cap=args.cap, cross_check=True)
             print(
                 f"{name:<14}{q:<4}{report.iso_classes:<7}{report.indecomposable:<7}"

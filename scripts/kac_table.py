@@ -15,14 +15,7 @@ from quiverforge import (
     kac_polynomial,
     kronecker_quiver,
 )
-from quiverforge.quiver import iter_proper_subdims
-
-
-def dimension_vectors(n_vertices, max_total):
-    box = tuple(max_total for _ in range(n_vertices))
-    for d in iter_proper_subdims(tuple(x + 1 for x in box)):
-        if 0 < sum(d) <= max_total:
-            yield d
+from quiverforge.series import monomials_up_to
 
 
 def main():
@@ -40,7 +33,7 @@ def main():
     ]
     print(f"{'quiver':<14}{'d':<10}{'A(q) coefficients':<22}{'e':<5}betti")
     for name, quiver in quivers:
-        for d in dimension_vectors(len(quiver.vertices), args.max_total_dim):
+        for d in filter(any, monomials_up_to(len(quiver.vertices), args.max_total_dim)):
             poly = kac_polynomial(quiver, d, cap=args.cap)
             coeffs = poly.integer_coefficients()
             e = quiver.expected_moduli_dim(d)

@@ -17,7 +17,7 @@ from .counting import (
     hua_identity_check,
     kac_polynomial,
 )
-from .errors import DEFAULT_CAP
+from .errors import DEFAULT_CAP, check_cap
 from .ffield import make_field
 from .moduli import (
     betti_from_kac,
@@ -177,12 +177,13 @@ def criterion_7_betti_extraction() -> CriterionResult:
 
 
 def _end_counts(w) -> tuple[int, int, int]:
-    """(dim End(W), units, nilpotents) from one walk of End(W); the
-    nilpotents are counted apart from the unit test."""
+    """(dim End(W), units, nilpotents) from one walk of End(W), charged up
+    front; the nilpotents are counted apart from the unit test."""
     basis = reps.hom_space(w, w).basis
+    check_cap(w.field.q ** len(basis), DEFAULT_CAP, "endomorphism-ring enumeration")
     shapes = [(dv, dv) for dv in w.d]
     units = nilpotents = 0
-    for fs in reps._iter_span(basis, w.field, shapes, DEFAULT_CAP, "endomorphism-ring enumeration"):
+    for fs in reps._iter_span(basis, w.field, shapes):
         units += reps._is_unit(fs)
         nilpotents += all(m.is_nilpotent() for m in fs)
     return len(basis), units, nilpotents

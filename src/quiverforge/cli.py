@@ -314,12 +314,12 @@ def _cmd_moduli(args) -> tuple[dict, str]:
     params = {"d": list(d), "eta": list(eta), "q": args.q}
 
     def compute():
-        field = field_from_order(args.q)
+        # the level set charges the cap before q is factored into a field
         level = enumerate_level_set(quiver, d, eta, args.q, cap=args.cap)
         return {
             "q": args.q,
             "level_set": level,
-            "trace_obstruction_ok": trace_obstruction(eta, d, field.p),
+            "trace_obstruction_ok": trace_obstruction(eta, d, field_from_order(args.q).p),
         }
 
     payload, suffix = _cached(args, quiver, "moduli-level", params, compute)

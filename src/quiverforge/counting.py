@@ -1,10 +1,10 @@
 """Counting machinery over F_q.
 
 The module has one public entry point per route.  ``classify_classes``
-reads M, I and A off the canonical orbit partition and ``hom_dim``: M
-counts orbits, and each representative W has |Aut W| = |GL_d| / |orbit|
-(Aut W is W's stabilizer) and dim End(W) = dim Hom(W, W), from which the
-unit-count rule of ``reps`` reads locality and the residue degree.
+reads M, I and A off the canonical orbit partition: M counts orbits, and
+each representative W has |Aut W| = |GL_d| / |orbit| (Aut W is W's
+stabilizer) and dim End(W) = dim Hom(W, W), from which ``reps`` reads
+locality and the residue degree by its unit-count rule.
 
 Their one independent oracle, ``class_counts_by_hua``, is a formula chain
 that enumerates neither a representation nor a group element.  A_e(q)
@@ -46,10 +46,10 @@ from .errors import (
     check_cap,
     DEFAULT_CAP,
 )
-from .ffield import field_from_order, gl_order, prime_power
-from .orbits import orbit_partition
+from .ffield import field_from_order, prime_power
+from .orbits import _charge_points, orbit_partition
 from .quiver import Quiver
-from .reps import EndoStructure, Representation, _local_structure, hom_dim, representation_decoder
+from .reps import _end_structure, representation_decoder
 from .series import ExactPolynomial, lagrange_interpolate, monomials_up_to
 
 
@@ -90,22 +90,14 @@ def divisors(n: int) -> list[int]:
 def orbit_representatives(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP):
     """(W, |orbit of W|) for each canonical representative W of Rep(Q, d)
     over F_q, the lexicographically smallest element of its GL_d-orbit, in
-    lex order.  The partition runs, and charges the cap with its q^n points,
-    on the call; the representatives are decoded as they are read."""
+    lex order.  The partition runs on the call, its q^n points charged against
+    the cap before q is factored, so a huge q is refused without trial
+    division; the representatives are decoded as they are read."""
+    _charge_points(quiver, d, q, cap)
     field = field_from_order(q)
     indices, _, sizes = orbit_partition(quiver, field, d, cap=cap)
     decode = representation_decoder(quiver, field, d)
     return ((decode(i), size) for i, size in zip(indices, sizes))
-
-
-def _end_structure(w: Representation, orbit_size: int) -> EndoStructure:
-    """End(W) from |Aut W| = |GL_d| / orbit_size (Aut W is W's stabilizer) and
-    hom_dim(W, W); an orbit size that does not divide |GL_d| is a hard error."""
-    order = gl_order(w.d, w.field.q)
-    units, rem = divmod(order, orbit_size)
-    if rem:
-        raise ConsistencyError(f"orbit of size {orbit_size} does not divide |GL_d| = {order}")
-    return _local_structure(hom_dim(w, w), units, w.field.q)
 
 
 @dataclass(frozen=True)

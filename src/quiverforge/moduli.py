@@ -37,8 +37,8 @@ from .errors import (
 )
 from .ffield import Field, FqMatrix, field_from_order, g_order
 from .quiver import Quiver, is_generic, pairing
-from .reps import Representation, all_representations, arrow_shapes
-from .counting import _end_structure, classify_classes, orbit_representatives
+from .reps import Representation, _end_structure, _ext1_from_hom, all_representations, arrow_shapes
+from .counting import classify_classes, orbit_representatives
 from .series import ExactPolynomial
 
 
@@ -147,15 +147,16 @@ def _fiber_sizes(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
 
     For a doubled quiver the forward arrows carry X and their partners X*.
     The walk is the orbit partition of Rep(Q, d), which charges the cap with
-    its q^n points before the fiber system is built.
+    its q^n points before q is factored and the fiber system is built.
     """
     doubled = _doubled(quiver)
-    field = field_from_order(q)
-    rhs = [x for m in _relation_targets(doubled, field, d, eta) for x in m.flat()]
+    eta = doubled.check_vector(eta, name="deformation parameter")
     d = doubled.check_dim(d)
     half = Quiver(quiver.vertices, quiver.forward_arrows()) if quiver.is_doubled else quiver
     n = sum(r * c for r, c in arrow_shapes(half, d))
     orbits = orbit_representatives(half, d, q, cap)
+    field = field_from_order(q)
+    rhs = [x for m in _relation_targets(doubled, field, d, eta) for x in m.flat()]
     terms, diagonal = _fiber_terms(half, d)
     for x, size in orbits:
         flat = x.entry_key()
@@ -280,13 +281,9 @@ def lifting_fiber_check(
     counterexample = None
     for w, size, observed in _fiber_sizes(quiver, d, theta, q, cap=cap):
         level_count += size * observed
-        expected = 0
         end = _end_structure(w, size)
-        if end.is_local:  # indecomposable: dim Ext^1(W, W) = dim End(W) - <d, d>
-            ext = end.dim_end - quiver.euler_form(d, d)
-            if ext < 0:
-                raise ConsistencyError("negative Ext dimension; Hom solver is broken")
-            expected = q**ext
+        # q^(dim Ext^1(W, W)) over an indecomposable W, read off dim End(W); else empty
+        expected = q ** _ext1_from_hom(quiver, end.dim_end, d, d) if end.is_local else 0
         # both sides are iso-invariant, so the first offending orbit holds the lex-first point
         if observed != expected and counterexample is None:
             counterexample = w.entry_key()

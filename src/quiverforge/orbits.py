@@ -135,6 +135,14 @@ def _min_labels(idx, perms):
     return labels
 
 
+def _charge_points(quiver: Quiver, d, q: int, cap: int) -> tuple[int, int]:
+    """(n, q^n) for Rep(Q, d) = F_q^n, charged against the cap before any field is built."""
+    n_entries = sum(r * c for r, c in arrow_shapes(quiver, d))
+    n_points = q**n_entries
+    check_cap(n_points, cap, "orbit enumeration of the representation space")
+    return n_entries, n_points
+
+
 def orbit_partition(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
     """Partition the representation space into GL_d-orbits.
 
@@ -143,9 +151,7 @@ def orbit_partition(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
     each listed orbit.
     """
     d = quiver.check_dim(d)
-    n_entries = sum(r * c for r, c in arrow_shapes(quiver, d))
-    n_points = field.q**n_entries
-    check_cap(n_points, cap, "orbit enumeration of the representation space")
+    n_entries, n_points = _charge_points(quiver, d, field.q, cap)
     p, width = field.p, n_entries * field.k
     acc = _accumulator(width, p)
     if n_entries == 0:

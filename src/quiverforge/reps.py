@@ -20,7 +20,7 @@ from .errors import (
     check_cap,
     DEFAULT_CAP,
 )
-from .ffield import Field, FqMatrix, gaussian_binomial, grassmannian, make_field
+from .ffield import Field, FqMatrix, gaussian_binomial, gl_order, grassmannian, make_field
 from .quiver import Quiver, iter_proper_subdims, pairing
 
 
@@ -90,52 +90,41 @@ def arrow_shapes(quiver: Quiver, d) -> list[tuple[int, int]]:
     ]
 
 
-def _from_flat(quiver: Quiver, field: Field, d, shapes, flat) -> Representation:
-    """The representation whose entry key (arrow-major, row-major) is ``flat``;
-    ``shapes`` is ``arrow_shapes(quiver, d)``."""
-    maps = []
-    pos = 0
-    for r, c in shapes:
-        maps.append(FqMatrix.from_flat(field, r, c, flat[pos : pos + r * c]))
-        pos += r * c
-    return Representation(quiver, field, d, maps)
-
-
 def representation_decoder(quiver: Quiver, field: Field, d):
     """index -> Representation, the inverse of the point encoding of
     Rep(Q, d) over ``field``: the entry key read as a base-q number, most
     significant digit first, so index order is lexicographic order.
 
-    d and the arrow shapes are worked out once, here.  Each call refuses an
-    index outside 0..q^n - 1, peels the index's base-q digits off by divmod,
-    least significant (last entry) first, and builds the representation
-    through its checking constructor, which validates d and every map's
-    shape again."""
+    d, the arrow shapes and the digit weights are worked out once, here.
+    Each call refuses an index outside 0..q^n - 1, reads one base-q digit
+    per entry off the index, cuts those entries into one matrix per arrow,
+    and builds the representation through its checking constructor, which
+    validates d and every map's shape again."""
     d = quiver.check_dim(d)
     shapes = arrow_shapes(quiver, d)
-    n_entries = sum(r * c for r, c in shapes)
+    starts = list(itertools.accumulate((r * c for r, c in shapes), initial=0))
+    n_entries = starts[-1]
     q = field.q
     n_points = q**n_entries
+    weights = [q**k for k in range(n_entries - 1, -1, -1)]  # first entry most significant
 
     def decode(index: int) -> Representation:
         if not 0 <= index < n_points:
             raise ValidationError(f"point index {index} is outside 0..{n_points - 1}")
-        flat = [0] * n_entries
-        for j in range(n_entries - 1, -1, -1):
-            index, flat[j] = divmod(index, q)
-        return _from_flat(quiver, field, d, shapes, flat)
+        flat = [index // w % q for w in weights]
+        maps = [
+            FqMatrix.from_flat(field, r, c, flat[s : s + r * c]) for (r, c), s in zip(shapes, starts)
+        ]
+        return Representation(quiver, field, d, maps)
 
     return decode
 
 
 def all_representations(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
-    """All points of the representation space, lexicographic in entry order."""
-    d = quiver.check_dim(d)
-    shapes = arrow_shapes(quiver, d)
-    total = sum(r * c for r, c in shapes)
-    check_cap(field.q**total, cap, "representation-space enumeration")
-    for flat in itertools.product(field.elements(), repeat=total):
-        yield _from_flat(quiver, field, d, shapes, flat)
+    """All q^n points of Rep(Q, d), charged against the cap, decoded in index (lex) order."""
+    n_points = field.q ** sum(r * c for r, c in arrow_shapes(quiver, d))
+    check_cap(n_points, cap, "representation-space enumeration")
+    yield from map(representation_decoder(quiver, field, d), range(n_points))
 
 
 def _check_comparable(w1: Representation, w2: Representation) -> None:
@@ -221,7 +210,13 @@ def hom_dim(w1: Representation, w2: Representation) -> int:
 
 def ext1_dim(w1: Representation, w2: Representation) -> int:
     """dim Ext^1 = dim Hom - <dim W, dim W2>; nonnegative by construction."""
-    value = hom_dim(w1, w2) - w1.quiver.euler_form(w1.d, w2.d)
+    return _ext1_from_hom(w1.quiver, hom_dim(w1, w2), w1.d, w2.d)
+
+
+def _ext1_from_hom(quiver: Quiver, dim_hom: int, d1, d2) -> int:
+    """dim Ext^1(W, W2) = dim Hom(W, W2) - <d1, d2>, for W and W2 of dimension
+    vectors d1 and d2; a negative value is a hard error."""
+    value = dim_hom - quiver.euler_form(d1, d2)
     if value < 0:
         raise ConsistencyError("negative Ext dimension; Hom solver is broken")
     return value
@@ -244,19 +239,12 @@ def direct_sum(w1: Representation, w2: Representation) -> Representation:
 # endomorphism structure and indecomposability
 
 
-def _iter_span(basis, field: Field, shapes, cap: int, what: str):
-    """All linear combinations of the basis tuples, coefficients lexicographic.
-
+def _iter_span(basis, field: Field, shapes):
+    """All linear combinations of the basis tuples, coefficients lexicographic;
     ``shapes`` gives the component shapes, needed to build the zero element.
-    """
-    k = len(basis)
-    size = field.q**k
+    The walk charges no cap: each caller charges its own."""
     zero = tuple(FqMatrix.zeros(field, r, c) for r, c in shapes)
-    scanned = 0
-    for coeffs in itertools.product(field.elements(), repeat=k):
-        scanned += 1
-        if scanned > cap:
-            raise CapExceeded(what, size, cap)
+    for coeffs in itertools.product(field.elements(), repeat=len(basis)):
         element = None
         for c, f in zip(coeffs, basis):
             if c == 0:
@@ -316,7 +304,9 @@ def scan_endomorphisms(w: Representation, cap: int = DEFAULT_CAP, early_exit: bo
         check_cap(w.field.q ** len(basis), cap, "endomorphism-ring enumeration")
     shapes = [(dv, dv) for dv in w.d]
     units = 0
-    for fs in _iter_span(basis, w.field, shapes, cap, "endomorphism-ring enumeration"):
+    for scanned, fs in enumerate(_iter_span(basis, w.field, shapes), 1):
+        if early_exit and scanned > cap:
+            raise CapExceeded("endomorphism-ring enumeration", w.field.q ** len(basis), cap)
         if _is_unit(fs):
             units += 1
         elif early_exit and not _is_nilpotent_endo(fs):
@@ -333,6 +323,16 @@ def scan_endomorphisms(w: Representation, cap: int = DEFAULT_CAP, early_exit: bo
 def endo_structure(w: Representation, cap: int = DEFAULT_CAP) -> EndoStructure:
     dim_end, _, units = scan_endomorphisms(w, cap=cap, early_exit=False)
     return _local_structure(dim_end, units, w.field.q)
+
+
+def _end_structure(w: Representation, orbit_size: int) -> EndoStructure:
+    """End(W) from |Aut W| = |GL_d| / orbit_size (Aut W is W's stabilizer) and
+    hom_dim(W, W); an orbit size that does not divide |GL_d| is a hard error."""
+    order = gl_order(w.d, w.field.q)
+    units, rem = divmod(order, orbit_size)
+    if rem:
+        raise ConsistencyError(f"orbit of size {orbit_size} does not divide |GL_d| = {order}")
+    return _local_structure(hom_dim(w, w), units, w.field.q)
 
 
 def _local_structure(dim_end: int, units: int, q: int) -> EndoStructure:
@@ -379,7 +379,7 @@ def are_isomorphic(w1: Representation, w2: Representation, cap: int = DEFAULT_CA
     if size > cap:
         raise UndecidedAtCap("isomorphism search undecided at cap", size, cap)
     shapes = list(zip(w2.d, w1.d))
-    for fs in _iter_span(basis, w1.field, shapes, cap, "isomorphism search"):
+    for fs in _iter_span(basis, w1.field, shapes):
         if _is_unit(fs):
             return True
     return False

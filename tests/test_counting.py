@@ -480,15 +480,26 @@ def test_classify_builds_one_representation_per_orbit(name, d, q, monkeypatch):
     assert set(built) == {d}
 
 
-def test_decoder_is_the_inverse_of_the_encoding(kron2, f3):
-    d = (2, 1)
-    decode = reps.representation_decoder(kron2, f3, d)
-    n_points = 3**4
-    keys = [decode(i).entry_key() for i in range(n_points)]
-    assert keys == sorted(keys) == list(itertools.product(range(3), repeat=4))
-    for index in (-1, n_points):
-        with pytest.raises(ValidationError, match="outside"):
-            decode(index)
+def test_decoder_is_the_inverse_of_the_encoding(kron2, jordan, f2, f3, f4):
+    # (2, 0) has zero-row maps and no entries; the doubled (1, 1) has four arrows
+    cases = [
+        (kron2, f3, (2, 1), 4),
+        (kron2, f3, (2, 0), 0),
+        (jordan, f4, (2,), 4),
+        (kron2.double(), f2, (1, 1), 4),
+    ]
+    for quiver, field, d, n_entries in cases:
+        decode = reps.representation_decoder(quiver, field, d)
+        n_points = field.q**n_entries
+        lex = list(itertools.product(range(field.q), repeat=n_entries))
+        decoded = [decode(i) for i in range(n_points)]
+        assert [w.entry_key() for w in decoded] == lex
+        walked = list(all_representations(quiver, field, d))
+        assert [w.entry_key() for w in walked] == lex
+        assert walked == decoded
+        for index in (-1, n_points):
+            with pytest.raises(ValidationError, match="outside"):
+                decode(index)
 
 
 class _Forbidden:

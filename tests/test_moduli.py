@@ -31,7 +31,7 @@ from quiverforge import (
     jordan_quiver,
     kronecker_quiver,
 )
-from quiverforge import counting, moduli, reps
+from quiverforge import moduli, reps
 from quiverforge.ffield import prime_power
 from brute_force import enumerate_gl
 from quiverforge.moduli import level_set_points
@@ -408,13 +408,13 @@ def test_lifting_reports_the_lex_first_counterexample(kron2, monkeypatch):
 
 def test_lifting_scans_each_end_ring_once(kron2, monkeypatch):
     calls = []
-    original = counting.hom_dim
+    original = reps.hom_dim
 
     def counted(w1, w2):
         calls.append(w1.entry_key())
         return original(w1, w2)
 
-    monkeypatch.setattr(counting, "hom_dim", counted)
+    monkeypatch.setattr(reps, "hom_dim", counted)
     assert lifting_fiber_check(kron2, (1, 1), (-1, 1), 3).holds
     # one dim End(W) per orbit of Rep(Q, d), the zero point and the four
     # lines of F_3^2, and no second Hom solve for Ext^1
