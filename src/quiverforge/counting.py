@@ -543,17 +543,20 @@ def hua_identity_check(quiver: Quiver, q: int, degree: int, cap: int = DEFAULT_C
     representative.  The right side's X^d coefficient is the chain's
     Krull-Schmidt product over the box <= d.  The contract is zero; a q
     that is not a prime power and a negative degree are refused, at every
-    degree.
+    degree.  Each d's q^n points are charged, in loop order, before q is
+    factored, so a huge q is refused without trial division.
     """
+    monomials = [dv for dv in monomials_up_to(len(quiver.vertices), degree) if any(dv)]
+    for dv in monomials:
+        _charge_points(quiver, dv, q, cap)
     field_from_order(q)
     if degree < 0:
         raise ValidationError(f"the degree bound must be nonnegative, got {degree}")
     classes: dict = {}
     indec: dict = {}
-    for dv in monomials_up_to(len(quiver.vertices), degree):
-        if any(dv):
-            counts = classify_classes(quiver, dv, q, cap=cap)
-            classes[dv], indec[dv] = counts.iso_classes, counts.indecomposable
+    for dv in monomials:
+        counts = classify_classes(quiver, dv, q, cap=cap)
+        classes[dv], indec[dv] = counts.iso_classes, counts.indecomposable
     return max(
         (Fraction(abs(m - _krull_schmidt_coefficient(indec, dv))) for dv, m in classes.items()),
         default=Fraction(0),

@@ -12,7 +12,8 @@ does no arithmetic.
 
 A matrix's shape is stored, never inferred from its rows: an ``FqMatrix``
 with no rows still has its column count, and every operation carries the
-shape of its result through.
+shape of its result through.  One forward elimination serves ``rank`` and
+``det``; ``rref`` finishes it, and ``kernel_basis`` and ``inverse`` read that.
 """
 
 from __future__ import annotations
@@ -200,9 +201,6 @@ class Field:
             e >>= 1
         return result
 
-    def frobenius(self, a: int) -> int:
-        return self.pow_(a, self.p)
-
     def elements(self) -> range:
         return range(self.q)
 
@@ -344,10 +342,6 @@ class FqMatrix:
     def sub(self, other: "FqMatrix") -> "FqMatrix":
         return self._entrywise(self.field.sub, other)
 
-    def neg(self) -> "FqMatrix":
-        f = self.field
-        return FqMatrix._of(f, self.rows, self.cols, tuple([tuple([f.neg(a) for a in row]) for row in self.entries]))
-
     def scale(self, c: int) -> "FqMatrix":
         f = self.field
         return FqMatrix._of(f, self.rows, self.cols, tuple([tuple([f.mul(c, a) for a in row]) for row in self.entries]))
@@ -381,10 +375,6 @@ class FqMatrix:
             out.append(acc)
         return tuple(out)
 
-    def transpose(self) -> "FqMatrix":
-        columns = tuple([tuple([row[j] for row in self.entries]) for j in range(self.cols)])
-        return FqMatrix._of(self.field, self.cols, self.rows, columns)
-
     def matpow(self, e: int) -> "FqMatrix":
         if not self.is_square():
             raise ValidationError("matrix power needs a square matrix")
@@ -399,31 +389,47 @@ class FqMatrix:
 
     # -- Gaussian elimination
 
-    def rref(self) -> tuple[list[list[int]], list[int]]:
-        """Reduced row echelon form; returns (rows, pivot column indices)."""
+    def _echelon(self) -> tuple[list[list[int]], list[int], int]:
+        """The one elimination loop, forward only: (row echelon rows with
+        unscaled pivots, pivot columns, the pivots' product negated once per
+        row swap, which is det when a square matrix has a pivot per column)."""
         f = self.field
         m = [list(row) for row in self.entries]
         pivots: list[int] = []
-        r = 0
+        det = 1
         for c in range(self.cols):
+            r = len(pivots)
             pivot_row = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
             if pivot_row is None:
                 continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = f.inv(m[r][c])
-            m[r] = [f.mul(inv, x) for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    factor = m[i][c]
-                    m[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(m[i], m[r])]
+            if pivot_row != r:
+                m[r], m[pivot_row] = m[pivot_row], m[r]
+                det = f.neg(det)
+            det = f.mul(det, m[r][c])
+            minus_inv = f.neg(f.inv(m[r][c]))
+            for i in range(r + 1, self.rows):
+                if m[i][c] != 0:
+                    a = f.mul(minus_inv, m[i][c])
+                    m[i][c:] = [f.add(x, f.mul(a, y)) if y else x for x, y in zip(m[i][c:], m[r][c:])]
             pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
+        return m, pivots, det
+
+    def rref(self) -> tuple[list[list[int]], list[int]]:
+        """Reduced row echelon form; returns (rows, pivot column indices)."""
+        f = self.field
+        m, pivots, _ = self._echelon()
+        for r, c in enumerate(pivots):
+            if m[r][c] != 1:
+                inv = f.inv(m[r][c])
+                m[r][c:] = [f.mul(inv, x) for x in m[r][c:]]
+            for i in range(r):
+                if m[i][c] != 0:
+                    a = f.neg(m[i][c])
+                    m[i][c:] = [f.add(x, f.mul(a, y)) if y else x for x, y in zip(m[i][c:], m[r][c:])]
         return m, pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self._echelon()[1])
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Basis of {x : Mx = 0}, one vector per free column, in column order."""
@@ -444,24 +450,8 @@ class FqMatrix:
     def det(self) -> int:
         if not self.is_square():
             raise ValidationError("determinant needs a square matrix")
-        f = self.field
-        m = [list(row) for row in self.entries]
-        n = self.rows
-        det = 1
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-            if pivot_row is None:
-                return 0
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                det = f.neg(det)
-            det = f.mul(det, m[c][c])
-            inv = f.inv(m[c][c])
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    factor = f.mul(inv, m[i][c])
-                    m[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(m[i], m[c])]
-        return det
+        _, pivots, det = self._echelon()
+        return det if len(pivots) == self.rows else 0
 
     def is_invertible(self) -> bool:
         return self.is_square() and self.det() != 0

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .ffield import Field, FqMatrix, field_from_order, g_order
 from .quiver import Quiver, is_generic, pairing
-from .reps import Representation, _end_structure, _ext1_from_hom, all_representations, arrow_shapes
+from .reps import Representation, _charge_space, _end_structure, _ext1_from_hom, all_representations, arrow_shapes
 from .counting import classify_classes, orbit_representatives
 from .series import ExactPolynomial
 
@@ -106,8 +106,10 @@ def _doubled(quiver: Quiver) -> Quiver:
 
 def level_set_points(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
     """All doubled representations satisfying the deformed relations, by a
-    walk of the whole doubled space: the brute oracle for ``_fiber_sizes``."""
+    walk of the whole doubled space: the brute oracle for ``_fiber_sizes``.
+    The q^(2n) doubled points are charged before q is factored."""
     doubled = _doubled(quiver)
+    _charge_space(doubled, d, q, cap)
     field = field_from_order(q)
     targets = _relation_targets(doubled, field, d, eta)
     for w in all_representations(doubled, field, d, cap=cap):

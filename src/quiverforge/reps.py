@@ -120,10 +120,16 @@ def representation_decoder(quiver: Quiver, field: Field, d):
     return decode
 
 
+def _charge_space(quiver: Quiver, d, q: int, cap: int) -> int:
+    """q^n for Rep(Q, d) = F_q^n, charged against the cap before any field is built."""
+    n_points = q ** sum(r * c for r, c in arrow_shapes(quiver, d))
+    check_cap(n_points, cap, "representation-space enumeration")
+    return n_points
+
+
 def all_representations(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
     """All q^n points of Rep(Q, d), charged against the cap, decoded in index (lex) order."""
-    n_points = field.q ** sum(r * c for r, c in arrow_shapes(quiver, d))
-    check_cap(n_points, cap, "representation-space enumeration")
+    n_points = _charge_space(quiver, d, field.q, cap)
     yield from map(representation_decoder(quiver, field, d), range(n_points))
 
 
@@ -416,10 +422,6 @@ class SubrepWitness:
 class StabilityVerdict:
     kind: str  # "stable" | "semistable-not-stable" | "unstable"
     witness: SubrepWitness | None
-
-    @property
-    def is_semistable(self) -> bool:
-        return self.kind != "unstable"
 
 
 def _subspace_tuples(w: Representation, sub_dims, cap: int):

@@ -11,7 +11,23 @@ settings.register_profile(
 )
 settings.load_profile("quiverforge")
 
-from quiverforge import a2_quiver, jordan_quiver, kronecker_quiver, make_field
+from quiverforge import a2_quiver, ffield, jordan_quiver, kronecker_quiver, make_field
+
+HUGE_Q = 10000000000000061  # a prime: trial division would run to 10^8
+
+
+@pytest.fixture
+def huge_q(monkeypatch):
+    """HUGE_Q, with ``ffield.prime_power`` patched to fail if it is asked to factor it."""
+    original = ffield.prime_power
+
+    def refuse_huge_q(n):
+        if n == HUGE_Q:
+            raise AssertionError("q was trial-divided before the cap refused q^n")
+        return original(n)
+
+    monkeypatch.setattr(ffield, "prime_power", refuse_huge_q)
+    return HUGE_Q
 
 
 @pytest.fixture(scope="session")

@@ -482,9 +482,6 @@ def test_exit_code_cap_past_the_digit_limit(capsys, kron2_file):
     }
 
 
-HUGE_Q = 10000000000000061  # a prime: trial division would run to 10^8
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -492,21 +489,14 @@ HUGE_Q = 10000000000000061  # a prime: trial division would run to 10^8
         ["stability", "--d", "1,1", "--theta", "-1,1"],
         ["moduli", "--d", "1,1", "--theta", "-1,1"],
         ["moduli", "--d", "1,1", "--eta", "0,0"],
+        ["hua", "--degree", "2"],
     ],
-    ids=["count", "stability", "moduli-theta", "moduli-eta"],
+    ids=["count", "stability", "moduli-theta", "moduli-eta", "hua"],
 )
-def test_a_huge_q_is_refused_at_the_cap_before_it_is_factored(capsys, kron2_file, monkeypatch, argv):
-    original = ffield.prime_power
-
-    def refuse_huge_q(n):
-        if n == HUGE_Q:
-            raise AssertionError("q was trial-divided before the cap refused q^n")
-        return original(n)
-
-    monkeypatch.setattr(ffield, "prime_power", refuse_huge_q)
-    code, out, err = run_cli(capsys, [argv[0], "--quiver", kron2_file, *argv[1:], "--q", str(HUGE_Q)])
+def test_a_huge_q_is_refused_at_the_cap_before_it_is_factored(capsys, kron2_file, huge_q, argv):
+    code, out, err = run_cli(capsys, [argv[0], "--quiver", kron2_file, *argv[1:], "--q", str(huge_q)])
     message = (
-        f"orbit enumeration of the representation space needs {HUGE_Q**2} elements, "
+        f"orbit enumeration of the representation space needs {huge_q**2} elements, "
         "cap is 1000000"
     )
     assert code == 2

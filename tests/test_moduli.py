@@ -31,7 +31,7 @@ from quiverforge import (
     jordan_quiver,
     kronecker_quiver,
 )
-from quiverforge import moduli, reps
+from quiverforge import counting, moduli, reps
 from quiverforge.ffield import prime_power
 from brute_force import enumerate_gl
 from quiverforge.moduli import level_set_points
@@ -248,6 +248,39 @@ def test_fiber_route_keeps_the_doubled_space_cap(kron2):
         CapExceeded, match="representation-space enumeration needs 625 elements, cap is 624"
     ):
         next(level_set_points(kron2, (1, 1), (-1, 1), 5, cap=624))
+
+
+@pytest.mark.parametrize(
+    "entry,power",
+    [
+        (lambda k, q: list(counting.orbit_representatives(k, (1, 1), q)), 2),
+        (lambda k, q: counting.classify_classes(k, (1, 1), q), 2),
+        (lambda k, q: counting.count_report(k, (1, 1), q), 2),
+        (lambda k, q: counting.check_galois_descent(k, (1, 1), q), 2),
+        (lambda k, q: counting.hua_identity_check(k, q, 2), 2),
+        (lambda k, q: enumerate_level_set(k, (1, 1), (0, 0), q), 2),
+        (lambda k, q: list(level_set_points(k, (1, 1), (0, 0), q)), 4),
+        (lambda k, q: moduli_point_count(k, (1, 1), (-1, 1), q), 2),
+        (lambda k, q: cbvdb_identity_check(k, (1, 1), (-1, 1), q), 2),
+        (lambda k, q: lifting_fiber_check(k, (1, 1), (-1, 1), q), 2),
+    ],
+    ids=[
+        "orbit_representatives",
+        "classify_classes",
+        "count_report",
+        "check_galois_descent",
+        "hua_identity_check",
+        "enumerate_level_set",
+        "level_set_points",
+        "moduli_point_count",
+        "cbvdb_identity_check",
+        "lifting_fiber_check",
+    ],
+)
+def test_a_huge_q_is_refused_at_the_cap_before_it_is_factored(kron2, huge_q, entry, power):
+    with pytest.raises(CapExceeded) as info:
+        entry(kron2, huge_q)
+    assert info.value.needed == huge_q**power
 
 
 def test_fiber_route_is_charged_before_its_system_is_built(kron2, monkeypatch):
