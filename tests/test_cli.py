@@ -9,6 +9,7 @@ import re
 import sys
 import tempfile
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -564,6 +565,25 @@ def test_cache_store_then_lookup(tmp_path):
     assert cache_lookup(path, "h", "kac", {"d": [1, 1]}, "0.1.0") == {"polynomial": [1, 1]}
 
 
+def _canonical_line(quiver_hash, op, params, version, result) -> bytes:
+    """The line cache_store writes for a record, spelled with ``json.dumps``."""
+    record = {"hash": quiver_hash, "op": op, "params": params, "version": version, "result": result}
+    return (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def test_cache_store_writes_the_canonical_line(tmp_path):
+    path = str(tmp_path / "cache.jsonl")
+    records = [
+        ('h"\u00e9', "kac", {"d": [1, 1]}, "v", {"polynomial": [1, 1]}),
+        ("h", "count", {"q": 3, "d": [2, {"b": [1], "a": None}]}, "v", [[1, 2], [], [3]]),
+        ("h", "kac", {}, "v\u00e9", ["x", {"z": 1, "y": [0.5]}]),
+    ]
+    for record in records:
+        cache_store(path, *record)
+    with open(path, "rb") as fh:
+        assert fh.read().splitlines(keepends=True) == [_canonical_line(*r) for r in records]
+
+
 def test_cache_store_appends_each_record_in_one_locked_write(tmp_path, monkeypatch):
     events = []
     flock, write = cache.fcntl.flock, cache.os.write
@@ -677,7 +697,11 @@ def test_lookup_decodes_only_the_asked_quivers_records(tmp_path, monkeypatch):
 def _full_parse_lookup(path, quiver_hash, op, params, version):
     """The lookup that decodes every line: the oracle for ``cache_lookup``.
     It reads bytes, so only "\\n" ends a line, as in ``cache_lookup``."""
-    wanted = cache._canonical(params)
+
+    def canonical(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    wanted = canonical(params)
     found = None
     try:
         with open(path, "rb") as fh:
@@ -701,7 +725,7 @@ def _full_parse_lookup(path, quiver_hash, op, params, version):
                     record.get("hash") == quiver_hash
                     and record.get("op") == op
                     and record.get("version") == version
-                    and cache._canonical(record.get("params", {})) == wanted
+                    and canonical(record.get("params", {})) == wanted
                 ):
                     found = record.get("result")
     except FileNotFoundError:
@@ -743,6 +767,28 @@ def _warned_lines(stderr: str) -> set[int]:
     return {int(n) for n in re.findall(r"skipping corrupt cache line (\d+)", stderr)}
 
 
+def _assert_lookups_agree_with_the_full_parse(path):
+    """Every lookup from the pools gives the oracle's result and warnings,
+    less those for another quiver's canonical lines, which it never reads."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+        stored = [line.strip() for line in fh]
+    for h in POOL_HASHES:
+        own = '{"hash":' + json.dumps(h) + ","
+        foreign = {n for n, line in enumerate(stored, start=1)
+                   if line.startswith('{"hash":"') and not line.startswith(own)}
+        for op in POOL_OPS:
+            for params in POOL_PARAMS:
+                for version in POOL_VERSIONS:
+                    with contextlib.redirect_stderr(io.StringIO()) as err:
+                        want = _full_parse_lookup(path, h, op, params, version)
+                    with contextlib.redirect_stderr(io.StringIO()) as new_err:
+                        got = cache_lookup(path, h, op, params, version)
+                    assert got == want
+                    assert _warned_lines(new_err.getvalue()) == (
+                        _warned_lines(err.getvalue()) - foreign
+                    )
+
+
 @given(st.lists(cache_lines, max_size=16))
 def test_lookup_agrees_with_the_full_parse(lines):
     with tempfile.TemporaryDirectory() as tmp:
@@ -767,23 +813,7 @@ def test_lookup_agrees_with_the_full_parse(lines):
                     data = full[:cut] + rest[2] + full[cut:]
             with open(path, "ab") as fh:
                 fh.write(data + b"\n")
-        with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
-            stored = [line.strip() for line in fh]
-        for h in POOL_HASHES:
-            own = '{"hash":' + json.dumps(h) + ","
-            foreign = {n for n, line in enumerate(stored, start=1)
-                       if line.startswith('{"hash":"') and not line.startswith(own)}
-            for op in POOL_OPS:
-                for params in POOL_PARAMS:
-                    for version in POOL_VERSIONS:
-                        with contextlib.redirect_stderr(io.StringIO()) as err:
-                            want = _full_parse_lookup(path, h, op, params, version)
-                        with contextlib.redirect_stderr(io.StringIO()) as new_err:
-                            got = cache_lookup(path, h, op, params, version)
-                        assert got == want
-                        assert _warned_lines(new_err.getvalue()) == (
-                            _warned_lines(err.getvalue()) - foreign
-                        )
+        _assert_lookups_agree_with_the_full_parse(path)
 
 
 @given(st.lists(cache_lines, min_size=3, max_size=16))
@@ -791,6 +821,65 @@ def test_lookup_agrees_with_the_full_parse_across_blocks(lines):
     # blocks of two lines, so every generated file crosses a block boundary
     with mock.patch.object(cache, "_BLOCK_LINES", 2):
         test_lookup_agrees_with_the_full_parse.hypothesis.inner_test(lines)
+
+
+# records around the asked "0f3a" in byte order: "00" < "0f3a" < "0f3a9" < "ff"
+ASKED = _canonical_line("0f3a", "kac", {"d": [1, 1]}, "v1", "asked")
+LOW = _canonical_line("00", "kac", {"d": [1, 1]}, "v1", 0)
+PREFIXED = _canonical_line("0f3a9", "kac", {"d": [1, 1]}, "v1", 9)
+HIGH = _canonical_line("ff", "kac", {"d": [1, 1]}, "v1", 1)
+# the asked record in a key order cache_store does not write: above every canonical line
+REORDERED = json.dumps(
+    {"version": "v1", "result": "reordered", "params": {"d": [1, 1]}, "op": "kac", "hash": "0f3a"}
+).encode() + b"\n"
+PROOF_BLOCKS = {
+    "asked first": [ASKED, HIGH, LOW, PREFIXED],
+    "asked least at or after its prefix": [LOW, HIGH, ASKED, LOW],
+    "asked last": [HIGH, LOW, PREFIXED, ASKED],
+    "asked hash a prefix of a foreign one": [LOW, PREFIXED, HIGH, PREFIXED],
+    "whitespace before a foreign record": [LOW, b" " + HIGH, HIGH, LOW],
+    "whitespace before the asked record, least": [LOW, b" " + ASKED, HIGH, LOW],
+    "not json, least": [HIGH, b"not json\n", LOW, PREFIXED],
+    "asked record in another key order, greatest": [LOW, REORDERED, HIGH, LOW],
+    "undecodable line, greatest": [LOW, HIGH, b"\xff\xfe junk\n", LOW],
+    "bare record prefix": [LOW, b'{"hash":"\n', HIGH, ASKED],
+    "asked last, no final newline": [LOW, HIGH, PREFIXED, ASKED.rstrip(b"\n")],
+    "foreign last, no final newline": [LOW, ASKED, HIGH, PREFIXED.rstrip(b"\n")],
+}
+
+
+@pytest.mark.parametrize("block", PROOF_BLOCKS.values(), ids=PROOF_BLOCKS)
+def test_block_proof_agrees_with_the_full_parse(tmp_path, block):
+    # a block of foreign records, then the block under test
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(b"".join([LOW, PREFIXED, HIGH, LOW, *block]))
+    with mock.patch.object(cache, "_BLOCK_LINES", 4):
+        _assert_lookups_agree_with_the_full_parse(str(path))
+
+
+def test_lookup_matches_lines_only_in_blocks_that_fail_the_proof(tmp_path, monkeypatch):
+    monkeypatch.setattr(cache, "_BLOCK_LINES", 8)
+    path = str(tmp_path / "cache.jsonl")
+    rng = random.Random(0)
+    # four blocks of other quivers' records, the asked one in the last
+    for i in range(4 * cache._BLOCK_LINES - 1):
+        if i == 3 * cache._BLOCK_LINES + 2:
+            cache_store(path, "h", "kac", {"d": [1, 1]}, "v", "hit")
+        cache_store(path, f"{rng.getrandbits(256):064x}", "kac", {"d": [1, 1]}, "v", i)
+    matched = []
+
+    def compile_counted(*args):
+        match = re.compile(*args).match
+
+        def counted(line):
+            matched.append(line)
+            return match(line)
+
+        return SimpleNamespace(match=counted)
+
+    monkeypatch.setattr(cache, "re", SimpleNamespace(compile=compile_counted, escape=re.escape))
+    assert cache_lookup(path, "h", "kac", {"d": [1, 1]}, "v") == "hit"
+    assert 0 < len(matched) <= cache._BLOCK_LINES
 
 
 def test_lookup_across_a_block_boundary(tmp_path, capsys):
