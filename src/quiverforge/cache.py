@@ -5,8 +5,15 @@ Lookups match on the first four fields exactly; the CLI passes a fingerprint
 of the package sources as the version, so records written by other code are
 misses.  A lookup is one pass over the file, linear in its size.  It reads
 binary lines in blocks of at most ``_BLOCK_LINES``, so its memory is one
-block whatever the file's size.  A line in ``cache_store``'s canonical form
-for another quiver's hash is skipped unread, even when it is corrupt.  Three
+block whatever the file's size.  A line that begins ``{"hash":"`` as
+``cache_store``'s lines do, but not with the asked hash as ``json.dumps``
+writes it, closing quote included, holds another quiver's record and is
+skipped unread, even when it is corrupt; what follows the closing quote,
+JSON whitespace included, is left to the parse.  The rule misreads two kinds
+of line that ``cache_store`` never writes, and skips both as foreign: one
+whose first "hash" key is another quiver's and whose last is the asked hash
+(``json.loads`` keeps the last), and one that spells the asked hash with
+escapes ``json.dumps`` does not use.  Three
 C-level order passes over a block (its least line, its greatest, and its
 least line at or after the asked hash's prefix) prove when every line in it
 is such a line, and then the block is skipped whole.  Only a block that
@@ -45,8 +52,9 @@ def cache_lookup(path: str, quiver_hash: str, op: str, params: dict, version: st
     """The most recent matching payload, or None."""
     wanted = _canonical(params)
     # cache_store's lines begin '{"hash":' and the JSON-encoded hash, so a
-    # line with that prefix and another hash cannot match and is not decoded
-    own = '{"hash":' + json.dumps(quiver_hash) + ","
+    # line with that prefix and another hash cannot match and is not decoded;
+    # own ends at the closing quote, since JSON whitespace may come next
+    own = '{"hash":' + json.dumps(quiver_hash)
     # json.dumps escapes non-ASCII, so a line's bytes begin with own iff its text does
     own_bytes = own.encode("ascii")
     candidate = re.compile(b"(?!" + re.escape(_RECORD_PREFIX) + b")|" + re.escape(own_bytes)).match

@@ -4,7 +4,9 @@ The module has one public entry point per route.  ``classify_classes``
 reads M, I and A off the canonical orbit partition: M counts orbits, and
 each representative W has |Aut W| = |GL_d| / |orbit| (Aut W is W's
 stabilizer) and dim End(W) = dim Hom(W, W), from which ``reps`` reads
-locality and the residue degree by its unit-count rule.
+locality and the residue degree by its unit-count rule.  |Aut W| alone
+already rules a local End(W) out for many orbits; only the others are
+decoded and get a Hom solve.
 
 Their one independent oracle, ``class_counts_by_hua``, is a formula chain
 that enumerates neither a representation nor a group element.  A_e(q)
@@ -46,10 +48,10 @@ from .errors import (
     check_cap,
     DEFAULT_CAP,
 )
-from .ffield import field_from_order, prime_power
+from .ffield import field_from_order, gl_order, prime_power
 from .orbits import _charge_points, orbit_partition
 from .quiver import Quiver
-from .reps import _end_structure, representation_decoder
+from .reps import _end_structure, _may_be_local, _orbit_units, representation_decoder
 from .series import ExactPolynomial, lagrange_interpolate, monomials_up_to
 
 
@@ -87,16 +89,22 @@ def divisors(n: int) -> list[int]:
 # class representatives and indecomposability counts
 
 
-def orbit_representatives(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP):
-    """(W, |orbit of W|) for each canonical representative W of Rep(Q, d)
-    over F_q, the lexicographically smallest element of its GL_d-orbit, in
-    lex order.  The partition runs on the call, its q^n points charged against
-    the cap before q is factored, so a huge q is refused without trial
-    division; the representatives are decoded as they are read."""
+def _orbits(quiver: Quiver, d, q: int, cap: int):
+    """(decode, canonical indices, orbit sizes) of Rep(Q, d) over F_q; the
+    partition's q^n points are charged against the cap before q is factored,
+    so a huge q is refused without trial division."""
     _charge_points(quiver, d, q, cap)
     field = field_from_order(q)
     indices, _, sizes = orbit_partition(quiver, field, d, cap=cap)
-    decode = representation_decoder(quiver, field, d)
+    return representation_decoder(quiver, field, d), indices, sizes
+
+
+def orbit_representatives(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP):
+    """(W, |orbit of W|) for each canonical representative W of Rep(Q, d)
+    over F_q, the lexicographically smallest element of its GL_d-orbit, in
+    lex order.  The partition runs on the call (see ``_orbits``); the
+    representatives are decoded as they are read."""
+    decode, indices, sizes = _orbits(quiver, d, q, cap)
     return ((decode(i), size) for i, size in zip(indices, sizes))
 
 
@@ -113,10 +121,20 @@ class ClassCounts:
 
 
 def classify_classes(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> ClassCounts:
-    """M, I and A from one orbit partition; the cap budgets its q^n points."""
-    ends = [_end_structure(w, size) for w, size in orbit_representatives(quiver, d, q, cap)]
+    """M, I and A from one orbit partition; the cap budgets its q^n points.
+    Every orbit's |Aut W| is read off its size; an orbit whose unit count
+    rules out a local End(W) (``reps._may_be_local``) is decomposable, and
+    only the others are decoded and get a Hom solve."""
+    d = quiver.check_dim(d)
+    decode, indices, sizes = _orbits(quiver, d, q, cap)
+    gl = gl_order(d, q)
+    ends = []
+    for index, size in zip(indices, sizes):
+        units = _orbit_units(gl, size)
+        if _may_be_local(units, q):
+            ends.append(_end_structure(decode(index), units))
     return ClassCounts(
-        iso_classes=len(ends),
+        iso_classes=len(indices),
         indecomposable=sum(end.is_local for end in ends),
         absolutely_indecomposable=sum(end.residue_degree == 1 for end in ends),
     )
@@ -539,12 +557,12 @@ def hua_identity_check(quiver: Quiver, q: int, degree: int, cap: int = DEFAULT_C
         sum_d M_d(q) X^d   and   prod_{d != 0} (1 - X^d)^(-I_d(q)),
 
     with M_d and I_d read off one ``classify_classes`` per d: the orbit
-    partition, its orbit sizes and one ``hom_dim`` per class
-    representative.  The right side's X^d coefficient is the chain's
-    Krull-Schmidt product over the box <= d.  The contract is zero; a q
-    that is not a prime power and a negative degree are refused, at every
-    degree.  Each d's q^n points are charged, in loop order, before q is
-    factored, so a huge q is refused without trial division.
+    partition, its orbit sizes and one ``hom_dim`` per class representative
+    that the unit-count rule leaves open.  The right side's X^d coefficient
+    is the chain's Krull-Schmidt product over the box <= d.  The contract is
+    zero; a q that is not a prime power and a negative degree are refused,
+    at every degree.  Each d's q^n points are charged, in loop order, before
+    q is factored, so a huge q is refused without trial division.
     """
     monomials = [dv for dv in monomials_up_to(len(quiver.vertices), degree) if any(dv)]
     for dv in monomials:

@@ -12,8 +12,9 @@ does no arithmetic.
 
 A matrix's shape is stored, never inferred from its rows: an ``FqMatrix``
 with no rows still has its column count, and every operation carries the
-shape of its result through.  One forward elimination serves ``rank`` and
-``det``; ``rref`` finishes it, and ``kernel_basis`` and ``inverse`` read that.
+shape of its result through.  One forward elimination serves
+``pivot_columns``, ``rank`` and ``det``; ``rref`` finishes it, and
+``kernel_basis`` and ``inverse`` read that.
 """
 
 from __future__ import annotations
@@ -428,8 +429,13 @@ class FqMatrix:
                     m[i][c:] = [f.add(x, f.mul(a, y)) if y else x for x, y in zip(m[i][c:], m[r][c:])]
         return m, pivots
 
+    def pivot_columns(self) -> list[int]:
+        """The pivot columns of the row echelon form, read off the forward
+        elimination alone; rref has the same ones."""
+        return self._echelon()[1]
+
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        return len(self.pivot_columns())
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Basis of {x : Mx = 0}, one vector per free column, in column order."""
@@ -519,22 +525,32 @@ def g_order(d, q: int) -> int:
     return order
 
 
-def gl_generators(field: Field, n: int) -> list[FqMatrix]:
-    """A generating set of GL_n(F_q): adjacent transpositions, one
-    transvection, and diag(zeta, 1, ..., 1) for a primitive zeta."""
+def gl_generators(field: Field, n: int) -> list[tuple[FqMatrix, FqMatrix]]:
+    """A generating set of GL_n(F_q), each generator paired with its inverse:
+    diag(zeta, 1, ..., 1) for a primitive zeta, with inverse
+    diag(zeta^-1, 1, ..., 1); the adjacent transpositions, each its own
+    inverse; and the transvection with 1 at (0, 1), with inverse -1 there.
+    The inverses are written down, not solved for."""
     if n == 0:
         return []
-    gens: list[FqMatrix] = []
+
+    def identity_with(at: tuple[int, int], value: int) -> FqMatrix:
+        return FqMatrix._of(field, n, n, tuple(
+            tuple(value if (i, j) == at else int(i == j) for j in range(n)) for i in range(n)
+        ))
+
+    gens: list[tuple[FqMatrix, FqMatrix]] = []
     zeta = field.primitive_element()
     if zeta != 1:
-        diag = [[zeta if i == j == 0 else (1 if i == j else 0) for j in range(n)] for i in range(n)]
-        gens.append(FqMatrix(field, diag))
+        gens.append((identity_with((0, 0), zeta), identity_with((0, 0), field.inv(zeta))))
     if n >= 2:
         for i in range(n - 1):
-            perm = [[1 if (j == k and j not in (i, i + 1)) or {j, k} == {i, i + 1} else 0 for k in range(n)] for j in range(n)]
-            gens.append(FqMatrix(field, perm))
-        shear = [[1 if i == j else (1 if (i, j) == (0, 1) else 0) for j in range(n)] for i in range(n)]
-        gens.append(FqMatrix(field, shear))
+            swap = {i: i + 1, i + 1: i}
+            perm = FqMatrix._of(field, n, n, tuple(
+                tuple(int(k == swap.get(j, j)) for k in range(n)) for j in range(n)
+            ))
+            gens.append((perm, perm))
+        gens.append((identity_with((0, 1), 1), identity_with((0, 1), field.neg(1))))
     return gens
 
 

@@ -15,8 +15,9 @@ fixed X the moment value is linear in X* and vanishes at X* = 0, so the
 fiber {X* : mu(X, X*) = eta.I} is an affine F_q-space: q^(n - rank) points
 when the linear system is consistent and none otherwise, n = dim Rep(Q, d).
 The fiber size is GL_d-invariant (mu is equivariant, eta.I central), so one
-row reduction per orbit of Rep(Q, d), times its size, replaces the walk of
-the q^(2n) doubled points that ``level_set_points`` keeps as brute oracle.
+forward elimination per orbit of Rep(Q, d), whose pivot columns give the
+rank and consistency, times its size, replaces the walk of the q^(2n)
+doubled points that ``level_set_points`` keeps as brute oracle.
 Each route is charged with what it walks: the fiber route with the q^n
 points of the orbit partition, the oracle with the q^(2n) doubled points.
 The system is read off the formula above, not from ``hom_space``, so the
@@ -35,9 +36,17 @@ from .errors import (
     ValidationError,
     DEFAULT_CAP,
 )
-from .ffield import Field, FqMatrix, field_from_order, g_order
+from .ffield import Field, FqMatrix, field_from_order, g_order, gl_order
 from .quiver import Quiver, is_generic, pairing
-from .reps import Representation, _charge_space, _end_structure, _ext1_from_hom, all_representations, arrow_shapes
+from .reps import (
+    Representation,
+    _charge_space,
+    _end_structure,
+    _ext1_from_hom,
+    _orbit_units,
+    all_representations,
+    arrow_shapes,
+)
 from .counting import classify_classes, orbit_representatives
 from .series import ExactPolynomial
 
@@ -174,7 +183,7 @@ def _fiber_sizes(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
                 trace = field.add(trace, system[e][u])
             if trace:
                 raise ConsistencyError("moment value escaped the trace-zero subalgebra")
-        _, pivots = FqMatrix(field, system).rref()
+        pivots = FqMatrix(field, system).pivot_columns()
         yield x, size, 0 if n in pivots else q ** (n - len(pivots))
 
 
@@ -279,11 +288,12 @@ def lifting_fiber_check(
     quiver: Quiver, d, theta, q: int, cap: int = DEFAULT_CAP
 ) -> LiftingCheck:
     d, theta = _check_generic(quiver, d, theta)
+    gl = gl_order(d, q)
     level_count = 0
     counterexample = None
     for w, size, observed in _fiber_sizes(quiver, d, theta, q, cap=cap):
         level_count += size * observed
-        end = _end_structure(w, size)
+        end = _end_structure(w, _orbit_units(gl, size))
         # q^(dim Ext^1(W, W)) over an indecomposable W, read off dim End(W); else empty
         expected = q ** _ext1_from_hom(quiver, end.dim_end, d, d) if end.is_local else 0
         # both sides are iso-invariant, so the first offending orbit holds the lex-first point

@@ -14,9 +14,10 @@ yields a permutation of indices.  That matrix is read off the entries of g
 and g^-1, one arrow block at a time (see ``_action_matrix``): g at v sends
 X_a to g X_a on an arrow with head v, to X_a g^-1 on one with tail v, and
 both on a loop at v, so a unit entry of arrow a spreads only over a's own
-block, and no point is decoded and no matrix product is taken.  The
-accumulator dtype is chosen so that no sum of products wraps, so the images
-are exact for every F_{p^k}.
+block.  ``ffield.gl_generators`` hands over each generator with its inverse
+in closed form, so no point is decoded, no matrix product is taken and no
+matrix is inverted.  The accumulator dtype is chosen so that no sum of
+products wraps, so the images are exact for every F_{p^k}.
 
 Orbits are then found by min-label propagation (Shiloach and Vishkin,
 J. Algorithms 3, 1982) over those permutations: every point starts labelled
@@ -64,27 +65,28 @@ def _accumulator(width: int, p: int):
     return np.int32 if bound < 2**31 else np.int64
 
 
-def _action_matrix(quiver: Quiver, field: Field, d, width: int, v: int, g) -> list[list[int]]:
+def _action_matrix(quiver: Quiver, field: Field, d, width: int, v: int, g, g_inv) -> list[list[int]]:
     """Transpose of the F_p-linear map X -> g.X on the ``width`` base-p digits
     of a point, with g acting at vertex v: row s holds the digits of the image
     of the unit point whose only nonzero digit is digit s (most significant
     first).
 
-    The rows are read off the entries of g and g^-1, arrow block by arrow
-    block.  For arrow a put left = g if a's head is v and right = g^-1 if
-    its tail is v, each the identity otherwise.  The unit point with value
-    beta = x^t at entry (i, j) of a goes to left[x][i] * beta * right[j][y]
-    at each entry (x, y) of a and to 0 on every other arrow, so an arrow
-    that does not touch v contributes an identity block.
+    The rows are read off the entries of g and its inverse ``g_inv``, arrow
+    block by arrow block.  For arrow a put left = g if a's head is v and
+    right = g^-1 if its tail is v, each the identity otherwise.  The unit
+    point with value beta = x^t at entry (i, j) of a goes to
+    left[x][i] * beta * right[j][y] at each entry (x, y) of a and to 0 on
+    every other arrow, so an arrow that does not touch v contributes an
+    identity block.
     """
     k = field.k
     units = [field.p**t for t in range(k - 1, -1, -1)]  # x^t in digit order
-    g_rows, ginv_rows = g.entries, g.inverse().entries
+    identity = {n: FqMatrix.identity(field, n).entries for n in set(d)}
     rows = []
     offset = 0
     for (r, c), a in zip(arrow_shapes(quiver, d), quiver.arrows):
-        left = g_rows if quiver.vertex_index[a.head] == v else FqMatrix.identity(field, r).entries
-        right = ginv_rows if quiver.vertex_index[a.tail] == v else FqMatrix.identity(field, c).entries
+        left = g.entries if quiver.vertex_index[a.head] == v else identity[r]
+        right = g_inv.entries if quiver.vertex_index[a.tail] == v else identity[c]
         for i in range(r):
             column = [(x, left[x][i]) for x in range(r) if left[x][i]]
             for j in range(c):
@@ -157,7 +159,7 @@ def orbit_partition(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
     if n_entries == 0:
         return [0], 1, [1]
 
-    generators = [(v, g) for v, dv in enumerate(d) for g in gl_generators(field, dv)]
+    generators = [(v, g, g_inv) for v, dv in enumerate(d) for g, g_inv in gl_generators(field, dv)]
     if not generators:
         return list(range(n_points)), n_points, [1] * n_points
 
@@ -169,8 +171,8 @@ def orbit_partition(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
         digits[:, j] = (idx // power) % p
 
     perms = []
-    for v, g in generators:
-        action_t = np.array(_action_matrix(quiver, field, d, width, v, g), dtype=acc)
+    for v, g, g_inv in generators:
+        action_t = np.array(_action_matrix(quiver, field, d, width, v, g, g_inv), dtype=acc)
         perms.append(_images(digits, action_t, p, powers))
     del digits  # n_points x width, no longer needed: keep it out of the labels' peak
 

@@ -20,7 +20,7 @@ from .errors import (
     check_cap,
     DEFAULT_CAP,
 )
-from .ffield import Field, FqMatrix, gaussian_binomial, gl_order, grassmannian, make_field
+from .ffield import Field, FqMatrix, gaussian_binomial, grassmannian, make_field
 from .quiver import Quiver, iter_proper_subdims, pairing
 
 
@@ -45,6 +45,18 @@ class Representation:
             if m.field != field:
                 raise ValidationError(f"matrix for arrow {a.id!r} lives over the wrong field")
         self.maps = maps
+
+    @classmethod
+    def _of(cls, quiver: Quiver, field: Field, d: tuple[int, ...], maps: tuple) -> "Representation":
+        """The representation of dimension vector ``d``, as ``check_dim``
+        returns it, with ``maps``, a tuple of one matrix over ``field`` per
+        arrow, each of its arrow's shape, taken as given."""
+        w = cls.__new__(cls)
+        w.quiver = quiver
+        w.field = field
+        w.d = d
+        w.maps = maps
+        return w
 
     @classmethod
     def zero(cls, quiver: Quiver, field: Field, d) -> "Representation":
@@ -95,15 +107,20 @@ def representation_decoder(quiver: Quiver, field: Field, d):
     Rep(Q, d) over ``field``: the entry key read as a base-q number, most
     significant digit first, so index order is lexicographic order.
 
-    d, the arrow shapes and the digit weights are worked out once, here.
-    Each call refuses an index outside 0..q^n - 1, reads one base-q digit
-    per entry off the index, cuts those entries into one matrix per arrow,
-    and builds the representation through its checking constructor, which
-    validates d and every map's shape again."""
+    d, the arrow shapes, the digit weights and each matrix row's slice of
+    the entries are worked out once, here, so each call checks nothing again
+    but the index: it refuses one outside 0..q^n - 1, reads one base-q digit
+    per entry off the index, and cuts those entries into one matrix per
+    arrow, built by the trusted constructors ``FqMatrix._of`` and
+    ``Representation._of``."""
     d = quiver.check_dim(d)
     shapes = arrow_shapes(quiver, d)
-    starts = list(itertools.accumulate((r * c for r, c in shapes), initial=0))
-    n_entries = starts[-1]
+    starts = itertools.accumulate((r * c for r, c in shapes), initial=0)
+    # per arrow: its shape, and the (start, stop) of each of its rows among the entries
+    layout = [
+        (r, c, [(s + i * c, s + (i + 1) * c) for i in range(r)]) for (r, c), s in zip(shapes, starts)
+    ]
+    n_entries = sum(r * c for r, c in shapes)
     q = field.q
     n_points = q**n_entries
     weights = [q**k for k in range(n_entries - 1, -1, -1)]  # first entry most significant
@@ -112,10 +129,11 @@ def representation_decoder(quiver: Quiver, field: Field, d):
         if not 0 <= index < n_points:
             raise ValidationError(f"point index {index} is outside 0..{n_points - 1}")
         flat = [index // w % q for w in weights]
-        maps = [
-            FqMatrix.from_flat(field, r, c, flat[s : s + r * c]) for (r, c), s in zip(shapes, starts)
-        ]
-        return Representation(quiver, field, d, maps)
+        maps = tuple([
+            FqMatrix._of(field, r, c, tuple([tuple(flat[start:stop]) for start, stop in rows]))
+            for r, c, rows in layout
+        ])
+        return Representation._of(quiver, field, d, maps)
 
     return decode
 
@@ -331,14 +349,35 @@ def endo_structure(w: Representation, cap: int = DEFAULT_CAP) -> EndoStructure:
     return _local_structure(dim_end, units, w.field.q)
 
 
-def _end_structure(w: Representation, orbit_size: int) -> EndoStructure:
-    """End(W) from |Aut W| = |GL_d| / orbit_size (Aut W is W's stabilizer) and
-    hom_dim(W, W); an orbit size that does not divide |GL_d| is a hard error."""
-    order = gl_order(w.d, w.field.q)
-    units, rem = divmod(order, orbit_size)
+def _orbit_units(gl: int, orbit_size: int) -> int:
+    """|Aut W| = |GL_d| / orbit_size, with |GL_d| = ``gl`` (Aut W is W's
+    stabilizer); an orbit size that does not divide |GL_d| is a hard error."""
+    units, rem = divmod(gl, orbit_size)
     if rem:
-        raise ConsistencyError(f"orbit of size {orbit_size} does not divide |GL_d| = {order}")
+        raise ConsistencyError(f"orbit of size {orbit_size} does not divide |GL_d| = {gl}")
+    return units
+
+
+def _end_structure(w: Representation, units: int) -> EndoStructure:
+    """End(W) from its number of units, |Aut W| (see ``_orbit_units``), and
+    dim End(W) = hom_dim(W, W)."""
     return _local_structure(hom_dim(w, w), units, w.field.q)
+
+
+def _may_be_local(units: int, q: int) -> bool:
+    """False when an End(W) with ``units`` units cannot be local, which
+    needs no Hom solve: a local End(W) of dimension e with residue field
+    F_{q^r} has q^(e-r) (q^r - 1) units, and q^r - 1 is prime to q, so
+    ``units`` with every factor q removed is then q^r - 1, one less than a
+    power q^r with r >= 1.  True does not prove End(W) local."""
+    if units < 1:
+        raise ConsistencyError(f"an endomorphism ring has at least one unit, not {units}")
+    while units % q == 0:
+        units //= q
+    power = units + 1
+    while power % q == 0:
+        power //= q
+    return power == 1
 
 
 def _local_structure(dim_end: int, units: int, q: int) -> EndoStructure:

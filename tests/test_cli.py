@@ -773,7 +773,7 @@ def _assert_lookups_agree_with_the_full_parse(path):
     with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         stored = [line.strip() for line in fh]
     for h in POOL_HASHES:
-        own = '{"hash":' + json.dumps(h) + ","
+        own = '{"hash":' + json.dumps(h)
         foreign = {n for n, line in enumerate(stored, start=1)
                    if line.startswith('{"hash":"') and not line.startswith(own)}
         for op in POOL_OPS:
@@ -832,6 +832,9 @@ HIGH = _canonical_line("ff", "kac", {"d": [1, 1]}, "v1", 1)
 REORDERED = json.dumps(
     {"version": "v1", "result": "reordered", "params": {"d": [1, 1]}, "op": "kac", "hash": "0f3a"}
 ).encode() + b"\n"
+# the asked record with JSON whitespace between the hash and its comma
+CR_BEFORE_COMMA = ASKED.replace(b'"0f3a",', b'"0f3a"\r,')
+SPACE_BEFORE_COMMA = ASKED.replace(b'"0f3a",', b'"0f3a" ,')
 PROOF_BLOCKS = {
     "asked first": [ASKED, HIGH, LOW, PREFIXED],
     "asked least at or after its prefix": [LOW, HIGH, ASKED, LOW],
@@ -845,6 +848,8 @@ PROOF_BLOCKS = {
     "bare record prefix": [LOW, b'{"hash":"\n', HIGH, ASKED],
     "asked last, no final newline": [LOW, HIGH, PREFIXED, ASKED.rstrip(b"\n")],
     "foreign last, no final newline": [LOW, ASKED, HIGH, PREFIXED.rstrip(b"\n")],
+    "asked record, carriage return before the comma": [LOW, HIGH, CR_BEFORE_COMMA, PREFIXED],
+    "asked record, space before the comma": [LOW, SPACE_BEFORE_COMMA, HIGH, LOW],
 }
 
 
@@ -853,8 +858,10 @@ def test_block_proof_agrees_with_the_full_parse(tmp_path, block):
     # a block of foreign records, then the block under test
     path = tmp_path / "cache.jsonl"
     path.write_bytes(b"".join([LOW, PREFIXED, HIGH, LOW, *block]))
-    with mock.patch.object(cache, "_BLOCK_LINES", 4):
-        _assert_lookups_agree_with_the_full_parse(str(path))
+    # blocks of four lines, and the real size, which holds the file in one
+    for size in (4, cache._BLOCK_LINES):
+        with mock.patch.object(cache, "_BLOCK_LINES", size):
+            _assert_lookups_agree_with_the_full_parse(str(path))
 
 
 def test_lookup_matches_lines_only_in_blocks_that_fail_the_proof(tmp_path, monkeypatch):

@@ -443,10 +443,10 @@ def test_action_matrix_matches_decode_and_multiply(name, q):
             group = gl_generators(field, dv)
             if dv >= 2:
                 dense = dense_invertible(field, dv)
-                assert dense.is_invertible() and dense not in group
-                group = group + [dense]
-            for g in group:
-                got = orbits._action_matrix(quiver, field, d, width, v, g)
+                assert dense.is_invertible() and dense not in [g for g, _ in group]
+                group = group + [(dense, dense.inverse())]
+            for g, g_inv in group:
+                got = orbits._action_matrix(quiver, field, d, width, v, g, g_inv)
                 assert len(got) == width and all(len(row) == width for row in got)
                 assert got == action_matrix_by_multiplication(quiver, field, d, width, v, g)
                 checked += 1
@@ -459,25 +459,102 @@ def test_orbit_partition_decodes_and_multiplies_nothing(monkeypatch):
 
     monkeypatch.setattr(reps, "representation_decoder", forbidden)
     monkeypatch.setattr(FqMatrix, "mul", forbidden)
+    monkeypatch.setattr(FqMatrix, "inverse", forbidden)
+    monkeypatch.setattr(FqMatrix, "rref", forbidden)
     monkeypatch.setattr(reps.Representation, "__init__", forbidden)
     for name, d, q in [("kron2", (2, 1), 4), ("loop+arrow", (2, 1), 3), ("jordan", (2,), 9)]:
         canonical, n_points, sizes = orbit_partition(QUIVERS[name], field_from_order(q), d)
         assert sum(sizes) == n_points and len(canonical) > 1
 
 
+def unit_counts_of_local_rings(q, bound):
+    """Independent statement of the unit-count rule: every q^a (q^r - 1) with
+    a >= 0 and r >= 1 up to ``bound``, the unit counts a local F_q-algebra
+    can have."""
+    counts = set()
+    r = 1
+    while q**r - 1 <= bound:
+        a = 0
+        while q**a * (q**r - 1) <= bound:
+            counts.add(q**a * (q**r - 1))
+            a += 1
+        r += 1
+    return counts
+
+
+RULE_DIMS = {
+    "jordan": [(2,), (3,)],
+    "kron2": [(2, 1), (2, 2)],
+    "kron3": [(1, 1)],
+    "a2": [(2, 2)],
+    "loop+arrow": [(1, 1)],
+}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_unit_count_rule_never_rules_out_a_local_end_ring(q):
+    # on small unit counts, and on every orbit's, the rule is its arithmetic statement
+    small = range(1, 2000)
+    local_counts = unit_counts_of_local_rings(q, small[-1])
+    assert [u for u in small if reps._may_be_local(u, q)] == sorted(local_counts)
+    checked = ruled_out = 0
+    for name, dims in RULE_DIMS.items():
+        quiver = QUIVERS[name]
+        for d in dims:
+            if q ** sum(r * c for r, c in reps.arrow_shapes(quiver, d)) > DEFAULT_CAP:
+                continue
+            gl = gl_order(d, q)
+            for w, size in orbit_representatives(quiver, d, q):
+                units = gl // size
+                end = reps._end_structure(w, units)  # the Hom route
+                allowed = reps._may_be_local(units, q)
+                assert allowed == (units in unit_counts_of_local_rings(q, units)), (name, d, w)
+                assert allowed or not end.is_local, (name, d, w)
+                checked += 1
+                ruled_out += not allowed
+            counts = classify_classes(quiver, d, q)
+            try:
+                assert counts == class_counts_by_hua(quiver, d, q)
+            except CapExceeded:
+                pass
+    assert checked > 0 and ruled_out > 0
+
+
+def orbits_left_open(quiver, d, q):
+    """The canonical indices of the orbits whose unit count does not rule
+    out a local End(W)."""
+    indices, _, sizes = orbit_partition(quiver, field_from_order(q), d)
+    gl = gl_order(d, q)
+    return [i for i, size in zip(indices, sizes) if reps._may_be_local(gl // size, q)]
+
+
 @pytest.mark.parametrize("name,d,q", [("kron2", (2, 1), 3), ("jordan", (2,), 4), ("loop+arrow", (1, 1), 3)])
 def test_classify_builds_one_representation_per_orbit(name, d, q, monkeypatch):
-    built = []
-    init = reps.Representation.__init__
+    # one decode, and so one Hom solve, per orbit the unit-count rule leaves open
+    decoded = []
+    solved = []
+    make_decoder, solve = counting.representation_decoder, reps.hom_dim
 
-    def counted(self, *args, **kwargs):
-        built.append(args[2] if len(args) > 2 else kwargs["d"])
-        init(self, *args, **kwargs)
+    def counted_decoder(*args):
+        decode = make_decoder(*args)
 
-    monkeypatch.setattr(reps.Representation, "__init__", counted)
+        def counted(index):
+            decoded.append(index)
+            return decode(index)
+
+        return counted
+
+    def counted_solve(w1, w2):
+        solved.append(w1.d)
+        return solve(w1, w2)
+
+    monkeypatch.setattr(counting, "representation_decoder", counted_decoder)
+    monkeypatch.setattr(reps, "hom_dim", counted_solve)
     counts = classify_classes(QUIVERS[name], d, q)
-    assert len(built) == counts.iso_classes
-    assert set(built) == {d}
+    open_orbits = orbits_left_open(QUIVERS[name], d, q)
+    assert decoded == open_orbits
+    assert len(solved) == len(open_orbits) < counts.iso_classes
+    assert set(solved) == {d}
 
 
 def test_decoder_is_the_inverse_of_the_encoding(kron2, jordan, f2, f3, f4):

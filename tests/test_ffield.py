@@ -9,6 +9,7 @@ from quiverforge import ffield
 from quiverforge.errors import SingularMatrixError
 from quiverforge.ffield import (
     Field,
+    field_from_order,
     _poly_is_irreducible,
     gaussian_binomial,
     gl_generators,
@@ -244,6 +245,7 @@ def test_elimination_matches_brute_oracles(q):
             assert q**rank == len(span)
             reduced, pivots = m.rref()
             assert len(pivots) == rank
+            assert m.pivot_columns() == pivots
             assert _row_span(field, reduced, cols) == span
             assert all(not any(row) for row in reduced[rank:])
             for r, c in enumerate(pivots):
@@ -348,12 +350,22 @@ def test_gl_generators_generate(p, k, n):
     while frontier:
         entries = frontier.pop()
         m = FqMatrix(field, entries)
-        for g in gens:
+        for g, _ in gens:
             image = g.mul(m).entries
             if image not in seen:
                 seen.add(image)
                 frontier.append(image)
     assert len(seen) == gl_order((n,), field.q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_gl_generators_come_with_their_inverses(q):
+    field = field_from_order(q)
+    for n in range(4):
+        identity = FqMatrix.identity(field, n)
+        for g, g_inv in gl_generators(field, n):
+            assert g.mul(g_inv) == identity
+            assert g_inv.mul(g) == identity
 
 
 # -- subspace enumeration

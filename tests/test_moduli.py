@@ -429,7 +429,7 @@ def test_generic_theta_forces_an_indivisible_d(d, raw):
 def test_lifting_reports_the_lex_first_counterexample(kron2, monkeypatch):
     # with every End ring reported local, the zero representation (empty
     # fiber) is the first point whose fiber disagrees
-    def all_local(w, orbit_size):
+    def all_local(w, units):
         return reps.EndoStructure(dim_end=1, is_local=True, dim_radical=0, residue_degree=1)
 
     monkeypatch.setattr(moduli, "_end_structure", all_local)
