@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .cache import cache_lookup, cache_store
+from .cache import _canonical, cache_lookup, cache_store
 from .counting import (
     count_report,
     hua_identity_check,
@@ -113,7 +113,7 @@ def parse_quiver(text: str) -> tuple[Quiver, dict, dict]:
 
 def serialize_quiver(quiver: Quiver) -> str:
     """Bit-exact canonical serialization: sorted keys, no extra whitespace."""
-    return json.dumps(quiver.canonical_dict(), sort_keys=True, separators=(",", ":"))
+    return _canonical(quiver.canonical_dict())
 
 
 def load_quiver_file(path: str) -> tuple[Quiver, dict, dict]:
@@ -144,7 +144,7 @@ def _emit(payload: dict, summary: str, text_mode: bool) -> None:
     if text_mode:
         print(summary)
     else:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(_canonical(payload))
         print(summary, file=sys.stderr)
 
 

@@ -49,9 +49,16 @@ from .errors import (
     DEFAULT_CAP,
 )
 from .ffield import field_from_order, gl_order, prime_power
-from .orbits import _charge_points, orbit_partition
+from .orbits import _PARTITION_CHARGE, orbit_partition
 from .quiver import Quiver
-from .reps import _end_structure, _may_be_local, _orbit_units, representation_decoder
+from .reps import (
+    _charge_space,
+    _end_structure,
+    _may_be_local,
+    _orbit_units,
+    arrow_shapes,
+    representation_decoder,
+)
 from .series import ExactPolynomial, lagrange_interpolate, monomials_up_to
 
 
@@ -93,7 +100,7 @@ def _orbits(quiver: Quiver, d, q: int, cap: int):
     """(decode, canonical indices, orbit sizes) of Rep(Q, d) over F_q; the
     partition's q^n points are charged against the cap before q is factored,
     so a huge q is refused without trial division."""
-    _charge_points(quiver, d, q, cap)
+    _charge_space(arrow_shapes(quiver, d), q, cap, _PARTITION_CHARGE)
     field = field_from_order(q)
     indices, _, sizes = orbit_partition(quiver, field, d, cap=cap)
     return representation_decoder(quiver, field, d), indices, sizes
@@ -566,7 +573,7 @@ def hua_identity_check(quiver: Quiver, q: int, degree: int, cap: int = DEFAULT_C
     """
     monomials = [dv for dv in monomials_up_to(len(quiver.vertices), degree) if any(dv)]
     for dv in monomials:
-        _charge_points(quiver, dv, q, cap)
+        _charge_space(arrow_shapes(quiver, dv), q, cap, _PARTITION_CHARGE)
     field_from_order(q)
     if degree < 0:
         raise ValidationError(f"the degree bound must be nonnegative, got {degree}")

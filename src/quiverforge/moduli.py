@@ -14,19 +14,26 @@ Rep(Q, d) (Crawley-Boevey & Van den Bergh, Invent. Math. 155, 2004).  For a
 fixed X the moment value is linear in X* and vanishes at X* = 0, so the
 fiber {X* : mu(X, X*) = eta.I} is an affine F_q-space: q^(n - rank) points
 when the linear system is consistent and none otherwise, n = dim Rep(Q, d).
-The fiber size is GL_d-invariant (mu is equivariant, eta.I central), so one
-forward elimination per orbit of Rep(Q, d), whose pivot columns give the
-rank and consistency, times its size, replaces the walk of the q^(2n)
-doubled points that ``level_set_points`` keeps as brute oracle.
+That system is X's Hom system transposed (Crawley-Boevey, Compositio Math.
+126, 2001): under the trace pairing
+
+    sum_v tr(mu_v f_v) = sum_a tr(X*_a (f_head X_a - X_a f_tail)),
+
+so X* -> mu(X, X*) is the transpose of f -> (f_head X_a - X_a f_tail), the
+map ``reps._hom_system`` builds and whose kernel is End(X).  Its rank gives
+the fiber and dim End(X) = sum d_v^2 - rank at once.  The fiber size is
+GL_d-invariant (mu is equivariant, eta.I central), so one forward
+elimination per orbit of Rep(Q, d), whose pivot columns give the rank and
+consistency, times its size, replaces the walk of the q^(2n) doubled points.
+That walk, ``level_set_points``, stays as the independent oracle: it
+evaluates ``moment_map`` through ``FqMatrix.mul`` and shares no code with
+``reps._hom_system``.
 Each route is charged with what it walks: the fiber route with the q^n
 points of the orbit partition, the oracle with the q^(2n) doubled points.
-The system is read off the formula above, not from ``hom_space``, so the
-fibers are independent of the ``hom_dim`` that ``lifting_fiber_check`` uses.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -41,8 +48,9 @@ from .quiver import Quiver, is_generic, pairing
 from .reps import (
     Representation,
     _charge_space,
-    _end_structure,
     _ext1_from_hom,
+    _hom_system,
+    _local_structure,
     _orbit_units,
     all_representations,
     arrow_shapes,
@@ -118,7 +126,7 @@ def level_set_points(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
     walk of the whole doubled space: the brute oracle for ``_fiber_sizes``.
     The q^(2n) doubled points are charged before q is factored."""
     doubled = _doubled(quiver)
-    _charge_space(doubled, d, q, cap)
+    _charge_space(arrow_shapes(doubled, d), q, cap)
     field = field_from_order(q)
     targets = _relation_targets(doubled, field, d, eta)
     for w in all_representations(doubled, field, d, cap=cap):
@@ -126,70 +134,42 @@ def level_set_points(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
             yield w
 
 
-def _fiber_terms(half: Quiver, d) -> tuple[list[tuple[int, int, int, bool]], list[int]]:
-    """The linear map X* -> mu(X, X*) as terms (equation, unknown, entry of X,
-    negated), and the equations on the diagonals of the moment value.
-
-    Equation (v, r, c) is entry (r, c) of the moment value at v, numbered
-    vertex-major then row-major; unknown X*_a[i][j] is numbered arrow-major
-    then row-major; the entry of X is a position in its entry key.
-    """
-    offsets = list(itertools.accumulate((dv * dv for dv in d), initial=0))
-    diagonal = [offsets[v] + r * (dv + 1) for v, dv in enumerate(d) for r in range(dv)]
-    terms = []
-    unknown = pos = 0
-    for a, (dh, dt) in zip(half.arrows, arrow_shapes(half, d)):
-        h, t = half.vertex_index[a.head], half.vertex_index[a.tail]
-        for i in range(dt):
-            for j in range(dh):
-                # (X_a X*_a)[r][j] at the head, -(X*_a X_a)[i][c] at the tail
-                for r in range(dh):
-                    terms.append((offsets[h] + r * dh + j, unknown, pos + r * dt + i, False))
-                for c in range(dt):
-                    terms.append((offsets[t] + i * dt + c, unknown, pos + j * dt + c, True))
-                unknown += 1
-        pos += dh * dt
-    return terms, diagonal
-
-
 def _fiber_sizes(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
-    """(X, |orbit of X|, |{X* : mu(X, X*) = eta.I}|) for each canonical
-    GL_d-orbit representative X of Rep(Q, d), in lex order.
+    """(X, |orbit of X|, |{X* : mu(X, X*) = eta.I}|, dim End(X)) for each
+    canonical GL_d-orbit representative X of Rep(Q, d), in lex order.
 
     For a doubled quiver the forward arrows carry X and their partners X*.
     The walk is the orbit partition of Rep(Q, d), which charges the cap with
-    its q^n points before q is factored and the fiber system is built.
+    its q^n points before q is factored and any system is built.  X's fiber
+    system is its Hom system transposed (see the module docstring), with
+    (eta_v mod p) at the diagonal unknowns of each f_v on the right side.
     """
-    doubled = _doubled(quiver)
-    eta = doubled.check_vector(eta, name="deformation parameter")
-    d = doubled.check_dim(d)
     half = Quiver(quiver.vertices, quiver.forward_arrows()) if quiver.is_doubled else quiver
-    n = sum(r * c for r, c in arrow_shapes(half, d))
+    eta = half.check_vector(eta, name="deformation parameter")
+    d = half.check_dim(d)
     orbits = orbit_representatives(half, d, q, cap)
     field = field_from_order(q)
-    rhs = [x for m in _relation_targets(doubled, field, d, eta) for x in m.flat()]
-    terms, diagonal = _fiber_terms(half, d)
+    # f = (f_v) flat, vertex-major then row-major, as _hom_system numbers it
+    rhs = [x for m in _relation_targets(half, field, d, eta) for x in m.flat()]
+    identity = [x for dv in d for x in FqMatrix.identity(field, dv).flat()]
     for x, size in orbits:
-        flat = x.entry_key()
-        system = [[0] * n + [b] for b in rhs]
-        for e, u, p, negated in terms:
-            if flat[p]:
-                term = field.neg(flat[p]) if negated else flat[p]
-                system[e][u] = field.add(system[e][u], term)
-        # mu(X, X*) has total trace 0 for every X* iff each column does
-        for u in range(n):
-            trace = 0
-            for e in diagonal:
-                trace = field.add(trace, system[e][u])
-            if trace:
-                raise ConsistencyError("moment value escaped the trace-zero subalgebra")
-        pivots = FqMatrix(field, system).pivot_columns()
-        yield x, size, 0 if n in pivots else q ** (n - len(pivots))
+        system, _ = _hom_system(x, x)
+        n = system.rows
+        # the identity is an endomorphism, so mu(X, X*) has trace 0 for every X*
+        if any(system.apply(identity)):
+            raise ConsistencyError("moment value escaped the trace-zero subalgebra")
+        # with n = 0 there are no equations to zip, but still sum d_v^2 unknowns
+        columns = list(zip(*system.entries)) or [()] * system.cols
+        augmented = tuple([column + (b,) for column, b in zip(columns, rhs)])
+        pivots = FqMatrix._of(field, system.cols, n + 1, augmented).pivot_columns()
+        rank = len(pivots) - (n in pivots)
+        fiber = 0 if n in pivots else q ** (n - rank)
+        yield x, size, fiber, system.cols - rank
 
 
 def enumerate_level_set(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP) -> int:
     """|mu^-1(eta.I)| in the doubled space, summed orbit by orbit over Rep(Q, d)."""
-    return sum(size * fiber for _, size, fiber in _fiber_sizes(quiver, d, eta, q, cap=cap))
+    return sum(size * fiber for _, size, fiber, _ in _fiber_sizes(quiver, d, eta, q, cap=cap))
 
 
 def _check_generic(quiver: Quiver, d, theta) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -252,8 +232,8 @@ class CbvdbCheck:
 def cbvdb_identity_check(
     quiver: Quiver, d, theta, q: int, cap: int = DEFAULT_CAP
 ) -> CbvdbCheck:
-    """Compare the moduli point count with q^e times the absolutely
-    indecomposable count; both sides brute force."""
+    """Compare the moduli point count, from the fiber pass, with q^e times
+    the absolutely indecomposable count of ``classify_classes``."""
     d, theta = _check_generic(quiver, d, theta)
     e = quiver.expected_moduli_dim(d)
     if e < 0:
@@ -291,11 +271,11 @@ def lifting_fiber_check(
     gl = gl_order(d, q)
     level_count = 0
     counterexample = None
-    for w, size, observed in _fiber_sizes(quiver, d, theta, q, cap=cap):
+    for w, size, observed, dim_end in _fiber_sizes(quiver, d, theta, q, cap=cap):
         level_count += size * observed
-        end = _end_structure(w, _orbit_units(gl, size))
+        end = _local_structure(dim_end, _orbit_units(gl, size), q)
         # q^(dim Ext^1(W, W)) over an indecomposable W, read off dim End(W); else empty
-        expected = q ** _ext1_from_hom(quiver, end.dim_end, d, d) if end.is_local else 0
+        expected = q ** _ext1_from_hom(quiver, dim_end, d, d) if end.is_local else 0
         # both sides are iso-invariant, so the first offending orbit holds the lex-first point
         if observed != expected and counterexample is None:
             counterexample = w.entry_key()

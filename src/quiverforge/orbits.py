@@ -38,10 +38,13 @@ that never partition a representation space never load it.
 
 from __future__ import annotations
 
-from .errors import ValidationError, check_cap, DEFAULT_CAP
+from .errors import ValidationError, DEFAULT_CAP
 from .ffield import Field, FqMatrix, gl_generators
 from .quiver import Quiver
-from .reps import arrow_shapes
+from .reps import _charge_space, arrow_shapes
+
+# how a cap refusal names the q^n points an orbit partition walks
+_PARTITION_CHARGE = "orbit enumeration of the representation space"
 
 np = None  # numpy, bound by _bind_numpy on first use
 
@@ -65,11 +68,11 @@ def _accumulator(width: int, p: int):
     return np.int32 if bound < 2**31 else np.int64
 
 
-def _action_matrix(quiver: Quiver, field: Field, d, width: int, v: int, g, g_inv) -> list[list[int]]:
+def _action_matrix(quiver: Quiver, field: Field, shapes, width: int, v: int, g, g_inv) -> list[list[int]]:
     """Transpose of the F_p-linear map X -> g.X on the ``width`` base-p digits
-    of a point, with g acting at vertex v: row s holds the digits of the image
-    of the unit point whose only nonzero digit is digit s (most significant
-    first).
+    of a point of Rep(Q, d), d given by its ``arrow_shapes``, with g acting at
+    vertex v: row s holds the digits of the image of the unit point whose only
+    nonzero digit is digit s (most significant first).
 
     The rows are read off the entries of g and its inverse ``g_inv``, arrow
     block by arrow block.  For arrow a put left = g if a's head is v and
@@ -81,10 +84,11 @@ def _action_matrix(quiver: Quiver, field: Field, d, width: int, v: int, g, g_inv
     """
     k = field.k
     units = [field.p**t for t in range(k - 1, -1, -1)]  # x^t in digit order
-    identity = {n: FqMatrix.identity(field, n).entries for n in set(d)}
+    sizes = {n for shape in shapes for n in shape}
+    identity = {n: FqMatrix.identity(field, n).entries for n in sizes}
     rows = []
     offset = 0
-    for (r, c), a in zip(arrow_shapes(quiver, d), quiver.arrows):
+    for (r, c), a in zip(shapes, quiver.arrows):
         left = g.entries if quiver.vertex_index[a.head] == v else identity[r]
         right = g_inv.entries if quiver.vertex_index[a.tail] == v else identity[c]
         for i in range(r):
@@ -137,14 +141,6 @@ def _min_labels(idx, perms):
     return labels
 
 
-def _charge_points(quiver: Quiver, d, q: int, cap: int) -> tuple[int, int]:
-    """(n, q^n) for Rep(Q, d) = F_q^n, charged against the cap before any field is built."""
-    n_entries = sum(r * c for r, c in arrow_shapes(quiver, d))
-    n_points = q**n_entries
-    check_cap(n_points, cap, "orbit enumeration of the representation space")
-    return n_entries, n_points
-
-
 def orbit_partition(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
     """Partition the representation space into GL_d-orbits.
 
@@ -153,7 +149,9 @@ def orbit_partition(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
     each listed orbit.
     """
     d = quiver.check_dim(d)
-    n_entries, n_points = _charge_points(quiver, d, field.q, cap)
+    shapes = arrow_shapes(quiver, d)
+    n_points = _charge_space(shapes, field.q, cap, _PARTITION_CHARGE)
+    n_entries = sum(r * c for r, c in shapes)
     p, width = field.p, n_entries * field.k
     acc = _accumulator(width, p)
     if n_entries == 0:
@@ -172,7 +170,7 @@ def orbit_partition(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
 
     perms = []
     for v, g, g_inv in generators:
-        action_t = np.array(_action_matrix(quiver, field, d, width, v, g, g_inv), dtype=acc)
+        action_t = np.array(_action_matrix(quiver, field, shapes, width, v, g, g_inv), dtype=acc)
         perms.append(_images(digits, action_t, p, powers))
     del digits  # n_points x width, no longer needed: keep it out of the labels' peak
 

@@ -36,8 +36,7 @@ class Representation:
         maps = tuple(maps)
         if len(maps) != len(quiver.arrows):
             raise ValidationError("one matrix per arrow required")
-        for a, m in zip(quiver.arrows, maps):
-            want = (self.d[quiver.vertex_index[a.head]], self.d[quiver.vertex_index[a.tail]])
+        for a, m, want in zip(quiver.arrows, maps, arrow_shapes(quiver, self.d)):
             if (m.rows, m.cols) != want:
                 raise ValidationError(
                     f"matrix for arrow {a.id!r} has shape {(m.rows, m.cols)}, expected {want}"
@@ -138,16 +137,17 @@ def representation_decoder(quiver: Quiver, field: Field, d):
     return decode
 
 
-def _charge_space(quiver: Quiver, d, q: int, cap: int) -> int:
-    """q^n for Rep(Q, d) = F_q^n, charged against the cap before any field is built."""
-    n_points = q ** sum(r * c for r, c in arrow_shapes(quiver, d))
-    check_cap(n_points, cap, "representation-space enumeration")
+def _charge_space(shapes, q: int, cap: int, what: str = "representation-space enumeration") -> int:
+    """q^n for Rep(Q, d) = F_q^n, d given by its ``arrow_shapes``, charged
+    against the cap as ``what`` before any field is built."""
+    n_points = q ** sum(r * c for r, c in shapes)
+    check_cap(n_points, cap, what)
     return n_points
 
 
 def all_representations(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
     """All q^n points of Rep(Q, d), charged against the cap, decoded in index (lex) order."""
-    n_points = _charge_space(quiver, d, field.q, cap)
+    n_points = _charge_space(arrow_shapes(quiver, d), field.q, cap)
     yield from map(representation_decoder(quiver, field, d), range(n_points))
 
 

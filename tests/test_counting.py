@@ -438,7 +438,8 @@ def test_action_matrix_matches_decode_and_multiply(name, q):
     quiver, field = QUIVERS[name], field_from_order(q)
     checked = 0
     for d in ACTION_DIMS[name]:
-        width = field.k * sum(r * c for r, c in reps.arrow_shapes(quiver, d))
+        shapes = reps.arrow_shapes(quiver, d)
+        width = field.k * sum(r * c for r, c in shapes)
         for v, dv in enumerate(d):
             group = gl_generators(field, dv)
             if dv >= 2:
@@ -446,7 +447,7 @@ def test_action_matrix_matches_decode_and_multiply(name, q):
                 assert dense.is_invertible() and dense not in [g for g, _ in group]
                 group = group + [(dense, dense.inverse())]
             for g, g_inv in group:
-                got = orbits._action_matrix(quiver, field, d, width, v, g, g_inv)
+                got = orbits._action_matrix(quiver, field, shapes, width, v, g, g_inv)
                 assert len(got) == width and all(len(row) == width for row in got)
                 assert got == action_matrix_by_multiplication(quiver, field, d, width, v, g)
                 checked += 1

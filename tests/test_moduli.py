@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from quiverforge import (
     CapExceeded,
     ConsistencyError,
+    DEFAULT_CAP,
     ExactPolynomial,
     FqMatrix,
     Representation,
@@ -16,6 +17,7 @@ from quiverforge import (
     ValidationError,
     betti_from_kac,
     cbvdb_identity_check,
+    endo_structure,
     enumerate_level_set,
     ext1_dim,
     g_order,
@@ -178,6 +180,7 @@ FIBER_CASES = [
     ("kron2-doubled", (1, 1), (-1, 1), 4),
     ("kron2-interleaved", (2, 1), (-1, 2), 2),
     ("jordan-doubled", (2,), (0,), 3),
+    ("kron2", (1, 1), (-1, 1), 9),  # odd extension field: eta_v mod p is not eta_v mod q
 ]
 
 
@@ -195,12 +198,12 @@ def test_fibers_match_the_doubled_walk(name, d, eta, q):
     quiver = FIBER_QUIVERS[name]
     brute = collections.Counter(_forward_key(w) for w in level_set_points(quiver, d, eta, q))
     fibers = list(moduli._fiber_sizes(quiver, d, eta, q))
-    keys = [x.entry_key() for x, _, _ in fibers]
+    keys = [x.entry_key() for x, _, _, _ in fibers]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)  # lex order, each orbit once
     n = sum(r * c for r, c in reps.arrow_shapes(_half(quiver), d))
-    assert sum(size for _, size, _ in fibers) == q**n
-    assert [fiber for _, _, fiber in fibers] == [brute[key] for key in keys]
-    total = sum(size * fiber for _, size, fiber in fibers)
+    assert sum(size for _, size, _, _ in fibers) == q**n
+    assert [fiber for _, _, fiber, _ in fibers] == [brute[key] for key in keys]
+    total = sum(size * fiber for _, size, fiber, _ in fibers)
     assert total == enumerate_level_set(quiver, d, eta, q) == sum(brute.values())
 
 
@@ -230,9 +233,19 @@ def test_fiber_size_is_constant_on_orbits(name, d, eta, q):
         orbit_of.update((key, min(orbit)) for key in orbit)
         assert len({brute[key] for key in orbit}) == 1
     sizes = collections.Counter(orbit_of.values())
-    assert [(x.entry_key(), size) for x, size, _ in moduli._fiber_sizes(quiver, d, eta, q)] == (
+    assert [(x.entry_key(), size) for x, size, _, _ in moduli._fiber_sizes(quiver, d, eta, q)] == (
         sorted(sizes.items())
     )
+
+
+@pytest.mark.parametrize("name,d,eta,q", FIBER_CASES)
+def test_fiber_pass_reports_dim_end(name, d, eta, q):
+    # the rank of the transposed Hom system gives dim End(X) = sum d_v^2 - rank
+    quiver = FIBER_QUIVERS[name]
+    for x, _, _, dim_end in moduli._fiber_sizes(quiver, d, eta, q):
+        assert dim_end == reps.hom_dim(x, x), x
+        if q**dim_end <= DEFAULT_CAP:
+            assert dim_end == endo_structure(x).dim_end, x
 
 
 def test_fiber_route_keeps_the_doubled_space_cap(kron2):
@@ -287,7 +300,7 @@ def test_fiber_route_is_charged_before_its_system_is_built(kron2, monkeypatch):
     def forbidden(*args):
         raise AssertionError("fiber system built past the cap")
 
-    monkeypatch.setattr(moduli, "_fiber_terms", forbidden)
+    monkeypatch.setattr(moduli, "_hom_system", forbidden)
     for check in (enumerate_level_set, lifting_fiber_check):
         with pytest.raises(CapExceeded) as info:
             check(kron2, (40, 41), (-41, 40), 3)
@@ -308,14 +321,28 @@ def test_a_refusal_past_the_digit_limit_is_still_a_refusal(kron2):
 
 
 
+def test_fiber_route_builds_no_doubled_quiver():
+    # an arrow id ending in "*" is an ordinary name to the fiber route; only
+    # the oracle, which doubles the quiver, refuses it
+    starred = Quiver(["1", "2"], [("a", "1", "2"), ("a*", "2", "1")])
+    plain = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+    with pytest.raises(ValidationError, match="'a\\*' already taken"):
+        next(level_set_points(starred, (1, 1), (-1, 1), 3))
+    for q in (2, 3):
+        brute = sum(1 for _ in level_set_points(plain, (1, 1), (-1, 1), q))
+        assert enumerate_level_set(starred, (1, 1), (-1, 1), q) == brute
+        assert enumerate_level_set(plain, (1, 1), (-1, 1), q) == brute
+
+
 def test_fiber_route_checks_the_trace(kron2, monkeypatch):
-    original = moduli._fiber_terms
+    # without its f_tail terms the Hom system no longer has the identity in
+    # its kernel, so the transposed map leaves the trace-zero subalgebra
+    original = moduli._hom_system
 
-    def head_only(half, d):
-        terms, diagonal = original(half, d)
-        return [t for t in terms if not t[3]], diagonal
+    def head_only(w1, w2):
+        return original(w1, Representation.zero(w2.quiver, w2.field, w2.d))
 
-    monkeypatch.setattr(moduli, "_fiber_terms", head_only)
+    monkeypatch.setattr(moduli, "_hom_system", head_only)
     with pytest.raises(ConsistencyError, match="trace-zero"):
         enumerate_level_set(kron2, (1, 1), (-1, 1), 3)
 
@@ -429,10 +456,10 @@ def test_generic_theta_forces_an_indivisible_d(d, raw):
 def test_lifting_reports_the_lex_first_counterexample(kron2, monkeypatch):
     # with every End ring reported local, the zero representation (empty
     # fiber) is the first point whose fiber disagrees
-    def all_local(w, units):
-        return reps.EndoStructure(dim_end=1, is_local=True, dim_radical=0, residue_degree=1)
+    def all_local(dim_end, units, q):
+        return reps.EndoStructure(dim_end=dim_end, is_local=True, dim_radical=0, residue_degree=1)
 
-    monkeypatch.setattr(moduli, "_end_structure", all_local)
+    monkeypatch.setattr(moduli, "_local_structure", all_local)
     result = lifting_fiber_check(kron2, (1, 1), (-1, 1), 3)
     assert not result.holds
     assert result.counterexample == (0, 0)
@@ -441,16 +468,23 @@ def test_lifting_reports_the_lex_first_counterexample(kron2, monkeypatch):
 
 def test_lifting_scans_each_end_ring_once(kron2, monkeypatch):
     calls = []
-    original = reps.hom_dim
+    original = moduli._hom_system
 
     def counted(w1, w2):
         calls.append(w1.entry_key())
         return original(w1, w2)
 
-    monkeypatch.setattr(reps, "hom_dim", counted)
+    def forbidden(*args):
+        raise AssertionError("dim End(W) is read off the fiber system")
+
+    monkeypatch.setattr(moduli, "_hom_system", counted)
+    monkeypatch.setattr(reps, "hom_dim", forbidden)
     assert lifting_fiber_check(kron2, (1, 1), (-1, 1), 3).holds
-    # one dim End(W) per orbit of Rep(Q, d), the zero point and the four
-    # lines of F_3^2, and no second Hom solve for Ext^1
+    # one system per orbit of Rep(Q, d), the zero point and the four lines
+    # of F_3^2, giving both the fiber and dim End(W): no second Hom solve
+    assert len(calls) == len(set(calls)) == 5
+    calls.clear()
+    assert enumerate_level_set(kron2, (1, 1), (-1, 1), 3) == 24
     assert len(calls) == len(set(calls)) == 5
 
 
