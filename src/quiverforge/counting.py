@@ -258,10 +258,9 @@ def _hua_terms(quiver: Quiver, d: tuple[int, ...], cap: int) -> Counter:
     per_vertex = [
         [(n, *_hua_data(lam)) for n in range(dv + 1) for lam in _partitions(n)] for dv in d
     ]
-    arrows = [(quiver.vertex_index[a.tail], quiver.vertex_index[a.head]) for a in quiver.arrows]
     terms: Counter = Counter()
     for pi in itertools.product(*per_vertex):
-        e = sum(_pairing(pi[t][1], pi[h][1]) for t, h in arrows)
+        e = sum(_pairing(pi[t][1], pi[h][1]) for t, h in quiver.ends)
         ks: list[int] = []
         for _, conj, vertex_ks in pi:
             e += sum(vertex_ks) - _pairing(conj, conj)
@@ -460,8 +459,10 @@ def galois_descent_I(quiver: Quiver, d, q: int, a_fn) -> int:
 
         I(d, q) = sum_{r | d} (1/r) sum_{m | r} mu(m) A(d/r, q^{r/m})
 
-    The descent formula is never trusted standalone; callers compare it with
-    the brute-force count (see check_galois_descent).
+    m runs over the squarefree divisors only, so ``a_fn`` is never asked
+    for a term that mu(m) = 0 would discard.  The descent formula is never
+    trusted standalone; callers compare it with the brute-force count (see
+    check_galois_descent).
     """
     d = quiver.check_dim(d)
     if not any(d):
@@ -470,7 +471,7 @@ def galois_descent_I(quiver: Quiver, d, q: int, a_fn) -> int:
     for r in divisors(gcd(*d)):
         inner = 0
         d_over_r = tuple(x // r for x in d)
-        for m in divisors(r):
+        for m in _squarefree_divisors(r):
             inner += moebius(m) * a_fn(d_over_r, q ** (r // m))
         total += Fraction(inner, r)
     if total.denominator != 1:
@@ -506,26 +507,29 @@ def check_galois_descent(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> i
 # the formula chain Hua -> Galois descent -> Krull-Schmidt
 
 
-def _krull_schmidt_coefficient(indec: dict, d: tuple[int, ...]) -> int:
-    """[X^d] prod_{0 < e <= d} (1 - X^e)^(-indec[e]), in integers.
+def _krull_schmidt_coefficients(indec: dict, support) -> dict:
+    """[X^d] prod_{e != 0} (1 - X^e)^(-indec[e]) for every d in ``support``,
+    in integers, from one product.
 
-    No monomial outside the box <= d reaches X^d, so the product is kept on
-    that box alone, one factor sum_j C(I_e + j - 1, j) X^(j e) at a time.
+    ``support`` is down-closed (every 0 <= k <= d of a member is a member),
+    so no monomial outside it reaches one inside, and the product is kept on
+    the support alone, one factor sum_j C(I_e + j - 1, j) X^(j e) per
+    nonzero e in it.
     """
-    box = list(itertools.product(*(range(x + 1) for x in d)))
-    coeffs = dict.fromkeys(box, 0)
-    coeffs[box[0]] = 1
-    for e in box[1:]:
+    # lexicographically descending, so every m - j e read is still unmultiplied
+    order = sorted(support, reverse=True)
+    coeffs = dict.fromkeys(order, 0)
+    coeffs[order[-1]] = 1
+    for e in order[-2::-1]:
         n = indec[e]
         if not n:
             continue
-        # lexicographically descending, so every m - j e read is still unmultiplied
-        for m in reversed(box):
+        for m in order:
             j, k = 1, tuple(a - b for a, b in zip(m, e))
-            while min(k) >= 0:
+            while k in coeffs:
                 coeffs[m] += comb(n + j - 1, j) * coeffs[k]
                 j, k = j + 1, tuple(a - b for a, b in zip(k, e))
-    return coeffs[d]
+    return coeffs
 
 
 def class_counts_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> ClassCounts:
@@ -546,13 +550,10 @@ def class_counts_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> Cl
     d = quiver.check_dim(d)
     terms = _hua_terms(quiver, d, cap) if any(d) else Counter()
     a_at = _a_reader(terms, d, q, cap)
-    indec = {
-        e: galois_descent_I(quiver, e, q, a_at)
-        for e in itertools.product(*(range(x + 1) for x in d))
-        if any(e)
-    }
+    box = list(itertools.product(*(range(x + 1) for x in d)))
+    indec = {e: galois_descent_I(quiver, e, q, a_at) for e in box[1:]}
     return ClassCounts(
-        iso_classes=_krull_schmidt_coefficient(indec, d),
+        iso_classes=_krull_schmidt_coefficients(indec, box)[d],
         indecomposable=indec.get(d, 0),
         absolutely_indecomposable=a_at(d, q) if any(d) else 0,
     )
@@ -565,13 +566,14 @@ def hua_identity_check(quiver: Quiver, q: int, degree: int, cap: int = DEFAULT_C
 
     with M_d and I_d read off one ``classify_classes`` per d: the orbit
     partition, its orbit sizes and one ``hom_dim`` per class representative
-    that the unit-count rule leaves open.  The right side's X^d coefficient
-    is the chain's Krull-Schmidt product over the box <= d.  The contract is
-    zero; a q that is not a prime power and a negative degree are refused,
-    at every degree.  Each d's q^n points are charged, in loop order, before
+    that the unit-count rule leaves open.  Every X^d coefficient of the
+    right side is read off one Krull-Schmidt product, kept on the monomials
+    of total degree <= ``degree``.  The contract is zero; a q that is not a
+    prime power and a negative degree are refused, at every degree.  Each d's q^n points are charged, in loop order, before
     q is factored, so a huge q is refused without trial division.
     """
-    monomials = [dv for dv in monomials_up_to(len(quiver.vertices), degree) if any(dv)]
+    support = list(monomials_up_to(len(quiver.vertices), degree))
+    monomials = support[1:]
     for dv in monomials:
         _charge_space(arrow_shapes(quiver, dv), q, cap, _PARTITION_CHARGE)
     field_from_order(q)
@@ -582,7 +584,8 @@ def hua_identity_check(quiver: Quiver, q: int, degree: int, cap: int = DEFAULT_C
     for dv in monomials:
         counts = classify_classes(quiver, dv, q, cap=cap)
         classes[dv], indec[dv] = counts.iso_classes, counts.indecomposable
+    products = _krull_schmidt_coefficients(indec, support)
     return max(
-        (Fraction(abs(m - _krull_schmidt_coefficient(indec, dv))) for dv, m in classes.items()),
+        (Fraction(abs(m - products[dv])) for dv, m in classes.items()),
         default=Fraction(0),
     )

@@ -85,8 +85,7 @@ def moment_map(w: Representation) -> MomentValue:
     for a in quiver.forward_arrows():
         x = w.map_for(a.id)
         x_star = w.map_for(quiver.star(a.id))
-        h = quiver.vertex_index[a.head]
-        t = quiver.vertex_index[a.tail]
+        t, h = quiver.ends[quiver.arrow_index[a.id]]
         values[h] = values[h].add(x.mul(x_star))
         values[t] = values[t].sub(x_star.mul(x))
     value = MomentValue(values=tuple(values))

@@ -88,9 +88,9 @@ def _action_matrix(quiver: Quiver, field: Field, shapes, width: int, v: int, g, 
     identity = {n: FqMatrix.identity(field, n).entries for n in sizes}
     rows = []
     offset = 0
-    for (r, c), a in zip(shapes, quiver.arrows):
-        left = g.entries if quiver.vertex_index[a.head] == v else identity[r]
-        right = g_inv.entries if quiver.vertex_index[a.tail] == v else identity[c]
+    for (r, c), (t, h) in zip(shapes, quiver.ends):
+        left = g.entries if h == v else identity[r]
+        right = g_inv.entries if t == v else identity[c]
         for i in range(r):
             column = [(x, left[x][i]) for x in range(r) if left[x][i]]
             for j in range(c):

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Sequence
 
+from .cache import _canonical
 from .errors import ValidationError
 
 FORMAT_VERSION = 1
@@ -71,6 +71,10 @@ class Quiver:
                     raise ValidationError(
                         f"arrow {a.id!r} references undeclared vertex {endpoint!r}"
                     )
+        # (tail index, head index) per arrow, in arrow order; every layer reads these
+        self.ends = tuple(
+            (self.vertex_index[a.tail], self.vertex_index[a.head]) for a in self.arrows
+        )
         self.star_pairing = dict(star_pairing) if star_pairing else None
         if self.star_pairing is not None:
             self._check_star_pairing()
@@ -97,8 +101,7 @@ class Quiver:
     def _check_connected(self) -> None:
         n = len(self.vertices)
         adjacency = [set() for _ in range(n)]
-        for a in self.arrows:
-            i, j = self.vertex_index[a.tail], self.vertex_index[a.head]
+        for i, j in self.ends:
             adjacency[i].add(j)
             adjacency[j].add(i)
         seen = {0}
@@ -153,8 +156,8 @@ class Quiver:
         d = self.check_vector(d)
         d2 = self.check_vector(d2)
         total = sum(a * b for a, b in zip(d, d2))
-        for a in self.arrows:
-            total -= d[self.vertex_index[a.tail]] * d2[self.vertex_index[a.head]]
+        for t, h in self.ends:
+            total -= d[t] * d2[h]
         return total
 
     def symmetrized_form(self, d, d2) -> int:
@@ -195,30 +198,17 @@ class Quiver:
         """No arrow is a loop; with d indivisible, the scope of the CBVdB and Betti theorems."""
         return all(a.tail != a.head for a in self.arrows)
 
-    def loops_at(self, i: int) -> int:
-        v = self.vertices[i]
-        return sum(1 for a in self.arrows if a.tail == v and a.head == v)
-
-    def arrows_between(self, i: int, j: int) -> int:
-        vi, vj = self.vertices[i], self.vertices[j]
-        return sum(1 for a in self.arrows if a.tail == vi and a.head == vj)
-
     def cartan(self) -> "CartanData":
+        """The symmetrized Euler form's matrix: 2 on the diagonal, and -1 at
+        (t, h) and at (h, t) for each arrow t -> h, so a loop takes 2 off
+        its vertex."""
         n = len(self.vertices)
-        b = [
-            [
-                (1 - self.loops_at(i)) if i == j else -self.arrows_between(i, j)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        a = [[b[i][j] + b[j][i] for j in range(n)] for i in range(n)]
+        a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for t, h in self.ends:
+            a[t][h] -= 1
+            a[h][t] -= 1
         fundamental = tuple(i for i in range(n) if a[i][i] == 2)
-        return CartanData(
-            b=tuple(tuple(row) for row in b),
-            a=tuple(tuple(row) for row in a),
-            fundamental=fundamental,
-        )
+        return CartanData(a=tuple(tuple(row) for row in a), fundamental=fundamental)
 
     def real_roots_up_to(self, bound) -> set[tuple[int, ...]]:
         """Positive real roots inside the box |v| <= bound, componentwise.
@@ -264,8 +254,7 @@ class Quiver:
         return data
 
     def content_hash(self) -> str:
-        text = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return hashlib.sha256(_canonical(self.canonical_dict()).encode("utf-8")).hexdigest()
 
     def __eq__(self, other):
         return (
@@ -286,10 +275,9 @@ class Quiver:
 
 @dataclass(frozen=True)
 class CartanData:
-    """Euler-form matrix b, symmetrized matrix a = b + b^T, and the
-    loop-free vertex indices carrying fundamental roots."""
+    """Symmetrized Euler-form matrix a and the loop-free vertex indices
+    carrying fundamental roots."""
 
-    b: tuple[tuple[int, ...], ...]
     a: tuple[tuple[int, ...], ...]
     fundamental: tuple[int, ...]
 

@@ -95,10 +95,7 @@ def arrow_shapes(quiver: Quiver, d) -> list[tuple[int, int]]:
     """(d_head, d_tail), the shape of each arrow's matrix, in arrow order;
     their entry counts sum to the dimension of the representation space."""
     d = quiver.check_dim(d)
-    return [
-        (d[quiver.vertex_index[a.head]], d[quiver.vertex_index[a.tail]])
-        for a in quiver.arrows
-    ]
+    return [(d[h], d[t]) for t, h in quiver.ends]
 
 
 def representation_decoder(quiver: Quiver, field: Field, d):
@@ -189,11 +186,9 @@ def _hom_system(w1: Representation, w2: Representation) -> tuple[FqMatrix, list[
         pos += w2.d[v] * w1.d[v]
     nvars = pos
     rows: list[list[int]] = []
-    for idx, a in enumerate(quiver.arrows):
-        t = quiver.vertex_index[a.tail]
-        h = quiver.vertex_index[a.head]
-        phi1 = w1.maps[idx].entries
-        minus_phi2 = [[field.neg(c) for c in row] for row in w2.maps[idx].entries]
+    for (t, h), phi1, phi2 in zip(quiver.ends, w1.maps, w2.maps):
+        phi1 = phi1.entries
+        minus_phi2 = [[field.neg(c) for c in row] for row in phi2.entries]
         # equation block has shape d2_h x d1_t
         for i in range(w2.d[h]):
             f_h_row = offsets[h] + i * w1.d[h]
@@ -481,10 +476,8 @@ def _is_subrepresentation(w: Representation, subspaces) -> bool:
     when stacking the nonzero images of the tail's rows under the head's
     rows leaves the rank at the head subspace's dimension: at most one rank
     per arrow."""
-    quiver = w.quiver
-    for a, phi in zip(quiver.arrows, w.maps):
-        source = subspaces[quiver.vertex_index[a.tail]]
-        target = subspaces[quiver.vertex_index[a.head]]
+    for (t, h), phi in zip(w.quiver.ends, w.maps):
+        source, target = subspaces[t], subspaces[h]
         images = [image for image in map(phi.apply, source.entries) if any(image)]
         if images and FqMatrix(w.field, target.entries + tuple(images)).rank() != target.rows:
             return False

@@ -130,6 +130,21 @@ def test_hash_invariant_under_arrow_reordering():
     assert reordered.content_hash() == original.content_hash()
 
 
+@pytest.mark.parametrize(
+    "quiver",
+    [jordan_quiver(), kronecker_quiver(2), kronecker_quiver(3), a2_quiver(), kronecker_quiver(2).double()],
+    ids=["jordan", "kron2", "kron3", "a2", "kron2-doubled"],
+)
+def test_content_hash_is_the_hash_of_the_serialized_file(quiver):
+    expected = hashlib.sha256(serialize_quiver(quiver).encode("utf-8")).hexdigest()
+    assert quiver.content_hash() == expected
+
+
+def test_content_hashes_pinned():
+    assert kronecker_quiver(2).content_hash().startswith("04d0d596d638b31c")
+    assert jordan_quiver().content_hash().startswith("c70122b19efbb445")
+
+
 # -- dispatch
 
 
@@ -140,6 +155,47 @@ def run_cli(capsys, argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+ONE_VERTEX = '{"format": 1, "vertices": ["1"], %s}'
+
+
+@pytest.mark.parametrize(
+    "text,d,message",
+    [
+        ("[]", "1", "quiver file must be a JSON object"),
+        ('{"format": 1, "vertices": [1], "arrows": []}', "1",
+         'field "vertices" must be a list of strings'),
+        (ONE_VERTEX % '"arrows": {}', "1", 'field "arrows" must be a list'),
+        (ONE_VERTEX % '"arrows": ["a"]', "1", "arrows[0] must be an object"),
+        (ONE_VERTEX % '"arrows": [{"tail": "1", "head": "1"}]', "1",
+         'arrows[0] needs a string field "id"'),
+        (ONE_VERTEX % '"arrows": [{"id": "a", "tail": 1, "head": "1"}]', "1",
+         'arrows[0] needs a string field "tail"'),
+        (ONE_VERTEX % '"arrows": [{"id": "a", "tail": "1"}]', "1",
+         'arrows[0] needs a string field "head"'),
+        (ONE_VERTEX % '"arrows": [], "dimension_vectors": [[1]]', "1",
+         'field "dimension_vectors" must be an object'),
+        (ONE_VERTEX % '"arrows": [], "dimension_vectors": {"d": [1.5]}', "1",
+         "dimension_vectors['d'] must be a list of integers"),
+        (None, "1", "cannot read quiver file {path!r}: [Errno 2] No such file or directory: {path!r}"),
+        (JORDAN_TEXT, "1,x",
+         "--d must be comma-separated integers or a name from the quiver file, got '1,x'"),
+    ],
+    ids=["not-an-object", "vertex-not-a-string", "arrows-not-a-list", "arrow-not-an-object",
+         "missing-id", "tail-not-a-string", "missing-head", "dimension-vectors-not-an-object",
+         "named-vector-not-integers", "unreadable-path", "malformed-d"],
+)
+def test_malformed_input_is_refused_as_a_validation_error(capsys, tmp_path, text, d, message):
+    path = str(tmp_path / "quiver.json")
+    if text is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    message = message.format(path=path)
+    code, out, err = run_cli(capsys, ["forms", "--quiver", path, "--d", d])
+    assert code == 1
+    assert out == '{"error":{"kind":"ValidationError","message":%s}}\n' % json.dumps(message)
+    assert err == f"error: {message}\n"
 
 
 def test_kac_command_payload(capsys, kron2_file):

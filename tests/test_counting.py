@@ -2,6 +2,7 @@ import itertools
 from collections import Counter
 from dataclasses import astuple
 from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,7 @@ from quiverforge import (
     ConsistencyError,
     ValidationError,
     NonPolynomialBehavior,
+    TruncatedSeries,
     check_galois_descent,
     class_counts_by_hua,
     count_report,
@@ -33,6 +35,7 @@ from brute_force import enumerate_gl
 from quiverforge import orbits
 from quiverforge.orbits import orbit_partition
 from quiverforge.reps import all_representations, aut_order
+from quiverforge.series import monomials_up_to
 
 
 def brute_orbit_count(quiver, d, q):
@@ -137,7 +140,7 @@ def group_burnside_count(quiver, d, q):
     tables = {}
     factors = []
     for t, h in itertools.product(range(len(d)), repeat=2):
-        m = quiver.arrows_between(t, h)
+        m = quiver.ends.count((t, h))
         if not m:
             continue
         key = (d[t],) if t == h else (d[t], d[h])
@@ -990,6 +993,34 @@ def test_descent_equals_A_for_indivisible(kron2, a2):
             assert galois_descent_I(quiver, d, q, abs_count_fn(quiver)) == abs_count(quiver, d, q)
 
 
+@pytest.mark.parametrize(
+    "name,d,q",
+    [("jordan", (4,), 2), ("jordan", (4,), 3), ("jordan", (8,), 2), ("jordan", (12,), 2),
+     ("kron2", (4, 4), 2), ("kron2", (4, 8), 2)],
+)
+def test_descent_asks_for_no_term_it_multiplies_by_zero(name, d, q):
+    # a call a_fn(d/r, q^s) stands for the term m = r/s, of weight mu(m)/r
+    quiver = {"jordan": jordan_quiver(), "kron2": kronecker_quiver(2)}[name]
+    calls = []
+
+    def a_fn(e, big_q):
+        calls.append((e, big_q))
+        return counting.abs_indecomposable_by_hua(quiver, e, big_q)
+
+    value = galois_descent_I(quiver, d, q, a_fn)
+    g = gcd(*d)
+    for e, big_q in calls:
+        r = g // gcd(*e)
+        s = next(s for s in range(1, r + 1) if q**s == big_q)
+        assert moebius(r // s) != 0, (e, big_q)
+    full = sum(
+        Fraction(sum(moebius(m) * a_fn(tuple(x // r for x in d), q ** (r // m))
+                     for m in counting.divisors(r)), r)
+        for r in counting.divisors(g)
+    )
+    assert value == full
+
+
 def test_descent_disagreement_is_hard_error(jordan, monkeypatch):
     # the descent terms A((1,), 4) and A((1,), 2) come from this count
     original = counting.classify_classes
@@ -1168,9 +1199,35 @@ def test_hua_refuses_a_q_that_is_not_a_prime_power(jordan, q, degree):
 
 def test_hua_matches_hand_expansion(jordan):
     # (1-X)^(-2) (1-X^2)^(-3) has X^2 coefficient 3 + 3 = 6 = M_2(2)
-    assert counting._krull_schmidt_coefficient({(1,): 2, (2,): 3}, (2,)) == 6
+    assert counting._krull_schmidt_coefficients({(1,): 2, (2,): 3}, [(0,), (1,), (2,)])[(2,)] == 6
     assert class_counts_by_hua(jordan, (2,), 2).iso_classes == 6
     assert hua_identity_check(jordan, 2, 2) == 0
+
+
+def _series_product(indec: dict, nvars: int, bound: int) -> TruncatedSeries:
+    """prod_e (1 - X^e)^(-indec[e]), one geometric series per copy."""
+    product = TruncatedSeries.one(nvars, bound)
+    for e, n in indec.items():
+        geometric = TruncatedSeries(
+            nvars, bound, {tuple(j * x for x in e): 1 for j in range(bound // sum(e) + 1)}
+        )
+        for _ in range(n):
+            product = product.mul(geometric)
+    return product
+
+
+@pytest.mark.parametrize(
+    "support",
+    [list(monomials_up_to(n, degree)) for n, degree in [(1, 6), (2, 4), (3, 3)]]
+    + [list(itertools.product(*(range(x + 1) for x in d))) for d in [(2, 2), (2, 3), (2, 2, 2)]],
+    ids=["simplex-1-6", "simplex-2-4", "simplex-3-3", "box-2-2", "box-2-3", "box-2-2-2"],
+)
+def test_krull_schmidt_coefficients_match_the_series_product(support):
+    indec = {e: (sum(e) * 7 + e[0]) % 4 for e in support[1:]}
+    # truncating at the support's largest total degree leaves its coefficients exact
+    expected = _series_product(indec, len(support[0]), max(map(sum, support)))
+    coeffs = counting._krull_schmidt_coefficients(indec, support)
+    assert coeffs == {m: expected.coefficient(m) for m in support}
 
 
 def test_hua_reads_one_classification_per_degree(jordan, monkeypatch):

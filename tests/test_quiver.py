@@ -206,6 +206,36 @@ def test_cartan_jordan(jordan):
     assert c.fundamental == ()
 
 
+LOOP_AND_ARROWS = Quiver(
+    ["1", "2"], [("l", "1", "1"), ("a", "1", "2"), ("b", "2", "1"), ("m", "2", "2"), ("n", "2", "2")]
+)
+D4_STAR = Quiver(["0", "1", "2", "3", "4"], [(f"a{i}", str(i), "0") for i in range(1, 5)])
+
+
+def test_ends_are_vertex_indices_in_arrow_order():
+    assert LOOP_AND_ARROWS.ends == ((0, 0), (0, 1), (1, 0), (1, 1), (1, 1))
+    assert D4_STAR.ends == ((1, 0), (2, 0), (3, 0), (4, 0))
+
+
+def test_cartan_of_loops_and_a_star():
+    assert LOOP_AND_ARROWS.cartan().a == ((0, -2), (-2, -2))
+    assert LOOP_AND_ARROWS.cartan().fundamental == ()
+    c = D4_STAR.cartan()
+    assert c.a[0] == (2, -1, -1, -1, -1) and c.fundamental == (0, 1, 2, 3, 4)
+    assert c.reflect(0, (0, 1, 1, 1, 1)) == (4, 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("name", ["jordan", "kron2", "a2", "loops", "star", "doubled"])
+def test_cartan_matrix_is_the_symmetrized_form(name, jordan, kron2, a2):
+    quiver = {"jordan": jordan, "kron2": kron2, "a2": a2, "loops": LOOP_AND_ARROWS,
+              "star": D4_STAR, "doubled": kron2.double()}[name]
+    n = len(quiver.vertices)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    assert quiver.cartan().a == tuple(
+        tuple(quiver.symmetrized_form(x, y) for y in units) for x in units
+    )
+
+
 def test_reflect_negates_own_root(kron2, a2):
     for quiver in (kron2, a2):
         c = quiver.cartan()

@@ -144,6 +144,10 @@ def test_jordan_block_not_isomorphic_to_semisimple(jordan, f2):
     assert not are_isomorphic(j2, diag)
 
 
+def test_reps_of_different_dimension_vectors_are_not_isomorphic(jordan, f2):
+    assert not are_isomorphic(Representation.zero(jordan, f2, (1,)), Representation.zero(jordan, f2, (2,)))
+
+
 def test_zero_reps_isomorphic(kron2, f2):
     assert are_isomorphic(
         Representation.zero(kron2, f2, (1, 1)), Representation.zero(kron2, f2, (1, 1))
