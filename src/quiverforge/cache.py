@@ -37,15 +37,12 @@ import sys
 from functools import partial
 from itertools import compress, count, islice
 
+from .quiver import _canonical
+
 # lines a lookup holds at once: its memory is one block, whatever the file's size
 _BLOCK_LINES = 1024
 # every line cache_store writes begins with this
 _RECORD_PREFIX = b'{"hash":"'
-
-
-# json.dumps(obj, sort_keys=True, separators=(",", ":")), without building
-# an encoder on every call
-_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def cache_lookup(path: str, quiver_hash: str, op: str, params: dict, version: str):

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .cache import _canonical, cache_lookup, cache_store
+from .cache import cache_lookup, cache_store
 from .counting import (
     count_report,
     hua_identity_check,
@@ -27,12 +27,14 @@ from .counting import (
 from .errors import CapExceeded, DEFAULT_CAP, QuiverForgeError, ValidationError
 from .ffield import field_from_order
 from .moduli import betti_from_kac, cbvdb_identity_check, enumerate_level_set, trace_obstruction
-from .quiver import (
+from .quiver import (  # serialize_quiver stays importable here, beside parse_quiver
     FORMAT_VERSION,
     Quiver,
+    _canonical,
     is_generic,
     normalize_to_degree_zero,
     pairing,
+    serialize_quiver,
     slope,
 )
 from .reps import stability_verdict
@@ -109,11 +111,6 @@ def parse_quiver(text: str) -> tuple[Quiver, dict, dict]:
         return out
 
     return quiver, named_vectors("dimension_vectors"), named_vectors("stability_parameters")
-
-
-def serialize_quiver(quiver: Quiver) -> str:
-    """Bit-exact canonical serialization: sorted keys, no extra whitespace."""
-    return _canonical(quiver.canonical_dict())
 
 
 def load_quiver_file(path: str) -> tuple[Quiver, dict, dict]:

@@ -569,13 +569,21 @@ def hua_identity_check(quiver: Quiver, q: int, degree: int, cap: int = DEFAULT_C
     that the unit-count rule leaves open.  Every X^d coefficient of the
     right side is read off one Krull-Schmidt product, kept on the monomials
     of total degree <= ``degree``.  The contract is zero; a q that is not a
-    prime power and a negative degree are refused, at every degree.  Each d's q^n points are charged, in loop order, before
-    q is factored, so a huge q is refused without trial division.
+    prime power and a negative degree are refused, at every degree.  The
+    support's C(degree + n, n) monomials are charged before any is listed,
+    and each nonzero d's q^n points as the lex walk reaches it, all before q
+    is factored, so a huge degree or q is refused without listing the
+    support or trial division.
     """
-    support = list(monomials_up_to(len(quiver.vertices), degree))
+    n = len(quiver.vertices)
+    if degree >= 0:
+        check_cap(comb(degree + n, n), cap, "monomial support of the Hua identity")
+    support = []
+    for dv in monomials_up_to(n, degree):
+        if any(dv):
+            _charge_space(arrow_shapes(quiver, dv), q, cap, _PARTITION_CHARGE)
+        support.append(dv)
     monomials = support[1:]
-    for dv in monomials:
-        _charge_space(arrow_shapes(quiver, dv), q, cap, _PARTITION_CHARGE)
     field_from_order(q)
     if degree < 0:
         raise ValidationError(f"the degree bound must be nonnegative, got {degree}")

@@ -11,16 +11,21 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .cache import _canonical
 from .errors import ValidationError
 
 FORMAT_VERSION = 1
+
+# json.dumps(obj, sort_keys=True, separators=(",", ":")), without building
+# an encoder on every call: the canonical JSON text of quiver files, content
+# hashes, cache records and CLI payloads
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _integer(x) -> int:
@@ -254,7 +259,8 @@ class Quiver:
         return data
 
     def content_hash(self) -> str:
-        return hashlib.sha256(_canonical(self.canonical_dict()).encode("utf-8")).hexdigest()
+        """SHA-256 of the quiver's serialized form, the key of its cached results."""
+        return hashlib.sha256(serialize_quiver(self).encode("utf-8")).hexdigest()
 
     def __eq__(self, other):
         return (
@@ -271,6 +277,11 @@ class Quiver:
     def __repr__(self):
         star = ", doubled" if self.is_doubled else ""
         return f"Quiver({len(self.vertices)} vertices, {len(self.arrows)} arrows{star})"
+
+
+def serialize_quiver(quiver: Quiver) -> str:
+    """Bit-exact canonical serialization: sorted keys, no extra whitespace."""
+    return _canonical(quiver.canonical_dict())
 
 
 @dataclass(frozen=True)

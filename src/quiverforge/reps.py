@@ -174,41 +174,41 @@ class HomSpace:
 
 def _hom_system(w1: Representation, w2: Representation) -> tuple[FqMatrix, list[int]]:
     """The linear map (f_v) -> (f_head phi_a - phi'_a f_tail) as a matrix,
-    and the offset of each f_v among its unknowns."""
-    _check_comparable(w1, w2)
-    quiver, field = w1.quiver, w1.field
-    n = len(quiver.vertices)
+    and the offset of each f_v among its unknowns.  W and W2 are taken as
+    comparable: ``hom_space`` and ``hom_dim`` check that."""
+    field = w1.field
+    sub = field.sub
+    d1, d2 = w1.d, w2.d
     # unknowns: entries of f_v (shape d2_v x d_v), vertex-major, row-major
     offsets = []
     pos = 0
-    for v in range(n):
+    for v in range(len(d1)):
         offsets.append(pos)
-        pos += w2.d[v] * w1.d[v]
+        pos += d2[v] * d1[v]
     nvars = pos
-    rows: list[list[int]] = []
-    for (t, h), phi1, phi2 in zip(quiver.ends, w1.maps, w2.maps):
+    rows: list[tuple[int, ...]] = []
+    for (t, h), phi1, phi2 in zip(w1.quiver.ends, w1.maps, w2.maps):
         phi1 = phi1.entries
-        minus_phi2 = [[field.neg(c) for c in row] for row in phi2.entries]
         # equation block has shape d2_h x d1_t
-        for i in range(w2.d[h]):
-            f_h_row = offsets[h] + i * w1.d[h]
-            for j in range(w1.d[t]):
+        for i, phi2_row in enumerate(phi2.entries):
+            f_h_row = offsets[h] + i * d1[h]
+            for j in range(d1[t]):
                 row = [0] * nvars
                 # (f_h phi1)_ij = sum_k f_h[i,k] phi1[k,j]
-                for k in range(w1.d[h]):
-                    row[f_h_row + k] = phi1[k][j]
-                # -(phi2 f_t)_ij = sum_k (-phi2[i,k]) f_t[k,j]; f_t may be f_h
-                for k in range(w2.d[t]):
-                    c = minus_phi2[i][k]
+                row[f_h_row : f_h_row + d1[h]] = [r[j] for r in phi1]
+                # -(phi2 f_t)_ij = -sum_k phi2[i,k] f_t[k,j]; f_t may be f_h
+                var = offsets[t] + j
+                for c in phi2_row:
                     if c:
-                        var = offsets[t] + k * w1.d[t] + j
-                        row[var] = field.add(row[var], c)
+                        row[var] = sub(row[var], c)
+                    var += d1[t]
                 rows.append(tuple(row))
     return FqMatrix._of(field, len(rows), nvars, tuple(rows)), offsets
 
 
 def hom_space(w1: Representation, w2: Representation) -> HomSpace:
     """Kernel of (f_v) -> (f_head phi_a - phi'_a f_tail), by exact elimination."""
+    _check_comparable(w1, w2)
     system, offsets = _hom_system(w1, w2)
     field = w1.field
     basis = []
@@ -223,6 +223,7 @@ def hom_space(w1: Representation, w2: Representation) -> HomSpace:
 
 def hom_dim(w1: Representation, w2: Representation) -> int:
     """dim Hom(W, W2), by one rank: the solve of ``hom_space`` without its basis."""
+    _check_comparable(w1, w2)
     system, _ = _hom_system(w1, w2)
     return system.cols - system.rank()
 

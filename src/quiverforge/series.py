@@ -7,7 +7,6 @@ in variables indexed by quiver vertices, cut at a total-degree bound.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -145,8 +144,12 @@ class TruncatedSeries:
         return worst
 
 def monomials_up_to(nvars: int, bound: int):
-    """All exponent vectors with total degree <= bound, lexicographic."""
-    for mono in itertools.product(range(bound + 1), repeat=nvars):
-        if sum(mono) <= bound:
-            yield mono
-
+    """All exponent vectors with total degree <= bound, lexicographic, each
+    built directly rather than filtered out of the (bound + 1)^nvars box."""
+    if nvars == 0:
+        if bound >= 0:
+            yield ()
+        return
+    for first in range(bound + 1):
+        for rest in monomials_up_to(nvars - 1, bound - first):
+            yield (first, *rest)

@@ -26,6 +26,7 @@ from quiverforge import (
     moduli,
 )
 from quiverforge import cache, ffield, reps
+from quiverforge import quiver as quiver_module
 from quiverforge.cache import cache_lookup, cache_store
 from quiverforge.cli import main, parse_quiver, serialize_quiver
 
@@ -138,6 +139,12 @@ def test_hash_invariant_under_arrow_reordering():
 def test_content_hash_is_the_hash_of_the_serialized_file(quiver):
     expected = hashlib.sha256(serialize_quiver(quiver).encode("utf-8")).hexdigest()
     assert quiver.content_hash() == expected
+
+
+def test_the_canonical_form_has_one_owner():
+    # quiver writes it; the CLI re-exports serialize_quiver, and cache records use the same encoder
+    assert cli.serialize_quiver is quiver_module.serialize_quiver
+    assert cli._canonical is cache._canonical is quiver_module._canonical
 
 
 def test_content_hashes_pinned():

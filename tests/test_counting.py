@@ -2,7 +2,7 @@ import itertools
 from collections import Counter
 from dataclasses import astuple
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from types import SimpleNamespace
 
 import numpy as np
@@ -1187,6 +1187,29 @@ def test_hua_degree_zero_trivial(jordan):
 def test_hua_refuses_a_negative_degree(jordan):
     with pytest.raises(ValidationError, match="nonnegative"):
         hua_identity_check(jordan, 2, -3)
+
+
+@pytest.mark.parametrize("name", ["kron2", "point"])
+def test_hua_charges_its_support_before_listing_it(name, kron2, monkeypatch):
+    # on the point with no arrows every q^n is 1, so only the support's size can refuse
+    quiver = {"kron2": kron2, "point": Quiver(["1"], [])}[name]
+    n, degree = len(quiver.vertices), 10**6
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the support was listed or classified before it was charged")
+
+    monkeypatch.setattr(counting, "monomials_up_to", forbidden)
+    monkeypatch.setattr(counting, "classify_classes", forbidden)
+    with pytest.raises(CapExceeded) as info:
+        hua_identity_check(quiver, 2, degree)
+    assert (info.value.what, info.value.needed) == ("monomial support of the Hua identity", comb(degree + n, n))
+
+
+def test_hua_charges_each_degree_in_lex_order_once_the_support_fits(kron2):
+    # the support's C(302, 2) = 45 451 monomials fit; (1, 10) is the first d past the cap
+    with pytest.raises(CapExceeded) as info:
+        hua_identity_check(kron2, 2, 300)
+    assert (info.value.what, info.value.needed) == (orbits._PARTITION_CHARGE, 2**20)
 
 
 @pytest.mark.parametrize("q", [6, 1, 0])

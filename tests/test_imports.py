@@ -1,6 +1,7 @@
-"""What a fresh process loads: numpy only once an orbit partition runs, and
-scipy never.  Each check runs in a subprocess, because this one already has
-numpy loaded (the tests import it)."""
+"""What a fresh process loads: numpy only once an orbit partition runs,
+scipy never, and the result cache (with its POSIX-only ``fcntl``) only when
+the CLI does.  Each check runs in a subprocess, because this one already
+has numpy loaded (the tests import it)."""
 
 import json
 import os
@@ -14,15 +15,14 @@ from quiverforge.cli import serialize_quiver
 
 SRC = str(Path(quiverforge.__file__).resolve().parent.parent)
 
-REPORT = 'print(json.dumps({m: m in sys.modules for m in ("numpy", "scipy")}))'
 
-
-def loaded_after(body: str) -> dict:
-    """Run ``body`` after ``import quiverforge`` in a fresh interpreter and
-    report whether numpy and scipy are in its ``sys.modules``."""
+def loaded_after(body: str, modules=("numpy", "scipy"), prelude: str = "") -> dict:
+    """Run ``prelude``, ``import quiverforge`` and then ``body`` in a fresh
+    interpreter and report which of ``modules`` are in its ``sys.modules``."""
     env = {k: v for k, v in os.environ.items() if k != "QUIVERFORGE_CACHE"}
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    script = f"import json, sys\nimport quiverforge\n{body}\n{REPORT}\n"
+    report = f"print(json.dumps({{m: m in sys.modules for m in {tuple(modules)!r}}}))"
+    script = f"import json, sys\n{prelude}\nimport quiverforge\n{body}\n{report}\n"
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
@@ -49,3 +49,16 @@ def test_orbit_partition_loads_numpy_but_not_scipy():
         "assert orbit_partition(jordan_quiver(), make_field(2), (2,))[1] == 16",
     ])
     assert loaded_after(body) == {"numpy": True, "scipy": False}
+
+
+def test_counting_and_moduli_run_without_fcntl_or_the_cache():
+    # None in sys.modules makes any import of fcntl fail, as on a host without it
+    body = "\n".join([
+        "from quiverforge import cbvdb_identity_check, count_report, kac_polynomial, kronecker_quiver",
+        "kron2 = kronecker_quiver(2)",
+        "assert kac_polynomial(kron2, (1, 1)).integer_coefficients() == [1, 1]",
+        "assert count_report(kron2, (1, 1), 2, cross_check=True).absolutely_indecomposable == 3",
+        "assert cbvdb_identity_check(kron2, (1, 1), (-1, 1), 2).holds",
+    ])
+    loaded = loaded_after(body, ("quiverforge.cache",), prelude='sys.modules["fcntl"] = None')
+    assert loaded == {"quiverforge.cache": False}

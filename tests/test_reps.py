@@ -1,4 +1,5 @@
 import itertools
+import random
 from functools import reduce
 
 import pytest
@@ -101,6 +102,52 @@ def test_hom_dim_is_the_dimension_of_the_hom_basis(quiver_name, field_args, dims
     points = [w for d in dims for w in all_representations(quiver, field, d)]
     for w1, w2 in itertools.product(points, repeat=2):
         assert hom_dim(w1, w2) == hom_space(w1, w2).dim, (w1, w2)
+
+
+def _hom_images(w1, w2, fs):
+    """f_h phi_a - phi'_a f_t for every arrow a, flat, in arrow order."""
+    return tuple(
+        x
+        for (t, h), phi1, phi2 in zip(w1.quiver.ends, w1.maps, w2.maps)
+        for x in fs[h].mul(phi1).sub(phi2.mul(fs[t])).flat()
+    )
+
+
+@pytest.mark.parametrize(
+    "quiver_name,field_args,dims",
+    [
+        # a loop, so f_t is f_h: over a prime field, where a sign error shows
+        ("jordan", (3,), [(1,), (2,)]),
+        # and over F_4, whose sums and negatives are table lookups
+        ("jordan", (2, 2), [(1,), (2,)]),
+        # blocks of Hom between a vertex of dimension 0 and one of dimension 1 or 2
+        ("kron2", (3,), [(0, 2), (2, 0), (1, 0), (0, 1), (1, 1)]),
+    ],
+)
+def test_hom_system_entries_are_the_intertwining_defects(quiver_name, field_args, dims, jordan, kron2):
+    """Each row of the Hom system, applied to f, is one entry of
+    f_h phi_a - phi'_a f_t, computed by matrix products instead."""
+    quiver = {"jordan": jordan, "kron2": kron2}[quiver_name]
+    field = make_field(*field_args)
+    rng = random.Random(0)
+    points = [w for d in dims for w in all_representations(quiver, field, d)]
+    if len(points) > 100:  # Jordan (2) over F_4 has 256 points; pair a seeded sample
+        points = rng.sample(points, 60)
+    for w1, w2 in itertools.product(points, repeat=2):
+        system, offsets = reps._hom_system(w1, w2)
+        sizes = [r * c for r, c in zip(w2.d, w1.d)]
+        assert offsets == [sum(sizes[:v]) for v in range(len(sizes))]
+        assert system.cols == sum(sizes)
+        if field.q ** system.cols <= 16:
+            vecs = itertools.product(field.elements(), repeat=system.cols)
+        else:
+            vecs = ([rng.randrange(field.q) for _ in range(system.cols)] for _ in range(3))
+        for vec in vecs:
+            fs = [
+                FqMatrix.from_flat(field, r, c, vec[offset : offset + r * c])
+                for offset, (r, c) in zip(offsets, zip(w2.d, w1.d))
+            ]
+            assert system.apply(vec) == _hom_images(w1, w2, fs), (w1, w2, vec)
 
 
 def test_ext_examples(kron2, jordan, f2):

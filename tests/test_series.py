@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -48,3 +49,7 @@ def test_series_respects_bound():
 
 def test_monomials_up_to():
     assert list(monomials_up_to(2, 1)) == [(0, 0), (0, 1), (1, 0)]
+    # the filtered (bound + 1)^nvars box, in the same lex order
+    for nvars, bound in itertools.product(range(5), range(-2, 6)):
+        box = itertools.product(range(bound + 1), repeat=nvars)
+        assert list(monomials_up_to(nvars, bound)) == [m for m in box if sum(m) <= bound]
