@@ -15,21 +15,25 @@ over tuples of partitions; Galois descent turns A into I_e(q); and M_d(q)
 is the X^d coefficient of the Krull-Schmidt product
 prod_{0 < e <= d} (1 - X^e)^(-I_e) (Kac, LNM 996, 1983).
 
-Hua's formula is computed in two steps.  The tuples of partitions are
+Hua's formula is computed in three steps.  The tuples of partitions are
 tabulated once per (quiver, d), as merged terms X^m Q^e / prod_k (Q^k - 1)
-that serve every Q.  Each log P(X, Q) is then one integer series over a
-box: with D the lcm of the terms' denominators, P_m = p_m / D for integers
-p_m, and the Euler recurrence runs on the integers U_m = |m| [X^m] log P
-D^|m|, so the one division is the last one.  Every A_e(Q) is read through
+that serve every Q.  Each box that a log P(X, Q) is read on gets one
+Q-free plan per call (``_series_plan``): the box's points, the terms on it
+grouped by denominator and the pairs k < m the recurrence multiplies.
+Each log P is then one integer series on a plan (``_log_series``): with D
+the lcm of the terms' denominators at Q, P_m = p_m / D for integers p_m,
+and the Euler recurrence runs on the integers U_m = |m| [X^m] log P D^|m|,
+so the one division is the last one.  Every A_e(Q) is read through
 ``_a_reader``, built once per (table, d, q): one series per Q = q^t, on
-the box floor(d/t).  Before the table is built the cap is charged with the
-partition tuples; before a series runs it is charged with that series'
+the box floor(d/t), its Moebius terms summed over one integer denominator.
+Before the table is built the cap is charged with the partition tuples;
+before a series runs, and before its plan is built, with that series'
 pairs k <= m <= box.
 
-Kac polynomials take A from Hua's formula too, one table for all nodes; the
-orbit partition's A is their test oracle.  Values at several prime powers
-feed an exact Lagrange interpolation whose result is verified at two surplus
-evaluation points before being returned.
+Kac polynomials take A from Hua's formula too, one table and one plan per
+box for all nodes; the orbit partition's A is their test oracle.  Values at
+several prime powers feed an exact Lagrange interpolation whose result is
+verified at two surplus evaluation points before being returned.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from collections import Counter
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
+from operator import mul
 
 from .errors import (
     ConsistencyError,
@@ -269,8 +274,64 @@ def _hua_terms(quiver: Quiver, d: tuple[int, ...], cap: int) -> Counter:
     return terms
 
 
-def _log_series(terms: Counter, box: tuple[int, ...], big_q: int) -> tuple[dict, int]:
-    """log P(X, Q) on the box, in integers.
+class _SeriesPlan:
+    """Everything about log P(X, Q) on a box that does not depend on Q.
+
+    ``points`` lists the box's m in lex order, so that k <= m gives
+    flat(m) - flat(k) = flat(m - k); ``keys`` the denominators as (ks,
+    shift), one for each prod_{k in ks} (Q^k - 1) Q^shift; ``numerators``
+    the terms on the box, as (key index, flat m, max(0, e), count); and
+    ``pairs[flat m]`` the pairs 0 < k < m grouped by |k| = 1, ...,
+    |m| - 1, each group two tuples (flat k, flat(m - k)).
+    """
+
+    __slots__ = ("box", "points", "degree", "keys", "numerators", "pairs")
+
+    def __init__(self, box, points, degree, keys, numerators, pairs):
+        self.box, self.points, self.degree = box, points, degree
+        self.keys, self.numerators, self.pairs = keys, numerators, pairs
+
+
+def _series_plan(terms: Counter, box: tuple[int, ...]) -> _SeriesPlan:
+    """The Q-free part of ``_log_series`` on ``box``: the box's points, the
+    terms with 0 < m <= box regrouped by denominator, and the pairs k < m
+    the recurrence multiplies.  It holds _pair_products(box) pairs, so the
+    cap is charged with that count before a plan is built."""
+    points = list(itertools.product(*(range(b + 1) for b in box)))
+    index = {m: flat for flat, m in enumerate(points)}
+    strides = [prod(b + 1 for b in box[i + 1:]) for i in range(len(box))]
+    degree = [sum(m) for m in points]
+    numerators: Counter = Counter()
+    for (m, e, ks), count in terms.items():
+        flat = index.get(m)
+        if flat:  # None off the box, 0 for the constant term
+            numerators[ks, max(0, -e), flat, max(0, e)] += count
+    keys = sorted({key[:2] for key in numerators})
+    key_index = {key: i for i, key in enumerate(keys)}
+    pairs: list = [()]
+    for flat in range(1, len(points)):
+        below = [0]
+        for x, stride in zip(points[flat], strides):
+            below = [k + j * stride for k in below for j in range(x + 1)]
+        groups: list = [[] for _ in range(degree[flat])]
+        for k in below[1:-1]:  # 0 < k < m: 0 comes first and m last
+            groups[degree[k]].append(k)
+        pairs.append(tuple((tuple(low), tuple(flat - k for k in low)) for low in groups[1:]))
+    return _SeriesPlan(
+        box=box,
+        points=points,
+        degree=degree,
+        keys=keys,
+        numerators=[
+            (key_index[ks, shift], flat, e, count)
+            for (ks, shift, flat, e), count in numerators.items()
+        ],
+        pairs=pairs,
+    )
+
+
+def _log_series(plan: _SeriesPlan, big_q: int) -> tuple[dict, int]:
+    """log P(X, Q) on the plan's box, in integers.
 
     P = 1 + sum of count X^m Q^e / prod_{k in ks} (Q^k - 1) over the terms
     with 0 < m <= box (the constant term is 1), at Q = big_q.  With D the
@@ -280,87 +341,79 @@ def _log_series(terms: Counter, box: tuple[int, ...], big_q: int) -> tuple[dict,
 
         U_m = |m| p_m D^(|m|-1) - sum_{0 < k < m} U_k p_{m-k} D^(|m|-|k|-1).
 
-    Every value is an integer.  Returns (U, D) with U keyed by m, so that
+    Every value is an integer; the sum over k is grouped by |k| and taken by
+    Horner in D.  Returns (U, D) with U keyed by m, so that
     [X^m] log P = U[m] / (|m| D^|m|).
     """
-    points = list(itertools.product(*(range(b + 1) for b in box)))
-    size = len(points)
-    index = {m: flat for flat, m in enumerate(points)}
-    # k <= m gives index[m] - index[k] = index[m - k]
-    strides = [prod(b + 1 for b in box[i + 1:]) for i in range(len(box))]
-    # numerators count * Q^max(0, e), summed per (m, denominator)
-    numerators: Counter = Counter()
-    for (m, e, ks), count in terms.items():
-        flat = index.get(m)
-        if flat:  # None off the box, 0 for the constant term
-            numerators[flat, ks, max(0, -e)] += count * big_q ** max(0, e)
-    products = {ks: prod(big_q**k - 1 for k in ks) for ks in {ks for _, ks, _ in numerators}}
-    denominators = {
-        (ks, shift): products[ks] * big_q**shift for ks, shift in {key[1:] for key in numerators}
-    }
-    common = lcm(*denominators.values())
-    scale = {key: common // denominator for key, denominator in denominators.items()}
+    denominators = [prod(big_q**k - 1 for k in ks) * big_q**shift for ks, shift in plan.keys]
+    common = lcm(*denominators)
+    scale = [common // denominator for denominator in denominators]
+    size = len(plan.points)
     p = [common] + [0] * (size - 1)
-    for (flat, ks, shift), numerator in numerators.items():
-        p[flat] += numerator * scale[ks, shift]
+    for key, flat, e, count in plan.numerators:
+        p[flat] += count * big_q**e * scale[key]
 
-    degree = [sum(m) for m in points]
     powers = [1]
     u = [0] * size
-    for flat in range(1, size):
+    u_at, p_at = u.__getitem__, p.__getitem__
+    degree = plan.degree
+    for flat, groups in enumerate(plan.pairs[1:], 1):
         n = degree[flat]
         while len(powers) < n:
             powers.append(powers[-1] * common)
-        below = [0]
-        for x, stride in zip(points[flat], strides):
-            below = [k + j * stride for k in below for j in range(x + 1)]
-        # group the pair products by |k|, then sum over |k| by Horner in D
-        by_degree = [0] * n
-        for k in below[1:-1]:  # 0 < k < m: 0 comes first and m last
-            by_degree[degree[k]] += u[k] * p[flat - k]
         acc = 0
-        for part in by_degree[1:]:
-            acc = acc * common + part
+        for low, high in groups:
+            acc = acc * common + sum(map(mul, map(u_at, low), map(p_at, high)))
         u[flat] = n * p[flat] * powers[n - 1] - acc
-    return dict(zip(points, u)), common
+    return dict(zip(plan.points, u)), common
 
 
-def _a_reader(terms: Counter, d: tuple[int, ...], q: int, cap: int):
+def _a_reader(terms: Counter, d: tuple[int, ...], q: int, cap: int, plans: dict):
     """``a_at(e, Q)`` = A_e(Q) for 0 < e <= d and Q = q^s with s e <= d, from
     ``terms``, a table that covers d, each value computed once:
 
         A_e(Q) = (Q - 1) sum_{r | gcd e} (mu(r)/r) [X^(e/r)] log P(X, Q^r).
 
     Each t gets one ``_log_series`` at q^t, on the box floor(d/t), charged
-    with its pair products just before it runs: every [X^m] log P(X, q^t)
-    read has m = e/r with t = s r, so m <= floor(d/t).  A non-integer value
-    is a hard error."""
+    with its pair products just before its plan is looked up or built and
+    the series runs: every [X^m] log P(X, q^t) read has m = e/r with
+    t = s r, so m <= floor(d/t).  ``plans``, a dict the caller creates for
+    one call, keeps one ``_series_plan`` per box, so that readers for
+    several q on the same table share them and none outlives the call.
+    The Moebius terms are summed over one integer denominator; a
+    non-integer value is a hard error."""
     exponent = {q**t: t for t in range(1, max(d, default=0) + 1)}
     series: dict = {}
     values: dict = {}
 
-    def log_at(t: int, m: tuple[int, ...]) -> Fraction:
+    def log_at(t: int) -> tuple[dict, int]:
         if t not in series:
             box = tuple(x // t for x in d)
             check_cap(_pair_products(box), cap, "log-coefficient pair products")
-            series[t] = _log_series(terms, box, q**t)
-        u, common = series[t]
-        n = sum(m)
-        return Fraction(u[m], n * common**n)
+            if box not in plans:
+                plans[box] = _series_plan(terms, box)
+            series[t] = _log_series(plans[box], q**t)
+        return series[t]
 
     def a_at(e: tuple[int, ...], big_q: int) -> int:
         if (e, big_q) not in values:
             s = exponent[big_q]
-            total = sum(
-                Fraction(moebius(r), r) * log_at(s * r, tuple(x // r for x in e))
-                for r in _squarefree_divisors(gcd(*e))
-            )
-            value = (big_q - 1) * total
-            if value.denominator != 1:
+            # mu(r)/r [X^m] log P(X, Q^r) = mu(r) U_m / (r |m| D^|m|), m = e/r
+            parts = []
+            for r in _squarefree_divisors(gcd(*e)):
+                m = tuple(x // r for x in e)
+                u, common = log_at(s * r)
+                n = sum(m)
+                parts.append((moebius(r) * u[m], r * n * common**n))
+            denominator = lcm(*(den for _, den in parts))
+            numerator = (big_q - 1) * sum(num * (denominator // den) for num, den in parts)
+            value, rem = divmod(numerator, denominator)
+            if rem:
                 raise ConsistencyError(
-                    f"Hua's formula gives a non-integer A_d({big_q}) = {value} for d={e}"
+                    f"Hua's formula gives a non-integer A_d({big_q}) = "
+                    f"{Fraction(numerator, denominator)} for d={e}"
                 )
-            values[e, big_q] = int(value)
+            values[e, big_q] = value
         return values[e, big_q]
 
     return a_at
@@ -389,7 +442,7 @@ def abs_indecomposable_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP)
         raise ValidationError("A_d needs a nonzero dimension vector")
     if not isinstance(q, int) or q < 2:
         raise ValidationError(f"Hua's formula needs an integer q >= 2, got {q!r}")
-    return _a_reader(_hua_terms(quiver, d, cap), d, q, cap)(d, q)
+    return _a_reader(_hua_terms(quiver, d, cap), d, q, cap, {})(d, q)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +459,10 @@ def kac_polynomial(
     ``classify_classes``, is the brute-force oracle), interpolates exactly,
     and verifies the result at two surplus prime powers.  Hua's term table
     is built, and its partition tuples charged, once for all nodes, with one
-    ``_a_reader`` per node; each log series is charged just before it runs.
+    ``_a_reader`` per node.  The readers share one dict of series plans,
+    created here, so each box's plan is built once per call and dropped
+    with it; each log series is charged just before its plan is looked up
+    and it runs.
     If verification fails the degree bound is raised once; a second failure
     raises NonPolynomialBehavior carrying all evaluations.
     """
@@ -415,7 +471,8 @@ def kac_polynomial(
         raise ValidationError("Kac polynomial needs a nonzero dimension vector")
     if a_fn is None:
         terms = _hua_terms(quiver, d, cap)
-        a_fn = lambda dd, qq: _a_reader(terms, dd, qq, cap)(dd, qq)
+        plans: dict = {}
+        a_fn = lambda dd, qq: _a_reader(terms, dd, qq, cap, plans)(dd, qq)
     degree_bound = max(0, quiver.expected_moduli_dim(d))
     evaluations: dict[int, int] = {}
 
@@ -460,23 +517,27 @@ def galois_descent_I(quiver: Quiver, d, q: int, a_fn) -> int:
         I(d, q) = sum_{r | d} (1/r) sum_{m | r} mu(m) A(d/r, q^{r/m})
 
     m runs over the squarefree divisors only, so ``a_fn`` is never asked
-    for a term that mu(m) = 0 would discard.  The descent formula is never
+    for a term that mu(m) = 0 would discard.  Every r divides g = gcd d,
+    so the sum is taken in integers over g and divided once; a non-integer
+    sum is a hard error.  The descent formula is never
     trusted standalone; callers compare it with the brute-force count (see
     check_galois_descent).
     """
     d = quiver.check_dim(d)
     if not any(d):
         raise ValidationError("descent needs a nonzero dimension vector")
-    total = Fraction(0)
-    for r in divisors(gcd(*d)):
+    g = gcd(*d)
+    total = 0
+    for r in divisors(g):
         inner = 0
         d_over_r = tuple(x // r for x in d)
         for m in _squarefree_divisors(r):
             inner += moebius(m) * a_fn(d_over_r, q ** (r // m))
-        total += Fraction(inner, r)
-    if total.denominator != 1:
-        raise ConsistencyError(f"descent sum is not an integer: {total}")
-    return int(total)
+        total += inner * (g // r)
+    value, rem = divmod(total, g)
+    if rem:
+        raise ConsistencyError(f"descent sum is not an integer: {Fraction(total, g)}")
+    return value
 
 
 def check_galois_descent(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> int:
@@ -549,7 +610,7 @@ def class_counts_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> Cl
     field_from_order(q)  # the counts are over the field F_q
     d = quiver.check_dim(d)
     terms = _hua_terms(quiver, d, cap) if any(d) else Counter()
-    a_at = _a_reader(terms, d, q, cap)
+    a_at = _a_reader(terms, d, q, cap, {})
     box = list(itertools.product(*(range(x + 1) for x in d)))
     indec = {e: galois_descent_I(quiver, e, q, a_at) for e in box[1:]}
     return ClassCounts(

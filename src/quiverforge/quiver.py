@@ -323,10 +323,33 @@ def iter_proper_subdims(d):
 
 
 def is_generic(theta, d) -> bool:
-    """theta.d = 0 and theta.d' != 0 for every 0 < d' < d."""
+    """theta.d = 0 and theta.d' != 0 for every 0 < d' < d.
+
+    The walk runs over every coordinate of d' but the one with the largest
+    d_i, the pivot: theta.d' = 0 leaves one value for the pivot, or any
+    value when its theta is 0.  So two vertices cost O(min d_i) steps; the
+    walk is still exponential in the number of vertices."""
     if pairing(theta, d) != 0:
         return False
-    return all(pairing(theta, sub) != 0 for sub in iter_proper_subdims(d))
+    theta = [_integer(t) for t in theta]
+    d = [_integer(x) for x in d]
+    if not d or min(d) < 0:
+        return True  # no 0 < d' < d
+    pivot = d.index(max(d))
+    theta_p, d_p = theta.pop(pivot), d.pop(pivot)
+    zero, rest = (0,) * len(d), tuple(d)
+    for sub in itertools.product(*(range(x + 1) for x in d)):
+        dot = sum(map(operator.mul, theta, sub))
+        if theta_p:
+            value, rem = divmod(-dot, theta_p)
+            values = (value,) if not rem and 0 <= value <= d_p else ()
+        else:
+            # with d_p >= 2 the pivot value 1 is neither 0 nor d_p
+            values = range(min(d_p, 2) + 1) if not dot else ()
+        for value in values:
+            if (value, sub) != (0, zero) and (value, sub) != (d_p, rest):
+                return False
+    return True
 
 
 def slope(theta, d) -> Fraction:

@@ -368,12 +368,25 @@ def _may_be_local(units: int, q: int) -> bool:
     power q^r with r >= 1.  True does not prove End(W) local."""
     if units < 1:
         raise ConsistencyError(f"an endomorphism ring has at least one unit, not {units}")
-    while units % q == 0:
-        units //= q
-    power = units + 1
-    while power % q == 0:
-        power //= q
-    return power == 1
+    return _strip_factors(_strip_factors(units, q) + 1, q) == 1
+
+
+def _strip_factors(n: int, q: int) -> int:
+    """n with every factor q removed, in O(log v) divisions for q^v | n:
+    divide by q, q^2, q^4, ... while they divide, then by the same powers
+    on the way down while they still divide.  A first ``% q`` settles the
+    common case, n prime to q."""
+    if n % q:
+        return n
+    n //= q
+    powers = [q]
+    while n % (power := powers[-1] ** 2) == 0:
+        n //= power
+        powers.append(power)
+    for power in reversed(powers):
+        if n % power == 0:
+            n //= power
+    return n
 
 
 def _local_structure(dim_end: int, units: int, q: int) -> EndoStructure:

@@ -1,13 +1,17 @@
 """Exact rational polynomials and truncated multivariate power series.
 
 Univariate polynomials carry Fraction coefficients (trailing zeros trimmed)
-and are what Kac-polynomial interpolation produces.  Truncated series live
-in variables indexed by quiver vertices, cut at a total-degree bound.
+and are what Kac-polynomial interpolation produces.  Interpolation and
+evaluation clear denominators first and run in integers over one common
+denominator, so a Fraction is built once per coefficient or value, at the
+end.  Truncated series live in variables indexed by quiver vertices, cut
+at a total-degree bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 
 from .errors import ValidationError
 
@@ -29,10 +33,17 @@ class ExactPolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
+        # Horner in integers: with x = a / b and L the lcm of the
+        # coefficients' denominators, p(x) = sum_t L c_t a^t b^(N-t) / (L b^N)
+        if not self.coeffs:
+            return Fraction(0)
+        a, b = _ratio(x)
+        common = lcm(*(c.denominator for c in self.coeffs))
+        acc, power = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * a + c.numerator * (common // c.denominator) * power
+            power *= b
+        return Fraction(acc, common * power // b)
 
     def coefficient(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
@@ -67,31 +78,57 @@ class ExactPolynomial:
         return "ExactPolynomial(" + " + ".join(reversed(terms)) + ")"
 
 
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) of an exact value, without a Fraction for
+    an int."""
+    if isinstance(value, int):
+        return int(value), 1
+    value = Fraction(value)
+    return value.numerator, value.denominator
+
+
 def lagrange_interpolate(points) -> ExactPolynomial:
-    """Exact Lagrange interpolation through (x_i, y_i) with distinct x_i."""
-    points = [(Fraction(x), Fraction(y)) for x, y in points]
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
+    """Exact Lagrange interpolation through (x_i, y_i) with distinct x_i.
+
+    The denominators are cleared first: with x_i = a_i / X and
+    y_i = b_i / Y for integers a_i, b_i and common denominators X, Y,
+
+        p(x) = P(X x) / (W Y),  P(z) = sum_i b_i (W / w_i) M(z) / (z - a_i),
+
+    where M(z) = prod_j (z - a_j), w_i = prod_{j != i} (a_i - a_j) and
+    W = lcm |w_i|.  P has integer coefficients, each M(z) / (z - a_i) is
+    one synthetic division, and coefficient t of p is P_t X^t / (W Y), the
+    only division.
+    """
+    pairs = [(_ratio(x), _ratio(y)) for x, y in points]
+    x_den = lcm(*(den for (_, den), _ in pairs))
+    y_den = lcm(*(den for _, (_, den) in pairs))
+    nodes = [num * (x_den // den) for (num, den), _ in pairs]
+    if len(set(nodes)) != len(nodes):
         raise ValidationError("interpolation nodes must be distinct")
-    n = len(points)
-    result = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        # Lagrange basis polynomial prod_{j != i} (x - x_j) / (x_i - x_j)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for t, c in enumerate(basis):
-                new[t] -= xj * c
-                new[t + 1] += c
-            basis = new
-            denom *= xi - xj
-        scale = yi / denom
-        for t, c in enumerate(basis):
-            result[t] += scale * c
-    return ExactPolynomial(result)
+    n = len(nodes)
+    weights = [prod(a - b for b in nodes if b != a) for a in nodes]
+    big_w = lcm(*weights)
+    # M(z), coefficients from z^0 up
+    full = [1]
+    for a in nodes:
+        full = [0] + full
+        for t in range(len(full) - 1):
+            full[t] -= a * full[t + 1]
+    total = [0] * n
+    for a, w, (_, (num, den)) in zip(nodes, weights, pairs):
+        c = num * (y_den // den) * (big_w // w)
+        carry = 0
+        for t in range(n, 0, -1):  # carry is [z^(t-1)] M(z) / (z - a)
+            carry = full[t] + a * carry
+            total[t - 1] += c * carry
+    scale = big_w * y_den
+    coeffs = []
+    for t, c in enumerate(total):
+        numerator = c * x_den**t
+        value, rem = divmod(numerator, scale)
+        coeffs.append(Fraction(numerator, scale) if rem else value)
+    return ExactPolynomial(coeffs)
 
 
 class TruncatedSeries:

@@ -1,9 +1,12 @@
-"""Brute-force enumerations over a finite field, used by the tests as
-oracles: every matrix of a shape, and every element of GL_n."""
+"""Brute-force routines used by the tests as oracles: every matrix of a
+shape and every element of GL_n over a finite field, and Lagrange
+interpolation in Fractions."""
 
 import itertools
+from fractions import Fraction
 
 from quiverforge.ffield import Field, FqMatrix
+from quiverforge.series import ExactPolynomial
 
 
 def all_matrices(field: Field, rows: int, cols: int):
@@ -17,3 +20,28 @@ def enumerate_gl(field: Field, n: int):
     for m in all_matrices(field, n, n):
         if m.det() != 0:
             yield m
+
+
+def fraction_lagrange_interpolate(points) -> ExactPolynomial:
+    """Lagrange interpolation through (x_i, y_i) with distinct x_i, one
+    Fraction basis polynomial prod_{j != i} (x - x_j) / (x_i - x_j) at a
+    time: the oracle for ``series.lagrange_interpolate``."""
+    points = [(Fraction(x), Fraction(y)) for x, y in points]
+    n = len(points)
+    result = [Fraction(0)] * n
+    for i, (xi, yi) in enumerate(points):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            new = [Fraction(0)] * (len(basis) + 1)
+            for t, c in enumerate(basis):
+                new[t] -= xj * c
+                new[t + 1] += c
+            basis = new
+            denom *= xi - xj
+        scale = yi / denom
+        for t, c in enumerate(basis):
+            result[t] += scale * c
+    return ExactPolynomial(result)

@@ -2,7 +2,7 @@ import itertools
 from collections import Counter
 from dataclasses import astuple
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 from types import SimpleNamespace
 
 import numpy as np
@@ -524,6 +524,42 @@ def test_unit_count_rule_never_rules_out_a_local_end_ring(q):
     assert checked > 0 and ruled_out > 0
 
 
+def strip_one_at_a_time(n, q):
+    while n % q == 0:
+        n //= q
+    return n
+
+
+def may_be_local_one_at_a_time(units, q):
+    return strip_one_at_a_time(strip_one_at_a_time(units, q) + 1, q) == 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_factors_of_q_are_stripped_as_one_at_a_time(q):
+    # |GL_m(F_q)| = q^(m(m-1)/2) prod_{i <= m} (q^i - 1), and q^i - 1 is prime
+    # to q; the one-at-a-time loop is the oracle where it is fast
+    for m in [*range(1, 61), 100, 150, 200, 250, 300]:
+        gl = gl_order((m,), q)
+        stripped = reps._strip_factors(gl, q)
+        assert stripped == prod(q**i - 1 for i in range(1, m + 1)), m
+        if m <= 60:
+            assert stripped == strip_one_at_a_time(gl, q), m
+        assert reps._may_be_local(gl, q) == may_be_local_one_at_a_time(stripped, q), m
+
+
+@given(st.integers(2, 30), st.integers(1, 10**6), st.integers(0, 300))
+def test_stripping_matches_the_one_at_a_time_loop(q, unit, power):
+    n = unit * q**power
+    assert reps._strip_factors(n, q) == strip_one_at_a_time(n, q)
+    assert reps._may_be_local(n, q) == may_be_local_one_at_a_time(n, q)
+    assert reps._may_be_local(n - 1 or 1, q) == may_be_local_one_at_a_time(n - 1 or 1, q)
+
+
+def test_a_large_one_point_space_is_classified(kron2):
+    # Rep(Q, (300, 0)) is one point whose |Aut| = |GL_300(F_2)| has 44850 factors 2
+    assert astuple(classify_classes(kron2, (300, 0), 2)) == (1, 0, 0)
+
+
 def orbits_left_open(quiver, d, q):
     """The canonical indices of the orbits whose unit count does not rule
     out a local End(W)."""
@@ -813,6 +849,9 @@ def test_hua_is_pinned_at_non_prime_powers(name, d):
 # A(1) = 9357
 KRON3_55 = [16, 66, 187, 377, 624, 850, 1018, 1071, 1040, 928, 791, 636, 499, 374,
             278, 197, 141, 95, 65, 41, 27, 16, 10, 5, 3, 1, 1]
+KRON3_66 = [39, 205, 669, 1613, 3114, 5088, 7190, 9108, 10424, 11094, 11009, 10423,
+            9384, 8218, 6924, 5742, 4619, 3685, 2854, 2212, 1660, 1252, 914, 672,
+            473, 341, 231, 161, 105, 71, 43, 29, 16, 10, 5, 3, 1, 1]
 
 
 @pytest.mark.parametrize(
@@ -826,6 +865,7 @@ KRON3_55 = [16, 66, 187, 377, 624, 850, 1018, 1071, 1040, 928, 791, 636, 499, 37
         # Kac: A_{n delta} = q + #vertices - 1 for an affine quiver
         ("star", (4, 2, 2, 2, 2), [4, 1]),
         ("kron3", (5, 5), KRON3_55),
+        ("kron3", (6, 6), KRON3_66),
     ],
 )
 def test_kac_polynomials_beyond_brute_force(name, d, coeffs):
@@ -918,9 +958,61 @@ def test_integer_log_series_matches_the_fraction_recurrence(series):
                 value /= big_q**k - 1
             coeffs[m] = coeffs.get(m, 0) + value
     expected = fraction_log_series(coeffs, box)
-    u, common = counting._log_series(terms, box, big_q)
+    u, common = counting._log_series(counting._series_plan(terms, box), big_q)
     for m, value in expected.items():
         assert Fraction(u[m], sum(m) * common ** sum(m)) == value, m
+
+
+def test_kac_builds_one_plan_per_box_per_call(kron2, monkeypatch):
+    # the nodes q = 2, 3, 4 and the checks 5, 7 read log P on the box (2, 2)
+    # at Q = q and on (1, 1) at Q = q^2; each box gets one plan per call
+    built = []
+    original = counting._series_plan
+
+    def counted(terms, box):
+        built.append(box)
+        return original(terms, box)
+
+    monkeypatch.setattr(counting, "_series_plan", counted)
+    assert kac_polynomial(kron2, (2, 2)).integer_coefficients() == [1, 1]
+    assert sorted(built) == [(1, 1), (2, 2)]
+    assert kac_polynomial(kron2, (2, 2)).integer_coefficients() == [1, 1]
+    assert sorted(built) == [(1, 1), (1, 1), (2, 2), (2, 2)]
+
+
+def test_no_plan_is_built_past_the_cap(kron2, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("series plan built past the cap")
+
+    monkeypatch.setattr(counting, "_series_plan", forbidden)
+    with pytest.raises(CapExceeded) as info:
+        kac_polynomial(kron2, (2, 2), cap=35)
+    assert info.value.needed == 36
+    with pytest.raises(CapExceeded) as info:
+        counting.abs_indecomposable_by_hua(kron2, (2, 2), 3, cap=20)
+    assert info.value.needed == 36
+
+
+def test_a_at_refuses_a_non_integer_value(jordan):
+    # a doctored table: P = 1 + X / (Q - 1)^2, so A_1(Q) = 1 / (Q - 1)
+    terms = Counter({((0,), 0, ()): 1, ((1,), 0, (1, 1)): 1})
+    a_at = counting._a_reader(terms, (1,), 3, DEFAULT_CAP, {})
+    with pytest.raises(ConsistencyError) as info:
+        a_at((1,), 3)
+    assert str(info.value) == "Hua's formula gives a non-integer A_d(3) = 1/2 for d=(1,)"
+
+
+def test_galois_descent_refuses_a_non_integer_sum(jordan):
+    # I(2, 2) = A(2, 2) + (A(1, 4) - A(1, 2)) / 2 = 1/2 for this a_fn
+    with pytest.raises(ConsistencyError) as info:
+        galois_descent_I(jordan, (2,), 2, lambda e, big_q: int(big_q == 4))
+    assert str(info.value) == "descent sum is not an integer: 1/2"
+
+
+def test_galois_descent_sums_over_the_divisors_of_gcd_d(jordan):
+    # I(4, q) = A(4, q) + (A(2, q^2) - A(2, q)) / 2 + (A(1, q^4) - A(1, q^2)) / 4
+    values = {((4,), 3): 5, ((2,), 9): 7, ((2,), 3): 1, ((1,), 81): 17, ((1,), 9): 1}
+    assert galois_descent_I(jordan, (4,), 3, lambda e, big_q: values[e, big_q]) == 12
 
 
 def test_hua_refuses_bad_input(kron2):
@@ -1136,9 +1228,9 @@ def test_chain_evaluates_each_hua_value_once(jordan, monkeypatch):
     series = []
     original = counting._log_series
 
-    def counted(terms, box, big_q):
-        series.append((big_q, box))
-        return original(terms, box, big_q)
+    def counted(plan, big_q):
+        series.append((big_q, plan.box))
+        return original(plan, big_q)
 
     monkeypatch.setattr(counting, "_log_series", counted)
     assert astuple(counting.class_counts_by_hua(jordan, (4,), 2)) == jordan_closed_forms(4, 2)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverforge import (
@@ -157,6 +157,50 @@ def test_is_generic_examples():
     assert is_generic((-1, 1), (1, 1))
     assert not is_generic((1, -1), (2, 2))  # theta.(1,1) = 0
     assert is_generic((0,), (1,))  # vacuous
+
+
+def is_generic_by_walk(theta, d):
+    """theta.d = 0 and theta.d' != 0 on the whole walk over 0 < d' < d."""
+    if pairing(theta, d) != 0:
+        return False
+    return all(pairing(theta, sub) != 0 for sub in iter_proper_subdims(d))
+
+
+@st.composite
+def theta_and_dim(draw):
+    n = draw(st.integers(1, 4))
+    theta = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    if draw(st.booleans()):  # m e_i
+        d = [0] * n
+        d[draw(st.integers(0, n - 1))] = draw(st.integers(0, 4))
+    else:
+        d = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    if draw(st.booleans()):  # make theta.d = 0 where one entry allows it
+        for i in range(n):
+            rest = sum(t * x for j, (t, x) in enumerate(zip(theta, d)) if j != i)
+            if d[i] and rest % d[i] == 0:
+                theta[i] = -rest // d[i]
+                break
+    return tuple(theta), tuple(d)
+
+
+@settings(max_examples=500)
+@given(theta_and_dim())
+def test_is_generic_matches_the_whole_walk(case):
+    theta, d = case
+    assert is_generic(theta, d) == is_generic_by_walk(theta, d)
+
+
+def test_is_generic_examples_beyond_two_vertices():
+    assert is_generic((-3, 1, 2), (1, 1, 1))
+    assert not is_generic((-2, 1, 1), (2, 2, 2))  # theta.(1,1,1) = 0
+    assert not is_generic((0, 0, 0), (1, 0, 2))
+    assert is_generic((5, 0), (0, 1))  # vacuous
+
+
+def test_is_generic_is_linear_on_two_vertices():
+    assert is_generic((-999, 1000), (1000, 999))
+    assert not is_generic((-1000, 1000), (1000, 1000))
 
 
 @given(theta=vec2, d=dim2)
