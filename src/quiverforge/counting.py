@@ -1,12 +1,12 @@
 """Counting machinery over F_q.
 
 The module has one public entry point per route.  ``classify_classes``
-reads M, I and A off the canonical orbit partition: M counts orbits, and
-each representative W has |Aut W| = |GL_d| / |orbit| (Aut W is W's
-stabilizer) and dim End(W) = dim Hom(W, W), from which ``reps`` reads
-locality and the residue degree by its unit-count rule.  |Aut W| alone
-already rules a local End(W) out for many orbits; only the others are
-decoded and get a Hom solve.
+reads M, I and A off the canonical orbit partition: M counts orbits; the
+orbits that hold no direct sum of points of smaller dimension are the
+indecomposable ones (Krull-Schmidt); and each of those has
+|Aut W| = |GL_d| / |orbit| (Aut W is W's stabilizer), the unit count of a
+local End(W), from which ``reps`` reads the residue degree.  No
+representation is decoded and no Hom space solved.
 
 Their one independent oracle, ``class_counts_by_hua``, is a formula chain
 that enumerates neither a representation nor a group element.  A_e(q)
@@ -54,13 +54,12 @@ from .errors import (
     DEFAULT_CAP,
 )
 from .ffield import field_from_order, gl_order, prime_power
-from .orbits import _PARTITION_CHARGE, orbit_partition
+from .orbits import _PARTITION_CHARGE, _unsplit_orbits, orbit_partition
 from .quiver import Quiver
 from .reps import (
     _charge_space,
-    _end_structure,
-    _may_be_local,
     _orbit_units,
+    _unit_residue_degree,
     arrow_shapes,
     representation_decoder,
 )
@@ -134,21 +133,35 @@ class ClassCounts:
 
 def classify_classes(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> ClassCounts:
     """M, I and A from one orbit partition; the cap budgets its q^n points.
-    Every orbit's |Aut W| is read off its size; an orbit whose unit count
-    rules out a local End(W) (``reps._may_be_local``) is decomposable, and
-    only the others are decoded and get a Hom solve."""
+
+    M counts the orbits.  By Krull-Schmidt, an orbit is decomposable iff it
+    holds a direct sum W1 + W2 of points of smaller nonzero dimension, so
+    the orbits left unmarked by ``orbits._unsplit_orbits`` are the
+    indecomposable ones, and I counts them.  Such an orbit's
+    |Aut W| = |GL_d| / |orbit| (Aut W is W's stabilizer) must be the unit
+    count q^a (q^r - 1) of a local End(W) with residue field F_{q^r}, r
+    dividing gcd(d) (``reps._unit_residue_degree``), and A counts those with
+    r = 1.  No representation is decoded and no Hom space solved.
+    """
     d = quiver.check_dim(d)
-    decode, indices, sizes = _orbits(quiver, d, q, cap)
-    gl = gl_order(d, q)
-    ends = []
-    for index, size in zip(indices, sizes):
-        units = _orbit_units(gl, size)
-        if _may_be_local(units, q):
-            ends.append(_end_structure(decode(index), units))
+    _charge_space(arrow_shapes(quiver, d), q, cap, _PARTITION_CHARGE)
+    field = field_from_order(q)
+    if not any(d):
+        return ClassCounts(iso_classes=1, indecomposable=0, absolutely_indecomposable=0)
+    n_orbits, _, sizes = _unsplit_orbits(quiver, field, d, cap=cap)
+    gl = gl_order(d, q) if sizes else 0
+    g = gcd(*d)
+    absolute = 0
+    for size in sizes:
+        r = _unit_residue_degree(_orbit_units(gl, size), q)
+        if not r or g % r:
+            raise ConsistencyError(
+                f"an indecomposable orbit of size {size} has {gl // size} automorphisms, "
+                f"not the unit count of a local End(W) with residue degree dividing {g}"
+            )
+        absolute += r == 1
     return ClassCounts(
-        iso_classes=len(indices),
-        indecomposable=sum(end.is_local for end in ends),
-        absolutely_indecomposable=sum(end.residue_degree == 1 for end in ends),
+        iso_classes=n_orbits, indecomposable=len(sizes), absolutely_indecomposable=absolute
     )
 
 
@@ -626,10 +639,9 @@ def hua_identity_check(quiver: Quiver, q: int, degree: int, cap: int = DEFAULT_C
         sum_d M_d(q) X^d   and   prod_{d != 0} (1 - X^d)^(-I_d(q)),
 
     with M_d and I_d read off one ``classify_classes`` per d: the orbit
-    partition, its orbit sizes and one ``hom_dim`` per class representative
-    that the unit-count rule leaves open.  Every X^d coefficient of the
-    right side is read off one Krull-Schmidt product, kept on the monomials
-    of total degree <= ``degree``.  The contract is zero; a q that is not a
+    partition, with the orbits of direct sums marked.  Every X^d
+    coefficient of the right side is read off one Krull-Schmidt product,
+    kept on the monomials of total degree <= ``degree``.  The contract is zero; a q that is not a
     prime power and a negative degree are refused, at every degree.  The
     support's C(degree + n, n) monomials are charged before any is listed,
     and each nonzero d's q^n points as the lex walk reaches it, all before q

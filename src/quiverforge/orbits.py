@@ -32,11 +32,20 @@ that keep their own label (the lexicographically smallest orbit elements),
 and an orbit's size is the number of points carrying its label.  They are
 turned back into representations by ``reps.representation_decoder``.
 
+The same labels find the indecomposable orbits with no linear algebra.  By
+Krull-Schmidt a decomposable W is W1 + W2 with 0 < dim W1 < d, so marking
+the orbit of every block-diagonal point W1 + W2, one split d = d1 + d2 at
+a time, leaves exactly the indecomposable orbits unmarked.  A block-diagonal
+point's index is the sum of its blocks' indices, each block's base-q codes
+copied to their positions in Rep(Q, d) (see ``_lift``).
+
 numpy is bound on the first orbit partition, not on import, so callers
 that never partition a representation space never load it.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .errors import ValidationError, DEFAULT_CAP
 from .ffield import Field, FqMatrix, gl_generators
@@ -141,29 +150,24 @@ def _min_labels(idx, perms):
     return labels
 
 
-def orbit_partition(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
-    """Partition the representation space into GL_d-orbits.
-
-    Returns (canonical_indices, n_points, sizes): the sorted list of minimal
-    point indices, one per orbit, the total point count, and the size of
-    each listed orbit.
-    """
-    d = quiver.check_dim(d)
+def _orbit_labels(quiver: Quiver, field: Field, d: tuple[int, ...], cap: int):
+    """The smallest index in each point's orbit, one array over the q^n
+    points of Rep(Q, d): the cap is charged with them, and the accumulator
+    refuses a p too large for exact arithmetic, before anything is built."""
     shapes = arrow_shapes(quiver, d)
     n_points = _charge_space(shapes, field.q, cap, _PARTITION_CHARGE)
     n_entries = sum(r * c for r, c in shapes)
     p, width = field.p, n_entries * field.k
     acc = _accumulator(width, p)
+    dtype = np.int32 if n_points < 2**31 else np.int64
+    idx = np.arange(n_points, dtype=dtype)
     if n_entries == 0:
-        return [0], 1, [1]
-
+        return idx
     generators = [(v, g, g_inv) for v, dv in enumerate(d) for g, g_inv in gl_generators(field, dv)]
     if not generators:
-        return list(range(n_points)), n_points, [1] * n_points
+        return idx
 
-    dtype = np.int32 if n_points < 2**31 else np.int64
     powers = p ** np.arange(width - 1, -1, -1, dtype=dtype)
-    idx = np.arange(n_points, dtype=dtype)
     digits = np.empty((n_points, width), dtype=acc)
     for j, power in enumerate(powers):
         digits[:, j] = (idx // power) % p
@@ -173,9 +177,79 @@ def orbit_partition(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
         action_t = np.array(_action_matrix(quiver, field, shapes, width, v, g, g_inv), dtype=acc)
         perms.append(_images(digits, action_t, p, powers))
     del digits  # n_points x width, no longer needed: keep it out of the labels' peak
+    return _min_labels(idx, perms)
 
-    labels = _min_labels(idx, perms)
-    canonical = np.flatnonzero(labels == idx)
+
+def orbit_partition(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
+    """Partition the representation space into GL_d-orbits.
+
+    Returns (canonical_indices, n_points, sizes): the sorted list of minimal
+    point indices, one per orbit, the total point count, and the size of
+    each listed orbit.
+    """
+    d = quiver.check_dim(d)
+    labels = _orbit_labels(quiver, field, d, cap)
+    canonical = np.flatnonzero(labels == np.arange(len(labels)))
     sizes = np.bincount(labels)[canonical]
-    return [int(x) for x in canonical], n_points, [int(x) for x in sizes]
+    return [int(x) for x in canonical], len(labels), [int(x) for x in sizes]
 
+
+def _splits(d: tuple[int, ...]):
+    """(d1, d2) with d1 + d2 = d, both nonzero and d1 <= d2 lexicographically,
+    d1 ascending, generated lazily: d - d1 descends as d1 ascends, so the
+    walk ends at the first d1 > d2."""
+    for d1 in itertools.product(*(range(x + 1) for x in d)):
+        d2 = tuple(x - y for x, y in zip(d, d1))
+        if d1 > d2:
+            return
+        if any(d1):
+            yield d1, d2
+
+
+def _lift(quiver: Quiver, shapes, sub, offset, q: int, dtype):
+    """Index in Rep(Q, d), d given by its ``arrow_shapes``, of each point of
+    Rep(Q, sub), in index order, placed as the diagonal block of a point of
+    Rep(Q, d) that starts at vertex offsets ``offset``, with every other
+    entry 0.  Each entry's base-q code is copied to its position, never
+    multiplied, so this holds over every F_{p^k}, and the block-diagonal
+    point W1 + W2 has index lift(W1) + lift(W2)."""
+    n_entries = sum(r * c for r, c in shapes)
+    codes = np.arange(q, dtype=dtype)
+    lift = np.zeros(1, dtype=dtype)
+    start = 0
+    for (t, h), (r, c) in zip(quiver.ends, shapes):
+        for i in range(offset[h], offset[h] + sub[h]):
+            for j in range(offset[t], offset[t] + sub[t]):
+                weight = q ** (n_entries - 1 - (start + i * c + j))
+                lift = (lift[:, None] + codes * weight).ravel()
+        start += r * c
+    return lift
+
+
+def _unsplit_orbits(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
+    """(number of orbits, canonical indices, sizes) of Rep(Q, d): every
+    orbit is counted, and the orbits that hold no direct sum W1 + W2 of
+    nonzero points are listed with their sizes.  By Krull-Schmidt these are
+    exactly the indecomposable orbits.
+
+    The orbit partition runs once (``_orbit_labels``).  For each split
+    d = d1 + d2 (see ``_splits``) the orbit of every block-diagonal point,
+    W1 over all of Rep(d1) at vertex offset 0 and W2 over all of Rep(d2) at
+    offset d1, is marked, one split at a time; the walk stops once every
+    orbit is marked.  A split's q^(n(d1) + n(d2)) sums are at most the q^n
+    points the cap was charged with, since n(d) = n(d1) + n(d2) plus the
+    entries off the diagonal blocks."""
+    d = quiver.check_dim(d)
+    labels = _orbit_labels(quiver, field, d, cap)
+    canonical = np.flatnonzero(labels == np.arange(len(labels)))
+    marked = np.zeros(len(labels), dtype=bool)
+    shapes, zero = arrow_shapes(quiver, d), (0,) * len(d)
+    for d1, d2 in _splits(d):
+        low = _lift(quiver, shapes, d1, zero, field.q, labels.dtype)
+        high = _lift(quiver, shapes, d2, d1, field.q, labels.dtype)
+        marked[labels[(low[:, None] + high).ravel()]] = True
+        if marked[canonical].all():
+            break
+    free = canonical[~marked[canonical]]
+    sizes = np.bincount(labels)[free]
+    return len(canonical), [int(x) for x in free], [int(x) for x in sizes]

@@ -10,6 +10,7 @@ its number of non-units is a power of q, that power being dim J (see
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -354,21 +355,18 @@ def _orbit_units(gl: int, orbit_size: int) -> int:
     return units
 
 
-def _end_structure(w: Representation, units: int) -> EndoStructure:
-    """End(W) from its number of units, |Aut W| (see ``_orbit_units``), and
-    dim End(W) = hom_dim(W, W)."""
-    return _local_structure(hom_dim(w, w), units, w.field.q)
-
-
-def _may_be_local(units: int, q: int) -> bool:
-    """False when an End(W) with ``units`` units cannot be local, which
-    needs no Hom solve: a local End(W) of dimension e with residue field
-    F_{q^r} has q^(e-r) (q^r - 1) units, and q^r - 1 is prime to q, so
-    ``units`` with every factor q removed is then q^r - 1, one less than a
-    power q^r with r >= 1.  True does not prove End(W) local."""
+def _unit_residue_degree(units: int, q: int) -> int:
+    """r when an End(W) with ``units`` units may be local with residue field
+    F_{q^r}, else 0, which needs no Hom solve: a local End(W) of dimension e
+    with residue field F_{q^r} has q^(e-r) (q^r - 1) units, and q^r - 1 is
+    prime to q, so ``units`` with every factor q removed is then q^r - 1,
+    one less than a power q^r with r >= 1.  r > 0 does not prove End(W)
+    local."""
     if units < 1:
         raise ConsistencyError(f"an endomorphism ring has at least one unit, not {units}")
-    return _strip_factors(_strip_factors(units, q) + 1, q) == 1
+    power = _strip_factors(units, q) + 1
+    r = round(math.log(power, q))
+    return r if q**r == power else 0
 
 
 def _strip_factors(n: int, q: int) -> int:

@@ -25,7 +25,7 @@ from quiverforge import (
     kronecker_quiver,
     moduli,
 )
-from quiverforge import cache, ffield, reps
+from quiverforge import cache, ffield, orbits, reps
 from quiverforge import quiver as quiver_module
 from quiverforge.cache import cache_lookup, cache_store
 from quiverforge.cli import main, parse_quiver, serialize_quiver
@@ -464,6 +464,7 @@ def test_negative_expected_dimension_is_refused_before_any_work(
         raise AssertionError("work done for a refused e < 0")
 
     monkeypatch.setattr(counting, "orbit_partition", forbidden)
+    monkeypatch.setattr(orbits, "_orbit_labels", forbidden)
     monkeypatch.setattr(cli, "kac_polynomial", forbidden)
     cache = tmp_path / "cache.jsonl"
     code, out, _ = run_cli(capsys, [argv[0], "--quiver", kron2_file, *argv[1:], "--cache", str(cache)])
@@ -479,6 +480,7 @@ def test_stability_refuses_a_theta_off_degree_zero_before_the_partition(capsys, 
         raise AssertionError("Rep(Q, d) partitioned for a theta the verdicts refuse")
 
     monkeypatch.setattr(counting, "orbit_partition", forbidden)
+    monkeypatch.setattr(orbits, "_orbit_labels", forbidden)
     code, out, _ = run_cli(
         capsys, ["stability", "--quiver", kron2_file, "--d", d, "--theta", "1,1", "--q", "3"]
     )

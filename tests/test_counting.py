@@ -1,4 +1,5 @@
 import itertools
+import time
 from collections import Counter
 from dataclasses import astuple
 from fractions import Fraction
@@ -246,6 +247,7 @@ def test_burnside_walks_no_points_and_scans_no_end_ring(jordan, monkeypatch):
         monkeypatch.setattr(module, "scan_endomorphisms", forbidden, raising=False)
         monkeypatch.setattr(module, "all_representations", forbidden, raising=False)
     monkeypatch.setattr(counting, "orbit_partition", forbidden)
+    monkeypatch.setattr(orbits, "_orbit_labels", forbidden)
     assert class_counts_by_hua(jordan, (2,), 3).iso_classes == 12
     # budgeted by Hua's partition tuples and pair products alone: 9^3 points exceed the cap
     assert class_counts_by_hua(kronecker_quiver(3), (1, 1), 9, cap=100).iso_classes == 92
@@ -369,13 +371,13 @@ def test_orbit_sizes_are_group_order_over_automorphisms(name, d, q):
 
 
 def test_classify_refuses_an_orbit_size_not_dividing_the_group(jordan, monkeypatch):
-    original = counting.orbit_partition
+    original = counting._unsplit_orbits
 
     def bad_sizes(*args, **kwargs):
-        indices, n_points, sizes = original(*args, **kwargs)
-        return indices, n_points, [gl_order((2,), 2) + 1] + sizes[1:]
+        n_orbits, indices, sizes = original(*args, **kwargs)
+        return n_orbits, indices, [gl_order((2,), 2) + 1] + sizes[1:]
 
-    monkeypatch.setattr(counting, "orbit_partition", bad_sizes)
+    monkeypatch.setattr(counting, "_unsplit_orbits", bad_sizes)
     with pytest.raises(ConsistencyError, match="does not divide"):
         classify_classes(jordan, (2,), 2)
 
@@ -500,7 +502,7 @@ def test_unit_count_rule_never_rules_out_a_local_end_ring(q):
     # on small unit counts, and on every orbit's, the rule is its arithmetic statement
     small = range(1, 2000)
     local_counts = unit_counts_of_local_rings(q, small[-1])
-    assert [u for u in small if reps._may_be_local(u, q)] == sorted(local_counts)
+    assert [u for u in small if may_be_local(u, q)] == sorted(local_counts)
     checked = ruled_out = 0
     for name, dims in RULE_DIMS.items():
         quiver = QUIVERS[name]
@@ -510,8 +512,8 @@ def test_unit_count_rule_never_rules_out_a_local_end_ring(q):
             gl = gl_order(d, q)
             for w, size in orbit_representatives(quiver, d, q):
                 units = gl // size
-                end = reps._end_structure(w, units)  # the Hom route
-                allowed = reps._may_be_local(units, q)
+                end = reps._local_structure(reps.hom_dim(w, w), units, q)  # the Hom route
+                allowed = may_be_local(units, q)
                 assert allowed == (units in unit_counts_of_local_rings(q, units)), (name, d, w)
                 assert allowed or not end.is_local, (name, d, w)
                 checked += 1
@@ -522,6 +524,11 @@ def test_unit_count_rule_never_rules_out_a_local_end_ring(q):
             except CapExceeded:
                 pass
     assert checked > 0 and ruled_out > 0
+
+
+def may_be_local(units, q):
+    """The unit-count rule's verdict: some local End(W) has ``units`` units."""
+    return reps._unit_residue_degree(units, q) > 0
 
 
 def strip_one_at_a_time(n, q):
@@ -544,57 +551,126 @@ def test_factors_of_q_are_stripped_as_one_at_a_time(q):
         assert stripped == prod(q**i - 1 for i in range(1, m + 1)), m
         if m <= 60:
             assert stripped == strip_one_at_a_time(gl, q), m
-        assert reps._may_be_local(gl, q) == may_be_local_one_at_a_time(stripped, q), m
+        assert may_be_local(gl, q) == may_be_local_one_at_a_time(stripped, q), m
 
 
 @given(st.integers(2, 30), st.integers(1, 10**6), st.integers(0, 300))
 def test_stripping_matches_the_one_at_a_time_loop(q, unit, power):
     n = unit * q**power
     assert reps._strip_factors(n, q) == strip_one_at_a_time(n, q)
-    assert reps._may_be_local(n, q) == may_be_local_one_at_a_time(n, q)
-    assert reps._may_be_local(n - 1 or 1, q) == may_be_local_one_at_a_time(n - 1 or 1, q)
+    assert may_be_local(n, q) == may_be_local_one_at_a_time(n, q)
+    assert may_be_local(n - 1 or 1, q) == may_be_local_one_at_a_time(n - 1 or 1, q)
 
 
 def test_a_large_one_point_space_is_classified(kron2):
-    # Rep(Q, (300, 0)) is one point whose |Aut| = |GL_300(F_2)| has 44850 factors 2
+    # Rep(Q, (300, 0)) is one point, the direct sum of 300 simples
     assert astuple(classify_classes(kron2, (300, 0), 2)) == (1, 0, 0)
 
 
-def orbits_left_open(quiver, d, q):
-    """The canonical indices of the orbits whose unit count does not rule
-    out a local End(W)."""
-    indices, _, sizes = orbit_partition(quiver, field_from_order(q), d)
-    gl = gl_order(d, q)
-    return [i for i, size in zip(indices, sizes) if reps._may_be_local(gl // size, q)]
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_the_zero_dimension_has_one_class_and_no_indecomposable(q):
+    # the zero representation has one unit and no proper split to mark it
+    for quiver in (jordan_quiver(), kronecker_quiver(2), star_quiver()):
+        d = (0,) * len(quiver.vertices)
+        assert astuple(classify_classes(quiver, d, q)) == (1, 0, 0)
+
+
+def test_the_split_walk_stops_once_every_orbit_is_marked(monkeypatch):
+    # one point at center dimension 0, marked by the first split; walking all
+    # splits of (0, 300, 300, 300, 300) would take about 4 * 10^9 of them
+    splits = orbits._splits
+
+    def first_split_only(d):
+        for n, split in enumerate(splits(d)):
+            assert n == 0, "the walk went on past a split that marked every orbit"
+            yield split
+
+    monkeypatch.setattr(orbits, "_splits", first_split_only)
+    start = time.perf_counter()
+    assert astuple(classify_classes(star_quiver(), (0, 300, 300, 300, 300), 2)) == (1, 0, 0)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_an_unmarked_orbit_without_a_local_unit_count_is_refused(jordan, kron2, monkeypatch):
+    # with no split marked, the zero point's orbit stays open.  Jordan (2)
+    # over F_3: |Aut| = |GL_2(F_3)| = 48 = 3 * 16, and 17 is no power of 3.
+    # Kronecker (2, 1) over F_2: |Aut| = 6 = 2 * (2^2 - 1), residue degree 2,
+    # which does not divide gcd(2, 1)
+    monkeypatch.setattr(orbits, "_splits", lambda d: iter(()))
+    for quiver, d, q in [(jordan, (2,), 3), (kron2, (2, 1), 2)]:
+        with pytest.raises(ConsistencyError, match="not the unit count of a local End"):
+            classify_classes(quiver, d, q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_direct_sums_mark_exactly_the_orbits_without_a_local_end_ring(q):
+    # the Hom route is the oracle: marked by a direct sum iff End(W) is not
+    # local, and on each unmarked orbit |Aut W| gives End(W)'s residue degree
+    field = field_from_order(q)
+    checked = marked = 0
+    for name, dims in RULE_DIMS.items():
+        quiver = QUIVERS[name]
+        for d in dims:
+            if q ** sum(r * c for r, c in reps.arrow_shapes(quiver, d)) > DEFAULT_CAP:
+                continue
+            n_orbits, free, free_sizes = orbits._unsplit_orbits(quiver, field, d)
+            unmarked = dict(zip(free, free_sizes))
+            indices, _, sizes = orbit_partition(quiver, field, d)
+            assert n_orbits == len(indices)
+            decode = reps.representation_decoder(quiver, field, d)
+            gl = gl_order(d, q)
+            for index, size in zip(indices, sizes):
+                w = decode(index)
+                end = reps._local_structure(reps.hom_dim(w, w), gl // size, q)
+                assert (index in unmarked) == end.is_local, (name, d, w)
+                if end.is_local:
+                    r = reps._unit_residue_degree(gl // size, q)
+                    assert unmarked[index] == size
+                    assert r == end.residue_degree and gcd(*d) % r == 0, (name, d, w)
+                checked += 1
+                marked += not end.is_local
+    assert checked > marked > 0
+
+
+def test_classify_matches_the_formula_chain_on_every_small_box():
+    # every d with d_i <= 3 whose q^n points fit under the cap, and whose
+    # partition tuples and pair products do
+    quivers = dict(QUIVERS, **{"two-loop": Quiver(["1"], [("x", "1", "1"), ("y", "1", "1")])})
+    cap = 200
+    checked = 0
+    for name, quiver in quivers.items():
+        for d in itertools.product(range(4), repeat=len(quiver.vertices)):
+            for q in [2, 3, 4, 5, 7, 8, 9]:
+                try:
+                    counts = classify_classes(quiver, d, q, cap=cap)
+                    expected = class_counts_by_hua(quiver, d, q, cap=cap)
+                except CapExceeded:
+                    continue
+                assert counts == expected, (name, d, q)
+                checked += 1
+    assert checked > 1800
 
 
 @pytest.mark.parametrize("name,d,q", [("kron2", (2, 1), 3), ("jordan", (2,), 4), ("loop+arrow", (1, 1), 3)])
-def test_classify_builds_one_representation_per_orbit(name, d, q, monkeypatch):
-    # one decode, and so one Hom solve, per orbit the unit-count rule leaves open
-    decoded = []
-    solved = []
-    make_decoder, solve = counting.representation_decoder, reps.hom_dim
+def test_classify_decodes_nothing_and_labels_the_space_once(name, d, q, monkeypatch):
+    # no decode and no Hom solve; one label pass over Rep(Q, d) per call
+    def forbidden(*args, **kwargs):
+        raise AssertionError("classify_classes decoded a point or solved for Hom")
 
-    def counted_decoder(*args):
-        decode = make_decoder(*args)
+    passes = []
+    label = orbits._min_labels
 
-        def counted(index):
-            decoded.append(index)
-            return decode(index)
+    def counted_labels(idx, perms):
+        passes.append(len(idx))
+        return label(idx, perms)
 
-        return counted
-
-    def counted_solve(w1, w2):
-        solved.append(w1.d)
-        return solve(w1, w2)
-
-    monkeypatch.setattr(counting, "representation_decoder", counted_decoder)
-    monkeypatch.setattr(reps, "hom_dim", counted_solve)
-    counts = classify_classes(QUIVERS[name], d, q)
-    open_orbits = orbits_left_open(QUIVERS[name], d, q)
-    assert decoded == open_orbits
-    assert len(solved) == len(open_orbits) < counts.iso_classes
-    assert set(solved) == {d}
+    expected = class_counts_by_hua(QUIVERS[name], d, q)
+    monkeypatch.setattr(counting, "representation_decoder", forbidden)
+    monkeypatch.setattr(reps, "hom_dim", forbidden)
+    monkeypatch.setattr(orbits, "_min_labels", counted_labels)
+    for calls in (1, 2):
+        assert classify_classes(QUIVERS[name], d, q) == expected
+        assert passes == [q ** sum(r * c for r, c in reps.arrow_shapes(QUIVERS[name], d))] * calls
 
 
 def test_decoder_is_the_inverse_of_the_encoding(kron2, jordan, f2, f3, f4):
@@ -1033,6 +1109,7 @@ def test_kac_polynomial_enumerates_no_representation(kron2, monkeypatch):
         raise AssertionError("kac_polynomial walked Rep(Q, d)")
 
     monkeypatch.setattr(counting, "orbit_partition", forbidden)
+    monkeypatch.setattr(orbits, "_orbit_labels", forbidden)
     assert kac_polynomial(kron2, (2, 2)).integer_coefficients() == [1, 1]
 
 
