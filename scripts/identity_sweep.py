@@ -22,7 +22,6 @@ from quiverforge import (
     a2_quiver,
     cbvdb_identity_check,
     count_report,
-    enumerate_level_set,
     hua_identity_check,
     jordan_quiver,
     kronecker_quiver,
@@ -51,8 +50,8 @@ def main():
                 check = cbvdb_identity_check(quiver, d, theta, q, cap=args.cap)
                 level, points, expected = check.level_set, check.point_count, check.expected
                 verdict = "holds" if check.holds else "FAILS"
-            except SmallCharacteristic:
-                level = enumerate_level_set(quiver, d, theta, q, cap=args.cap)
+            except SmallCharacteristic as exc:
+                level = exc.level_set
                 points, expected, verdict = "-", "-", "small char"
             lifting = lifting_fiber_check(quiver, d, theta, q, cap=args.cap)
             print(

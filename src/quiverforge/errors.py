@@ -53,7 +53,12 @@ class ConsistencyError(QuiverForgeError):
 
 class SmallCharacteristic(QuiverForgeError):
     """Group order does not divide a level-set count: characteristic too
-    small or the stability parameter is not generic in this characteristic."""
+    small or the stability parameter is not generic in this characteristic.
+    ``level_set`` is that count."""
+
+    def __init__(self, message: str, level_set: int):
+        super().__init__(message)
+        self.level_set = level_set
 
 
 class NonPolynomialBehavior(QuiverForgeError):

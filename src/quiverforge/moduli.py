@@ -56,6 +56,7 @@ from .reps import (
     arrow_shapes,
 )
 from .counting import classify_classes, orbit_representatives
+from .orbits import _PARTITION_CHARGE, _shared_partitions
 from .series import ExactPolynomial
 
 
@@ -195,7 +196,8 @@ def _level_and_points(quiver: Quiver, d, theta, q: int, cap: int) -> tuple[int, 
     if rem:
         raise SmallCharacteristic(
             f"level-set count {level} is not divisible by |G_d| = {order}: "
-            "characteristic too small or theta not generic in this characteristic"
+            "characteristic too small or theta not generic in this characteristic",
+            level,
         )
     return level, points
 
@@ -232,13 +234,18 @@ def cbvdb_identity_check(
     quiver: Quiver, d, theta, q: int, cap: int = DEFAULT_CAP
 ) -> CbvdbCheck:
     """Compare the moduli point count, from the fiber pass, with q^e times
-    the absolutely indecomposable count of ``classify_classes``."""
+    the absolutely indecomposable count of ``classify_classes``.
+
+    Both sides read the orbit labels of Rep(Q, d) from one partition, made
+    once inside this call and dropped when it returns or raises (see
+    ``orbits._shared_partitions``); each side still charges the cap."""
     d, theta = _check_generic(quiver, d, theta)
     e = quiver.expected_moduli_dim(d)
     if e < 0:
         raise ValidationError(f"expected moduli dimension is negative for d={d}")
-    level, points = _level_and_points(quiver, d, theta, q, cap)
-    abs_count = classify_classes(quiver, d, q, cap=cap).absolutely_indecomposable
+    with _shared_partitions():
+        level, points = _level_and_points(quiver, d, theta, q, cap)
+        abs_count = classify_classes(quiver, d, q, cap=cap).absolutely_indecomposable
     return CbvdbCheck(
         holds=(points == q**e * abs_count),
         q=q,
@@ -267,6 +274,8 @@ def lifting_fiber_check(
     quiver: Quiver, d, theta, q: int, cap: int = DEFAULT_CAP
 ) -> LiftingCheck:
     d, theta = _check_generic(quiver, d, theta)
+    # the partition's charge, so a refused d costs no |GL_d|
+    _charge_space(arrow_shapes(quiver, d), q, cap, _PARTITION_CHARGE)
     gl = gl_order(d, q)
     level_count = 0
     counterexample = None

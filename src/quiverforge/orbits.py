@@ -39,6 +39,14 @@ a time, leaves exactly the indecomposable orbits unmarked.  A block-diagonal
 point's index is the sum of its blocks' indices, each block's base-q codes
 copied to their positions in Rep(Q, d) (see ``_lift``).
 
+Inside a ``_shared_partitions`` block the labels of each Rep(Q, d) are
+computed once, keyed by the arrow ends, the field and d, and every later
+``_orbit_labels`` call in the block reads the same read-only array, after
+charging the cap as it would to compute it.  ``moduli.cbvdb_identity_check``
+opens one around its fiber pass and ``classify_classes``; the labels are
+dropped when the block exits, normally or by an exception, so nothing
+outlives the call.
+
 numpy is bound on the first orbit partition, not on import, so callers
 that never partition a representation space never load it.
 """
@@ -46,6 +54,8 @@ that never partition a representation space never load it.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from .errors import ValidationError, DEFAULT_CAP
 from .ffield import Field, FqMatrix, gl_generators
@@ -56,6 +66,9 @@ from .reps import _charge_space, arrow_shapes
 _PARTITION_CHARGE = "orbit enumeration of the representation space"
 
 np = None  # numpy, bound by _bind_numpy on first use
+
+# (arrow ends, field, d) -> read-only labels, set only inside _shared_partitions
+_SHARED_LABELS = ContextVar("shared_labels", default=None)
 
 
 def _bind_numpy():
@@ -150,12 +163,37 @@ def _min_labels(idx, perms):
     return labels
 
 
+@contextmanager
+def _shared_partitions():
+    """Within the block, each Rep(Q, d) is partitioned at most once (see
+    the module docstring); the labels are dropped on exit."""
+    token = _SHARED_LABELS.set({})
+    try:
+        yield
+    finally:
+        _SHARED_LABELS.reset(token)
+
+
 def _orbit_labels(quiver: Quiver, field: Field, d: tuple[int, ...], cap: int):
     """The smallest index in each point's orbit, one array over the q^n
-    points of Rep(Q, d): the cap is charged with them, and the accumulator
-    refuses a p too large for exact arithmetic, before anything is built."""
+    points of Rep(Q, d): the cap is charged with them before anything is
+    built or read from a ``_shared_partitions`` block."""
     shapes = arrow_shapes(quiver, d)
     n_points = _charge_space(shapes, field.q, cap, _PARTITION_CHARGE)
+    shared = _SHARED_LABELS.get()
+    if shared is None:
+        return _label_kernel(quiver, field, d, shapes, n_points)
+    key = (quiver.ends, field, d)
+    if key not in shared:
+        labels = _label_kernel(quiver, field, d, shapes, n_points)
+        labels.flags.writeable = False
+        shared[key] = labels
+    return shared[key]
+
+
+def _label_kernel(quiver: Quiver, field: Field, d: tuple[int, ...], shapes, n_points: int):
+    """``_orbit_labels`` computed, the cap already charged; the accumulator
+    refuses a p too large for exact arithmetic before anything is built."""
     n_entries = sum(r * c for r, c in shapes)
     p, width = field.p, n_entries * field.k
     acc = _accumulator(width, p)

@@ -602,6 +602,30 @@ def test_an_unmarked_orbit_without_a_local_unit_count_is_refused(jordan, kron2, 
             classify_classes(quiver, d, q)
 
 
+def test_one_shared_block_keeps_each_space_apart():
+    # spaces that differ in d, in the field or only in the arrow ends are
+    # each partitioned on their own inside one block, as they are outside it
+    f2, f4 = make_field(2), make_field(2, 2)
+    kron2, cycle = QUIVERS["kron2"], QUIVERS["2-cycle"]
+    spaces = [
+        (kron2, f2, (2, 1)),
+        (kron2, f2, (1, 2)),
+        (kron2, f4, (2, 1)),
+        (QUIVERS["jordan"], f2, (2,)),  # 16 points, as kron2 (2, 1) over F_2
+        (kron2, f4, (1, 1)),
+        (cycle, f4, (1, 1)),  # the same 16 points, other arrow ends
+    ]
+    alone = [(orbit_partition(*s), orbits._unsplit_orbits(*s)) for s in spaces]
+    with orbits._shared_partitions():
+        shared = [(orbit_partition(*s), orbits._unsplit_orbits(*s)) for s in spaces]
+        assert len(orbits._SHARED_LABELS.get()) == len(spaces)
+    assert shared == alone
+    # a key without the arrow ends would hand kron2's labels to the 2-cycle
+    assert orbits._orbit_labels(kron2, f4, (1, 1), 16).tolist() != (
+        orbits._orbit_labels(cycle, f4, (1, 1), 16).tolist()
+    )
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_direct_sums_mark_exactly_the_orbits_without_a_local_end_ring(q):
     # the Hom route is the oracle: marked by a direct sum iff End(W) is not

@@ -33,7 +33,8 @@ from quiverforge import (
     jordan_quiver,
     kronecker_quiver,
 )
-from quiverforge import counting, moduli, reps
+from quiverforge import counting, moduli, orbits, reps
+from quiverforge.counting import classify_classes
 from quiverforge.ffield import prime_power
 from brute_force import enumerate_gl
 from quiverforge.moduli import level_set_points
@@ -396,8 +397,13 @@ def test_level_divisibility_property(jordan, kron2, a2):
 def test_small_characteristic_diagnostic(kron2):
     # theta = (-5, 5) is generic over the integers but vanishes mod 5
     assert moduli_point_count(kron2, (1, 1), (-5, 5), 3) == 12
-    with pytest.raises(SmallCharacteristic):
-        moduli_point_count(kron2, (1, 1), (-5, 5), 5)
+    level = enumerate_level_set(kron2, (1, 1), (-5, 5), 5)
+    for check in (moduli_point_count, cbvdb_identity_check):
+        with pytest.raises(SmallCharacteristic) as info:
+            check(kron2, (1, 1), (-5, 5), 5)
+        assert info.value.level_set == level
+    # the identity check raised inside its shared partition, which is gone
+    assert orbits._SHARED_LABELS.get() is None
 
 
 def test_cbvdb_examples(jordan, kron2, a2):
@@ -420,6 +426,80 @@ def test_cbvdb_failure_is_data_not_error(a2):
     check = cbvdb_identity_check(a2, (1, 1), (-2, 2), 2)
     assert not check.holds
     assert check.point_count == 3 and check.expected == 1
+
+
+# -- one partition serves both sides of the identity check
+
+
+def test_identity_check_partitions_rep_once(kron2, monkeypatch):
+    runs = []
+    original = orbits._min_labels
+
+    def counted(idx, perms):
+        runs.append(len(idx))
+        return original(idx, perms)
+
+    monkeypatch.setattr(orbits, "_min_labels", counted)
+    check = cbvdb_identity_check(kron2, (1, 1), (-1, 1), 5)
+    assert check.holds and check.level_set == 120 and check.abs_indecomposable == 6
+    # the fiber pass and classify_classes read one labelling of the 25 points
+    assert runs == [25]
+    assert orbits._SHARED_LABELS.get() is None
+    # nothing outlived the call: the next partition of the same space runs again
+    assert classify_classes(kron2, (1, 1), 5).absolutely_indecomposable == 6
+    assert runs == [25, 25]
+
+
+def test_shared_labels_are_read_only_and_still_charged(kron2):
+    field = make_field(5)
+    loose = orbits._orbit_labels(kron2, field, (1, 1), 25)
+    assert loose.flags.writeable
+    with orbits._shared_partitions():
+        labels = orbits._orbit_labels(kron2, field, (1, 1), 25)
+        assert orbits._orbit_labels(kron2, field, (1, 1), 25) is labels
+        assert labels.tolist() == loose.tolist()
+        with pytest.raises(ValueError):
+            labels[0] = 1
+        # a shared space is refused at a lower cap exactly as an unshared one
+        with pytest.raises(CapExceeded) as info:
+            orbits._orbit_labels(kron2, field, (1, 1), 24)
+        assert info.value.what == "orbit enumeration of the representation space"
+        assert info.value.needed == 25
+    assert orbits._SHARED_LABELS.get() is None
+
+
+def test_identity_check_over_its_cap_is_refused_as_before(kron2):
+    with pytest.raises(CapExceeded) as info:
+        cbvdb_identity_check(kron2, (1, 1), (-1, 1), 5, cap=24)
+    assert info.value.what == "orbit enumeration of the representation space"
+    assert info.value.needed == 25
+    assert orbits._SHARED_LABELS.get() is None
+
+
+# (quiver, d, theta, q) over F_{p^k}, k > 1; the largest doubled space,
+# Kronecker-2 (1, 1) over F_9, has 9^4 = 6561 points
+EXTENSION_CASES = [
+    ("kron2", (1, 1), (-1, 1), 4),
+    ("kron2", (1, 1), (-1, 1), 8),
+    ("kron2", (1, 1), (-1, 1), 9),
+    ("kron3", (1, 1), (-1, 1), 4),
+    ("jordan", (1,), (0,), 4),
+    ("jordan", (1,), (0,), 8),
+    ("jordan", (1,), (0,), 9),
+]
+
+
+@pytest.mark.parametrize("name,d,theta,q", EXTENSION_CASES)
+def test_identity_and_lifting_checks_over_extension_fields(name, d, theta, q):
+    quiver = FIBER_QUIVERS[name]
+    brute = sum(1 for _ in level_set_points(quiver, d, theta, q))
+    check = cbvdb_identity_check(quiver, d, theta, q)
+    assert check.holds
+    assert check.level_set == brute == enumerate_level_set(quiver, d, theta, q)
+    assert check.point_count * g_order(d, q) == brute
+    assert check.abs_indecomposable == classify_classes(quiver, d, q).absolutely_indecomposable
+    lifting = lifting_fiber_check(quiver, d, theta, q)
+    assert lifting.holds and lifting.level_count == brute
 
 
 # -- lifting fibers
@@ -451,6 +531,19 @@ def test_generic_theta_forces_an_indivisible_d(d, raw):
     theta = normalize_to_degree_zero(raw[: len(d)], d)
     if any(d) and is_generic(theta, d):
         assert is_indivisible(d)
+
+
+def test_lifting_is_refused_before_the_group_order(kron2, monkeypatch):
+    # |GL_d| at d = (1000, 999) is a product of 1999 huge factors, and the
+    # partition needs 2^(2 * 1000 * 999) points: the cap refuses first
+    def forbidden(*args):
+        raise AssertionError("|GL_d| computed past the cap")
+
+    monkeypatch.setattr(moduli, "gl_order", forbidden)
+    with pytest.raises(CapExceeded) as info:
+        lifting_fiber_check(kron2, (1000, 999), (-999, 1000), 2)
+    assert info.value.what == "orbit enumeration of the representation space"
+    assert info.value.needed == 2 ** (2 * 1000 * 999)
 
 
 def test_lifting_reports_the_lex_first_counterexample(kron2, monkeypatch):
