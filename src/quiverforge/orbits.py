@@ -8,16 +8,28 @@ exactly lexicographic order on representations.
 Since each element code is the base-p integer of its residue polynomial,
 the same index read in base p has n*k digits, and every group element acts
 F_p-linearly on them.  The orbit partition lets a generating set of GL_d act
-on the whole space at once: each generator is one integer matrix on those
-digits, applied to every point as a matrix product reduced mod p, which
-yields a permutation of indices.  That matrix is read off the entries of g
-and g^-1, one arrow block at a time (see ``_action_matrix``): g at v sends
-X_a to g X_a on an arrow with head v, to X_a g^-1 on one with tail v, and
-both on a loop at v, so a unit entry of arrow a spreads only over a's own
-block.  ``ffield.gl_generators`` hands over each generator with its inverse
-in closed form, so no point is decoded, no matrix product is taken and no
-matrix is inverted.  The accumulator dtype is chosen so that no sum of
-products wraps, so the images are exact for every F_{p^k}.
+on the whole space at once, each generator as a permutation of indices.
+A generator's action is kept sparse (see ``_sparse_action``): only the
+digits it moves are listed, each as the few (source digit, coefficient)
+terms of its column, read off the entries of g and g^-1 one arrow block at
+a time.  g at v sends X_a to g X_a on an arrow with head v, to X_a g^-1 on
+one with tail v, and both on a loop at v, so a unit entry of arrow a
+spreads only over a's own block, an arrow that does not touch v moves no
+digit, and a generator that moves none is dropped.  ``ffield.gl_generators``
+hands over each generator with its inverse in closed form, so no point is
+decoded, no matrix product is taken and no matrix is inverted.  The sparse
+actions of a space depend only on its arrow ends, the field and d, and are
+built once per process (``_sparse_actions``), after the cap and the
+accumulator have accepted the space.
+
+Images are then taken by column sums in O(points * terms) (see
+``_images``): starting from each point's own index, each moved digit j adds
+(new digit j - digit j) * p^(width-1-j), new digit j being its column's sum
+reduced mod p.  The base-p digit columns of the points are computed when a
+column first reads them, once per partition, and the table of all digits
+is never built.  The accumulator dtype is chosen, before anything is
+allocated, so that no column sum wraps, and every partial image is the
+index of a digit string, so the images are exact for every F_{p^k}.
 
 Orbits are then found by min-label propagation (Shiloach and Vishkin,
 J. Algorithms 3, 1982) over those permutations: every point starts labelled
@@ -56,6 +68,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import lru_cache
 
 from .errors import ValidationError, DEFAULT_CAP
 from .ffield import Field, FqMatrix, gl_generators
@@ -81,7 +94,8 @@ def _bind_numpy():
 
 
 def _accumulator(width: int, p: int):
-    """Integer dtype that holds a sum of ``width`` products of base-p digits.
+    """Integer dtype that holds a column sum of ``_images``: at most
+    ``width`` terms coeff * digit, each at most (p-1)^2.
     Binds numpy, after the refusal, for every caller of the array kernels."""
     bound = width * (p - 1) ** 2
     if bound >= 2**63:
@@ -90,54 +104,89 @@ def _accumulator(width: int, p: int):
     return np.int32 if bound < 2**31 else np.int64
 
 
-def _action_matrix(quiver: Quiver, field: Field, shapes, width: int, v: int, g, g_inv) -> list[list[int]]:
-    """Transpose of the F_p-linear map X -> g.X on the ``width`` base-p digits
-    of a point of Rep(Q, d), d given by its ``arrow_shapes``, with g acting at
-    vertex v: row s holds the digits of the image of the unit point whose only
-    nonzero digit is digit s (most significant first).
+def _sparse_action(ends, field: Field, shapes, v: int, g, g_inv):
+    """The F_p-linear map X -> g.X on the base-p digits of a point of
+    Rep(Q, d), Q given by its arrow ``ends`` and d by its ``arrow_shapes``,
+    with g acting at vertex v: a tuple of columns (j, ((s, coeff), ...)),
+    digit j of the image being the sum of coeff * digit s mod p, listed only
+    where that is not digit j itself (digits most significant first).
 
-    The rows are read off the entries of g and its inverse ``g_inv``, arrow
-    block by arrow block.  For arrow a put left = g if a's head is v and
-    right = g^-1 if its tail is v, each the identity otherwise.  The unit
-    point with value beta = x^t at entry (i, j) of a goes to
+    The columns are read off the entries of g and its inverse ``g_inv``,
+    arrow block by arrow block.  For arrow a put left = g if a's head is v
+    and right = g^-1 if its tail is v, each the identity otherwise.  The
+    unit point with value beta = x^t at entry (i, j) of a goes to
     left[x][i] * beta * right[j][y] at each entry (x, y) of a and to 0 on
-    every other arrow, so an arrow that does not touch v contributes an
-    identity block.
+    every other arrow, so an arrow that does not touch v moves no digit and
+    is skipped.
     """
     k = field.k
     units = [field.p**t for t in range(k - 1, -1, -1)]  # x^t in digit order
-    sizes = {n for shape in shapes for n in shape}
-    identity = {n: FqMatrix.identity(field, n).entries for n in sizes}
-    rows = []
+    columns = {}  # image digit -> {source digit: coeff}
     offset = 0
-    for (r, c), (t, h) in zip(shapes, quiver.ends):
-        left = g.entries if h == v else identity[r]
-        right = g_inv.entries if t == v else identity[c]
-        for i in range(r):
-            column = [(x, left[x][i]) for x in range(r) if left[x][i]]
-            for j in range(c):
-                # (digit offset, left[x][i] * right[j][y]) over the nonzero products
-                spread = [
-                    (offset + (x * c + y) * k, field.mul(lx, ry))
-                    for x, lx in column
-                    for y, ry in enumerate(right[j])
-                    if ry
-                ]
-                for beta in units:
-                    row = [0] * width
-                    for start, scale in spread:
-                        value = scale if beta == 1 else field.mul(scale, beta)
-                        row[start : start + k] = field.coeffs(value)[::-1]
-                    rows.append(row)
+    for (r, c), (t, h) in zip(shapes, ends):
+        if v in (t, h):
+            left = g.entries if h == v else FqMatrix.identity(field, r).entries
+            right = g_inv.entries if t == v else FqMatrix.identity(field, c).entries
+            for i in range(r):
+                column = [(x, left[x][i]) for x in range(r) if left[x][i]]
+                for j in range(c):
+                    # (digit offset, left[x][i] * right[j][y]) over the nonzero products
+                    spread = [
+                        (offset + (x * c + y) * k, field.mul(lx, ry))
+                        for x, lx in column
+                        for y, ry in enumerate(right[j])
+                        if ry
+                    ]
+                    for s, beta in enumerate(units, offset + (i * c + j) * k):
+                        for start, scale in spread:
+                            value = scale if beta == 1 else field.mul(scale, beta)
+                            for e, coeff in enumerate(field.coeffs(value)[::-1], start):
+                                if coeff:
+                                    columns.setdefault(e, {})[s] = coeff
         offset += r * c * k
-    return rows
+    return tuple(
+        (j, tuple(sorted(terms.items()))) for j, terms in sorted(columns.items()) if terms != {j: 1}
+    )
 
 
-def _images(digits: np.ndarray, action_t: np.ndarray, p: int, powers: np.ndarray) -> np.ndarray:
-    """Indices of the images of the points with these base-p digits."""
-    image = digits @ action_t
-    np.remainder(image, p, out=image)
-    return image.astype(powers.dtype, copy=False) @ powers
+@lru_cache(maxsize=None)
+def _sparse_actions(ends, field: Field, d: tuple[int, ...]):
+    """``_sparse_action`` of each generator of GL_d (``gl_generators`` at
+    each vertex) that moves some digit of Rep(Q, d), Q given by its arrow
+    ``ends``; a vertex that no arrow with entries touches has none.  Built
+    once per process for each (arrow ends, field, d): the entries are
+    tuples of Python ints, nothing of the size of the space."""
+    shapes = [(d[h], d[t]) for t, h in ends]
+    touched = sorted({v for (r, c), (t, h) in zip(shapes, ends) if r * c for v in (t, h)})
+    actions = (
+        _sparse_action(ends, field, shapes, v, g, g_inv)
+        for v in touched
+        for g, g_inv in gl_generators(field, d[v])
+    )
+    return tuple(action for action in actions if action)
+
+
+def _images(idx, action, digit, p: int, width: int):
+    """Indices of the images of the points ``idx`` under one generator's
+    sparse ``action`` (see ``_sparse_action``); ``digit(s)`` is base-p digit
+    s of every point.  Each listed digit j moves the index by
+    (new_j - digit_j) * p^(width-1-j); a column with one term of coefficient
+    1 copies a digit and needs no reduction.  Every partial image is the
+    index of a digit string, so nothing leaves [0, len(idx))."""
+    image = idx.copy()
+    for j, terms in action:
+        (s, coeff), *rest = terms
+        if coeff == 1 and not rest:
+            change = digit(s) - digit(j)
+        else:
+            change = digit(s) * coeff
+            for s, coeff in rest:
+                change += digit(s) * coeff
+            change %= p
+            change -= digit(j)
+        change *= p ** (width - 1 - j)
+        image += change
+    return image
 
 
 def _min_labels(idx, perms):
@@ -193,28 +242,25 @@ def _orbit_labels(quiver: Quiver, field: Field, d: tuple[int, ...], cap: int):
 
 def _label_kernel(quiver: Quiver, field: Field, d: tuple[int, ...], shapes, n_points: int):
     """``_orbit_labels`` computed, the cap already charged; the accumulator
-    refuses a p too large for exact arithmetic before anything is built."""
-    n_entries = sum(r * c for r, c in shapes)
-    p, width = field.p, n_entries * field.k
-    acc = _accumulator(width, p)
-    dtype = np.int32 if n_points < 2**31 else np.int64
+    refuses a p too large for exact arithmetic before anything is built.
+    Each generator's images come from its memoised sparse action
+    (``_sparse_actions``); a base-p digit column of the points is computed
+    when an action first reads it and kept for the call, and the table of
+    all digits is never built."""
+    p, width = field.p, sum(r * c for r, c in shapes) * field.k
+    acc = _accumulator(width, p)  # holds every column sum
+    dtype = np.promote_types(acc, np.int32 if n_points < 2**31 else np.int64)
+    actions = _sparse_actions(quiver.ends, field, d)
     idx = np.arange(n_points, dtype=dtype)
-    if n_entries == 0:
-        return idx
-    generators = [(v, g, g_inv) for v, dv in enumerate(d) for g, g_inv in gl_generators(field, dv)]
-    if not generators:
-        return idx
+    columns = {}
 
-    powers = p ** np.arange(width - 1, -1, -1, dtype=dtype)
-    digits = np.empty((n_points, width), dtype=acc)
-    for j, power in enumerate(powers):
-        digits[:, j] = (idx // power) % p
+    def digit(j):
+        if j not in columns:
+            columns[j] = idx // p ** (width - 1 - j) % p
+        return columns[j]
 
-    perms = []
-    for v, g, g_inv in generators:
-        action_t = np.array(_action_matrix(quiver, field, shapes, width, v, g, g_inv), dtype=acc)
-        perms.append(_images(digits, action_t, p, powers))
-    del digits  # n_points x width, no longer needed: keep it out of the labels' peak
+    perms = [_images(idx, action, digit, p, width) for action in actions]
+    columns.clear()  # keep the digit columns out of the labels' peak
     return _min_labels(idx, perms)
 
 

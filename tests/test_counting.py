@@ -31,7 +31,7 @@ from quiverforge import (
 from quiverforge.quiver import Quiver, a2_quiver, jordan_quiver
 from quiverforge import acceptance, counting, reps
 from quiverforge.counting import classify_classes, moebius, prime_powers
-from quiverforge.ffield import FqMatrix, field_from_order, gl_generators, gl_order, prime_power
+from quiverforge.ffield import Field, FqMatrix, field_from_order, gl_generators, gl_order, prime_power
 from brute_force import enumerate_gl
 from quiverforge import orbits
 from quiverforge.orbits import orbit_partition
@@ -389,17 +389,50 @@ def test_orbit_partition_exact_past_uint16(jordan):
     assert set(sizes) == {1}
 
 
-def test_orbit_products_sum_without_wrapping():
+def test_orbit_products_sum_without_wrapping(monkeypatch):
     p = 46349  # (p-1)^2 just past 2^31
-    acc = orbits._accumulator(1, p)
-    digits = np.full((1, 1), p - 1, dtype=acc)
-    action_t = np.full((1, 1), p - 1, dtype=acc)
-    powers = np.ones(1, dtype=np.int64)
-    assert int(orbits._images(digits, action_t, p, powers)[0]) == (p - 1) ** 2 % p
+    acc = orbits._accumulator(2, p)
+    assert acc == np.int64
+    idx = np.array([p * p - 1], dtype=acc)  # both digits p - 1
+    # image digit 0 is (p-1) digit 0 + (p-1) digit 1, a sum of two products past 2^31
+    action = ((0, ((0, p - 1), (1, p - 1))),)
+    image = orbits._images(idx, action, lambda s: idx // p ** (1 - s) % p, p, 2)
+    assert int(image[0]) == 2 * (p - 1) ** 2 % p * p + (p - 1)
+    # inside a partition: on A_2 (1, 1) over F_49391 the generator at the
+    # tail scales the one entry by zeta^-1, and zeta^-1 (p - 1) is past 2^31
+    p = 49391
+    field = make_field(p)
+    zeta = field.primitive_element()
+    assert field.inv(zeta) * (p - 1) >= 2**31
+    seen = {}
+    monkeypatch.setattr(orbits, "_min_labels", lambda idx, perms: seen.update(perms=perms) or idx)
+    orbit_partition(a2_quiver(), field, (1, 1))
+    points = np.arange(p, dtype=np.int64)
+    expected = [(points * scale % p).tolist() for scale in (field.inv(zeta), zeta)]
+    assert [perm.tolist() for perm in seen["perms"]] == expected
+
+
+def test_a_prime_too_large_for_exact_orbit_arithmetic_is_refused_before_allocating(jordan, monkeypatch):
+    p = 3037000507  # prime, (p - 1)^2 past 2^63; p^1 points are under the cap
+    orbits._bind_numpy()
+
+    def no_space(*args, **kwargs):
+        raise AssertionError("the points were allocated before the refusal")
+
+    monkeypatch.setattr(np, "arange", no_space)
+    built = orbits._sparse_actions.cache_info()
+    message = f"F_{p} is too large for exact orbit arithmetic"
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=message):
+        orbit_partition(jordan, Field(p), (1,), cap=10**12)
+    with pytest.raises(ValidationError, match=message):
+        classify_classes(jordan, (1,), p, cap=10**12)
+    assert time.perf_counter() - start < 1
+    assert orbits._sparse_actions.cache_info() == built
 
 
 def action_matrix_by_multiplication(quiver, field, d, width, v, g):
-    """Independent oracle for ``orbits._action_matrix``: decode each unit
+    """Independent oracle for ``orbits._sparse_action``: decode each unit
     point to a representation, act by g at v with two matrix products per
     arrow, and re-encode the image's digits."""
     ginv = g.inverse()
@@ -417,6 +450,17 @@ def action_matrix_by_multiplication(quiver, field, d, width, v, g):
     return rows
 
 
+def densified(action, width):
+    """The digit map of a sparse action as ``action_matrix_by_multiplication``
+    writes it: row s holds the image digits of the unit point at digit s."""
+    rows = [[int(s == j) for j in range(width)] for s in range(width)]
+    for j, terms in action:
+        rows[j][j] = 0
+        for s, coeff in terms:
+            rows[s][j] = coeff
+    return rows
+
+
 def dense_invertible(field, n):
     """U L with U the all-ones upper unitriangular matrix and L lower
     triangular with ones below the diagonal and diagonal (zeta, 1, ..., 1):
@@ -426,6 +470,17 @@ def dense_invertible(field, n):
     upper = FqMatrix(field, [[int(i <= j) for j in range(n)] for i in range(n)])
     lower = FqMatrix(field, [[zeta if i == j == 0 else int(i >= j) for j in range(n)] for i in range(n)])
     return upper.mul(lower)
+
+
+def acting_group(field, dv):
+    """``gl_generators`` at a vertex of dimension dv, and ``dense_invertible``
+    with its inverse when dv >= 2."""
+    group = gl_generators(field, dv)
+    if dv >= 2:
+        dense = dense_invertible(field, dv)
+        assert dense.is_invertible() and dense not in [g for g, _ in group]
+        group = group + [(dense, dense.inverse())]
+    return group
 
 
 ACTION_DIMS = {
@@ -446,23 +501,83 @@ def test_action_matrix_matches_decode_and_multiply(name, q):
         shapes = reps.arrow_shapes(quiver, d)
         width = field.k * sum(r * c for r, c in shapes)
         for v, dv in enumerate(d):
-            group = gl_generators(field, dv)
-            if dv >= 2:
-                dense = dense_invertible(field, dv)
-                assert dense.is_invertible() and dense not in [g for g, _ in group]
-                group = group + [(dense, dense.inverse())]
-            for g, g_inv in group:
-                got = orbits._action_matrix(quiver, field, shapes, width, v, g, g_inv)
-                assert len(got) == width and all(len(row) == width for row in got)
-                assert got == action_matrix_by_multiplication(quiver, field, d, width, v, g)
+            for g, g_inv in acting_group(field, dv):
+                got = orbits._sparse_action(quiver.ends, field, shapes, v, g, g_inv)
+                # only moved digits are listed, each column's terms in digit order
+                assert [j for j, _ in got] == sorted({j for j, _ in got})
+                assert all(terms != ((j, 1),) and list(terms) == sorted(terms) for j, terms in got)
+                assert densified(got, width) == action_matrix_by_multiplication(quiver, field, d, width, v, g)
                 checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize(
+    "name,d,q",
+    [("jordan", (2,), 4), ("kron2", (2, 1), 4), ("a2", (2, 1), 9), ("kron3", (1, 1), 9), ("loop+arrow", (2, 1), 3)],
+)
+def test_images_match_decode_act_and_encode_on_every_point(name, d, q):
+    quiver, field = QUIVERS[name], field_from_order(q)
+    shapes = reps.arrow_shapes(quiver, d)
+    n = sum(r * c for r, c in shapes)
+    width, p = n * field.k, field.p
+    idx = np.arange(q**n, dtype=np.int64)
+    decode = reps.representation_decoder(quiver, field, d)
+    points = [decode(i) for i in range(q**n)]
+    checked = 0
+    for v, dv in enumerate(d):
+        for g, g_inv in acting_group(field, dv):
+            action = orbits._sparse_action(quiver.ends, field, shapes, v, g, g_inv)
+            image = orbits._images(idx, action, lambda s: idx // p ** (width - 1 - s) % p, p, width)
+            expected = []
+            for x in points:
+                codes = []
+                for a, m in zip(quiver.arrows, x.maps):
+                    if quiver.vertex_index[a.head] == v:
+                        m = g.mul(m)
+                    if quiver.vertex_index[a.tail] == v:
+                        m = m.mul(g_inv)
+                    codes.extend(m.flat())
+                expected.append(sum(code * q ** (n - 1 - e) for e, code in enumerate(codes)))
+            assert image.tolist() == expected
+            checked += 1
+    assert checked >= 2
+
+
+def frozen(value):
+    """True when ``value`` is a Python int or a tuple of such, all the way down."""
+    return type(value) is int or (type(value) is tuple and all(map(frozen, value)))
+
+
+def test_each_space_builds_its_generator_action_once_per_process(jordan):
+    f2, f4 = make_field(2), make_field(2, 2)
+    kron2, cycle = QUIVERS["kron2"], QUIVERS["2-cycle"]
+    orbits._sparse_actions.cache_clear()
+    # equal (arrow ends, field, d) share one entry, an equal Field object included
+    orbit_partition(kron2, f4, (1, 1))
+    orbits._unsplit_orbits(kron2, Field(2, 2), (1, 1))
+    assert orbits._sparse_actions.cache_info()[:2] == (1, 1)  # (hits, misses)
+    shared = orbits._sparse_actions(kron2.ends, f4, (1, 1))
+    assert frozen(shared) and len(shared) == 2
+    # the same d and field with other arrow ends, and the same d over F_2, do not
+    orbit_partition(cycle, f4, (1, 1))
+    orbit_partition(kron2, f2, (1, 1))
+    assert orbits._sparse_actions.cache_info().currsize == 3
+    assert orbits._sparse_actions(cycle.ends, f4, (1, 1)) != shared
+    assert orbits._sparse_actions(kron2.ends, f2, (1, 1)) == ()  # zeta = 1 over F_2
+    # a call refused by the cap builds nothing
+    built = orbits._sparse_actions.cache_info()
+    with pytest.raises(CapExceeded):
+        orbit_partition(kron2, f4, (2, 2), cap=4**8 - 1)
+    with pytest.raises(CapExceeded):
+        classify_classes(jordan, (3,), 3, cap=3**9 - 1)
+    assert orbits._sparse_actions.cache_info() == built
 
 
 def test_orbit_partition_decodes_and_multiplies_nothing(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the orbit partition reads its action off g and g^-1")
 
+    orbits._sparse_actions.cache_clear()  # build every action under the patches
     monkeypatch.setattr(reps, "representation_decoder", forbidden)
     monkeypatch.setattr(FqMatrix, "mul", forbidden)
     monkeypatch.setattr(FqMatrix, "inverse", forbidden)
@@ -768,7 +883,7 @@ def union_find_orbits(n, perms):
         ("kron2", (2, 1), 5),  # prime field
         ("kron2", (2, 2), 4),  # extension fields
         ("jordan", (2,), 9),
-        ("jordan", (1,), 5),  # a single generator
+        ("jordan", (1,), 5),  # a single generator, a scalar that moves no digit
         ("jordan", (3,), 3),  # orbits of more than 1000 points
     ],
 )
@@ -790,7 +905,8 @@ def test_min_labels_match_union_find_over_the_generator_images(name, d, q, monke
     assert canonical == sorted(oracle)
     assert sum(sizes) == n_points
     if name == "jordan" and d == (1,):
-        assert len(perms) == 1 and sizes == [1] * n_points
+        # the one generator is a scalar, which fixes every point and is dropped
+        assert perms == [] and sizes == [1] * n_points
     if d == (3,):
         assert max(sizes) > 1000
 
