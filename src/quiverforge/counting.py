@@ -54,15 +54,9 @@ from .errors import (
     DEFAULT_CAP,
 )
 from .ffield import field_from_order, gl_order, prime_power
-from .orbits import _PARTITION_CHARGE, _unsplit_orbits, orbit_partition
+from .orbits import _charge_partition, _unsplit_orbits, orbit_partition
 from .quiver import Quiver
-from .reps import (
-    _charge_space,
-    _orbit_units,
-    _unit_residue_degree,
-    arrow_shapes,
-    representation_decoder,
-)
+from .reps import _orbit_units, _unit_residue_degree, representation_decoder
 from .series import ExactPolynomial, lagrange_interpolate, monomials_up_to
 
 
@@ -100,22 +94,13 @@ def divisors(n: int) -> list[int]:
 # class representatives and indecomposability counts
 
 
-def _orbits(quiver: Quiver, d, q: int, cap: int):
-    """(decode, canonical indices, orbit sizes) of Rep(Q, d) over F_q; the
-    partition's q^n points are charged against the cap before q is factored,
-    so a huge q is refused without trial division."""
-    _charge_space(arrow_shapes(quiver, d), q, cap, _PARTITION_CHARGE)
-    field = field_from_order(q)
-    indices, _, sizes = orbit_partition(quiver, field, d, cap=cap)
-    return representation_decoder(quiver, field, d), indices, sizes
-
-
 def orbit_representatives(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP):
     """(W, |orbit of W|) for each canonical representative W of Rep(Q, d)
     over F_q, the lexicographically smallest element of its GL_d-orbit, in
-    lex order.  The partition runs on the call (see ``_orbits``); the
+    lex order.  The partition runs, and is charged, on the call; the
     representatives are decoded as they are read."""
-    decode, indices, sizes = _orbits(quiver, d, q, cap)
+    indices, _, sizes = orbit_partition(quiver, d, q, cap)
+    decode = representation_decoder(quiver, field_from_order(q), d)
     return ((decode(i), size) for i, size in zip(indices, sizes))
 
 
@@ -132,23 +117,19 @@ class ClassCounts:
 
 
 def classify_classes(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> ClassCounts:
-    """M, I and A from one orbit partition; the cap budgets its q^n points.
+    """M, I and A from one orbit partition, charged before q is factored.
 
     M counts the orbits.  By Krull-Schmidt, an orbit is decomposable iff it
     holds a direct sum W1 + W2 of points of smaller nonzero dimension, so
     the orbits left unmarked by ``orbits._unsplit_orbits`` are the
-    indecomposable ones, and I counts them.  Such an orbit's
+    indecomposable ones (none at d = 0), and I counts them.  Such an orbit's
     |Aut W| = |GL_d| / |orbit| (Aut W is W's stabilizer) must be the unit
     count q^a (q^r - 1) of a local End(W) with residue field F_{q^r}, r
     dividing gcd(d) (``reps._unit_residue_degree``), and A counts those with
     r = 1.  No representation is decoded and no Hom space solved.
     """
     d = quiver.check_dim(d)
-    _charge_space(arrow_shapes(quiver, d), q, cap, _PARTITION_CHARGE)
-    field = field_from_order(q)
-    if not any(d):
-        return ClassCounts(iso_classes=1, indecomposable=0, absolutely_indecomposable=0)
-    n_orbits, _, sizes = _unsplit_orbits(quiver, field, d, cap=cap)
+    n_orbits, _, sizes = _unsplit_orbits(quiver, d, q, cap)
     gl = gl_order(d, q) if sizes else 0
     g = gcd(*d)
     absolute = 0
@@ -253,13 +234,19 @@ def _pairing(conj1, conj2) -> int:
     return sum(a * b for a, b in zip(conj1, conj2))
 
 
-def _pair_products(box: tuple[int, ...]) -> int:
-    """Pairs k <= m <= box, which the log series multiplies once each."""
-    return prod((b + 1) * (b + 2) // 2 for b in box)
+def _charge_pairs(box: tuple[int, ...], cap: int) -> None:
+    """Charge the cap with the pairs k <= m <= box that the log series multiplies."""
+    check_cap(prod((b + 1) * (b + 2) // 2 for b in box), cap, "log-coefficient pair products")
 
 
 def _squarefree_divisors(n: int) -> list[int]:
     return [r for r in divisors(n) if moebius(r)]
+
+
+def _charge_tuples(d: tuple[int, ...], cap: int) -> None:
+    """Charge the cap with the prod_i sum_{n <= d_i} p(n) tuples of partitions."""
+    counts = _partition_counts(max(d))
+    check_cap(prod(sum(counts[: dv + 1]) for dv in d), cap, "partition-tuple enumeration")
 
 
 def _hua_terms(quiver: Quiver, d: tuple[int, ...], cap: int) -> Counter:
@@ -271,8 +258,7 @@ def _hua_terms(quiver: Quiver, d: tuple[int, ...], cap: int) -> Counter:
     the table of the box b.  The cap is charged with the partition tuples
     before anything is built.
     """
-    counts = _partition_counts(max(d))
-    check_cap(prod(sum(counts[: dv + 1]) for dv in d), cap, "partition-tuple enumeration")
+    _charge_tuples(d, cap)
     per_vertex = [
         [(n, *_hua_data(lam)) for n in range(dv + 1) for lam in _partitions(n)] for dv in d
     ]
@@ -308,8 +294,8 @@ class _SeriesPlan:
 def _series_plan(terms: Counter, box: tuple[int, ...]) -> _SeriesPlan:
     """The Q-free part of ``_log_series`` on ``box``: the box's points, the
     terms with 0 < m <= box regrouped by denominator, and the pairs k < m
-    the recurrence multiplies.  It holds _pair_products(box) pairs, so the
-    cap is charged with that count before a plan is built."""
+    the recurrence multiplies.  It holds the pairs of ``_charge_pairs``, so
+    the cap is charged with them before a plan is built."""
     points = list(itertools.product(*(range(b + 1) for b in box)))
     index = {m: flat for flat, m in enumerate(points)}
     strides = [prod(b + 1 for b in box[i + 1:]) for i in range(len(box))]
@@ -402,7 +388,7 @@ def _a_reader(terms: Counter, d: tuple[int, ...], q: int, cap: int, plans: dict)
     def log_at(t: int) -> tuple[dict, int]:
         if t not in series:
             box = tuple(x // t for x in d)
-            check_cap(_pair_products(box), cap, "log-coefficient pair products")
+            _charge_pairs(box, cap)
             if box not in plans:
                 plans[box] = _series_plan(terms, box)
             series[t] = _log_series(plans[box], q**t)
@@ -617,11 +603,14 @@ def class_counts_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> Cl
     Hua's term table is built once, for d, and one ``_a_reader`` serves
     every A_e(q^s) that descent reads, with one integer log series per
     Q = q^t.  The independent oracle for ``classify_classes``; the cap is
-    charged with the table's partition tuples once and with each series'
-    pair products.
+    charged with the table's partition tuples and each series' pair
+    products, the tuples and the largest series (box d) before q is factored.
     """
-    field_from_order(q)  # the counts are over the field F_q
     d = quiver.check_dim(d)
+    if any(d):
+        _charge_tuples(d, cap)
+        _charge_pairs(d, cap)
+    field_from_order(q)  # the counts are over the field F_q
     terms = _hua_terms(quiver, d, cap) if any(d) else Counter()
     a_at = _a_reader(terms, d, q, cap, {})
     box = list(itertools.product(*(range(x + 1) for x in d)))
@@ -644,9 +633,9 @@ def hua_identity_check(quiver: Quiver, q: int, degree: int, cap: int = DEFAULT_C
     kept on the monomials of total degree <= ``degree``.  The contract is zero; a q that is not a
     prime power and a negative degree are refused, at every degree.  The
     support's C(degree + n, n) monomials are charged before any is listed,
-    and each nonzero d's q^n points as the lex walk reaches it, all before q
-    is factored, so a huge degree or q is refused without listing the
-    support or trial division.
+    and each nonzero d's q^n points (``orbits._charge_partition``) as the lex
+    walk reaches it, all before q is factored, so a huge degree or q is
+    refused without listing the support or trial division.
     """
     n = len(quiver.vertices)
     if degree >= 0:
@@ -654,7 +643,7 @@ def hua_identity_check(quiver: Quiver, q: int, degree: int, cap: int = DEFAULT_C
     support = []
     for dv in monomials_up_to(n, degree):
         if any(dv):
-            _charge_space(arrow_shapes(quiver, dv), q, cap, _PARTITION_CHARGE)
+            _charge_partition(quiver, dv, q, cap)
         support.append(dv)
     monomials = support[1:]
     field_from_order(q)

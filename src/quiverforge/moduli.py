@@ -56,7 +56,7 @@ from .reps import (
     arrow_shapes,
 )
 from .counting import classify_classes, orbit_representatives
-from .orbits import _PARTITION_CHARGE, _shared_partitions
+from .orbits import _shared_partitions
 from .series import ExactPolynomial
 
 
@@ -135,12 +135,13 @@ def level_set_points(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
 
 
 def _fiber_sizes(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
-    """(X, |orbit of X|, |{X* : mu(X, X*) = eta.I}|, dim End(X)) for each
-    canonical GL_d-orbit representative X of Rep(Q, d), in lex order.
+    """(X, |orbit of X|, |Aut X|, |{X* : mu(X, X*) = eta.I}|, dim End(X))
+    for each canonical GL_d-orbit representative X of Rep(Q, d), in lex order.
 
     For a doubled quiver the forward arrows carry X and their partners X*.
     The walk is the orbit partition of Rep(Q, d), which charges the cap with
-    its q^n points before q is factored and any system is built.  X's fiber
+    its q^n points before q is factored, |GL_d| is computed (for
+    |Aut X| = |GL_d| / |orbit of X|) and any system is built.  X's fiber
     system is its Hom system transposed (see the module docstring), with
     (eta_v mod p) at the diagonal unknowns of each f_v on the right side.
     """
@@ -148,7 +149,7 @@ def _fiber_sizes(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
     eta = half.check_vector(eta, name="deformation parameter")
     d = half.check_dim(d)
     orbits = orbit_representatives(half, d, q, cap)
-    field = field_from_order(q)
+    field, gl = field_from_order(q), gl_order(d, q)
     # f = (f_v) flat, vertex-major then row-major, as _hom_system numbers it
     rhs = [x for m in _relation_targets(half, field, d, eta) for x in m.flat()]
     identity = [x for dv in d for x in FqMatrix.identity(field, dv).flat()]
@@ -164,12 +165,12 @@ def _fiber_sizes(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
         pivots = FqMatrix._of(field, system.cols, n + 1, augmented).pivot_columns()
         rank = len(pivots) - (n in pivots)
         fiber = 0 if n in pivots else q ** (n - rank)
-        yield x, size, fiber, system.cols - rank
+        yield x, size, _orbit_units(gl, size), fiber, system.cols - rank
 
 
 def enumerate_level_set(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP) -> int:
     """|mu^-1(eta.I)| in the doubled space, summed orbit by orbit over Rep(Q, d)."""
-    return sum(size * fiber for _, size, fiber, _ in _fiber_sizes(quiver, d, eta, q, cap=cap))
+    return sum(size * fiber for _, size, _, fiber, _ in _fiber_sizes(quiver, d, eta, q, cap=cap))
 
 
 def _check_generic(quiver: Quiver, d, theta) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -273,15 +274,14 @@ class LiftingCheck:
 def lifting_fiber_check(
     quiver: Quiver, d, theta, q: int, cap: int = DEFAULT_CAP
 ) -> LiftingCheck:
+    """Each orbit's fiber against q^(dim Ext^1(W, W)) if End(W) is local, else
+    0, from one ``_fiber_sizes`` pass, whose partition alone charges the cap."""
     d, theta = _check_generic(quiver, d, theta)
-    # the partition's charge, so a refused d costs no |GL_d|
-    _charge_space(arrow_shapes(quiver, d), q, cap, _PARTITION_CHARGE)
-    gl = gl_order(d, q)
     level_count = 0
     counterexample = None
-    for w, size, observed, dim_end in _fiber_sizes(quiver, d, theta, q, cap=cap):
+    for w, size, units, observed, dim_end in _fiber_sizes(quiver, d, theta, q, cap=cap):
         level_count += size * observed
-        end = _local_structure(dim_end, _orbit_units(gl, size), q)
+        end = _local_structure(dim_end, units, q)
         # q^(dim Ext^1(W, W)) over an indecomposable W, read off dim End(W); else empty
         expected = q ** _ext1_from_hom(quiver, dim_end, d, d) if end.is_local else 0
         # both sides are iso-invariant, so the first offending orbit holds the lex-first point

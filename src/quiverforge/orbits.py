@@ -51,13 +51,15 @@ a time, leaves exactly the indecomposable orbits unmarked.  A block-diagonal
 point's index is the sum of its blocks' indices, each block's base-q codes
 copied to their positions in Rep(Q, d) (see ``_lift``).
 
-Inside a ``_shared_partitions`` block the labels of each Rep(Q, d) are
-computed once, keyed by the arrow ends, the field and d, and every later
-``_orbit_labels`` call in the block reads the same read-only array, after
-charging the cap as it would to compute it.  ``moduli.cbvdb_identity_check``
-opens one around its fiber pass and ``classify_classes``; the labels are
-dropped when the block exits, normally or by an exception, so nothing
-outlives the call.
+This module alone charges a partition: its entry points take q, and
+``_orbit_labels`` charges the q^n points before it factors q, so a huge q is
+refused without trial division.  Inside a ``_shared_partitions`` block the
+labels of each Rep(Q, d) are computed once, keyed by the arrow ends, the
+field and d, and every later ``_orbit_labels`` call in the block reads the
+same read-only array, after charging the cap as it would to compute it.
+``moduli.cbvdb_identity_check`` opens one around its fiber pass and
+``classify_classes``; the labels are dropped when the block exits, normally
+or by an exception, so nothing outlives the call.
 
 numpy is bound on the first orbit partition, not on import, so callers
 that never partition a representation space never load it.
@@ -71,7 +73,7 @@ from contextvars import ContextVar
 from functools import lru_cache
 
 from .errors import ValidationError, DEFAULT_CAP
-from .ffield import Field, FqMatrix, gl_generators
+from .ffield import Field, FqMatrix, field_from_order, gl_generators
 from .quiver import Quiver
 from .reps import _charge_space, arrow_shapes
 
@@ -223,31 +225,36 @@ def _shared_partitions():
         _SHARED_LABELS.reset(token)
 
 
-def _orbit_labels(quiver: Quiver, field: Field, d: tuple[int, ...], cap: int):
+def _charge_partition(quiver: Quiver, d, q: int, cap: int) -> int:
+    """q^n, the points of Rep(Q, d) over F_q that a partition walks, charged to the cap."""
+    return _charge_space(arrow_shapes(quiver, d), q, cap, _PARTITION_CHARGE)
+
+
+def _orbit_labels(quiver: Quiver, d: tuple[int, ...], q: int, cap: int):
     """The smallest index in each point's orbit, one array over the q^n
-    points of Rep(Q, d): the cap is charged with them before anything is
-    built or read from a ``_shared_partitions`` block."""
-    shapes = arrow_shapes(quiver, d)
-    n_points = _charge_space(shapes, field.q, cap, _PARTITION_CHARGE)
+    points of Rep(Q, d) over F_q, charged before q is factored and anything
+    is built or read from a ``_shared_partitions`` block."""
+    n_points = _charge_partition(quiver, d, q, cap)
+    field = field_from_order(q)
     shared = _SHARED_LABELS.get()
     if shared is None:
-        return _label_kernel(quiver, field, d, shapes, n_points)
+        return _label_kernel(quiver, field, d, n_points)
     key = (quiver.ends, field, d)
     if key not in shared:
-        labels = _label_kernel(quiver, field, d, shapes, n_points)
+        labels = _label_kernel(quiver, field, d, n_points)
         labels.flags.writeable = False
         shared[key] = labels
     return shared[key]
 
 
-def _label_kernel(quiver: Quiver, field: Field, d: tuple[int, ...], shapes, n_points: int):
+def _label_kernel(quiver: Quiver, field: Field, d: tuple[int, ...], n_points: int):
     """``_orbit_labels`` computed, the cap already charged; the accumulator
     refuses a p too large for exact arithmetic before anything is built.
     Each generator's images come from its memoised sparse action
     (``_sparse_actions``); a base-p digit column of the points is computed
     when an action first reads it and kept for the call, and the table of
     all digits is never built."""
-    p, width = field.p, sum(r * c for r, c in shapes) * field.k
+    p, width = field.p, sum(r * c for r, c in arrow_shapes(quiver, d)) * field.k
     acc = _accumulator(width, p)  # holds every column sum
     dtype = np.promote_types(acc, np.int32 if n_points < 2**31 else np.int64)
     actions = _sparse_actions(quiver.ends, field, d)
@@ -264,15 +271,14 @@ def _label_kernel(quiver: Quiver, field: Field, d: tuple[int, ...], shapes, n_po
     return _min_labels(idx, perms)
 
 
-def orbit_partition(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
-    """Partition the representation space into GL_d-orbits.
+def orbit_partition(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP):
+    """Partition Rep(Q, d) over F_q into GL_d-orbits, charged before q is factored.
 
     Returns (canonical_indices, n_points, sizes): the sorted list of minimal
     point indices, one per orbit, the total point count, and the size of
     each listed orbit.
     """
-    d = quiver.check_dim(d)
-    labels = _orbit_labels(quiver, field, d, cap)
+    labels = _orbit_labels(quiver, quiver.check_dim(d), q, cap)
     canonical = np.flatnonzero(labels == np.arange(len(labels)))
     sizes = np.bincount(labels)[canonical]
     return [int(x) for x in canonical], len(labels), [int(x) for x in sizes]
@@ -310,7 +316,7 @@ def _lift(quiver: Quiver, shapes, sub, offset, q: int, dtype):
     return lift
 
 
-def _unsplit_orbits(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
+def _unsplit_orbits(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP):
     """(number of orbits, canonical indices, sizes) of Rep(Q, d): every
     orbit is counted, and the orbits that hold no direct sum W1 + W2 of
     nonzero points are listed with their sizes.  By Krull-Schmidt these are
@@ -324,13 +330,14 @@ def _unsplit_orbits(quiver: Quiver, field: Field, d, cap: int = DEFAULT_CAP):
     points the cap was charged with, since n(d) = n(d1) + n(d2) plus the
     entries off the diagonal blocks."""
     d = quiver.check_dim(d)
-    labels = _orbit_labels(quiver, field, d, cap)
+    labels = _orbit_labels(quiver, d, q, cap)
     canonical = np.flatnonzero(labels == np.arange(len(labels)))
-    marked = np.zeros(len(labels), dtype=bool)
+    # the zero representation, the one point at d = 0, is not indecomposable
+    marked = np.full(len(labels), not any(d))
     shapes, zero = arrow_shapes(quiver, d), (0,) * len(d)
     for d1, d2 in _splits(d):
-        low = _lift(quiver, shapes, d1, zero, field.q, labels.dtype)
-        high = _lift(quiver, shapes, d2, d1, field.q, labels.dtype)
+        low = _lift(quiver, shapes, d1, zero, q, labels.dtype)
+        high = _lift(quiver, shapes, d2, d1, q, labels.dtype)
         marked[labels[(low[:, None] + high).ravel()]] = True
         if marked[canonical].all():
             break

@@ -31,7 +31,7 @@ from quiverforge import (
 from quiverforge.quiver import Quiver, a2_quiver, jordan_quiver
 from quiverforge import acceptance, counting, reps
 from quiverforge.counting import classify_classes, moebius, prime_powers
-from quiverforge.ffield import Field, FqMatrix, field_from_order, gl_generators, gl_order, prime_power
+from quiverforge.ffield import FqMatrix, field_from_order, gl_generators, gl_order, prime_power
 from brute_force import enumerate_gl
 from quiverforge import orbits
 from quiverforge.orbits import orbit_partition
@@ -363,7 +363,7 @@ def test_classify_matches_the_end_ring_walk(name, d, q):
 )
 def test_orbit_sizes_are_group_order_over_automorphisms(name, d, q):
     quiver, field = QUIVERS[name], field_from_order(q)
-    indices, _, sizes = orbit_partition(quiver, field, d)
+    indices, _, sizes = orbit_partition(quiver, d, q)
     assert len(sizes) == len(indices)
     for index, size in zip(indices, sizes):
         w = reps.representation_decoder(quiver, field, d)(index)
@@ -384,7 +384,7 @@ def test_classify_refuses_an_orbit_size_not_dividing_the_group(jordan, monkeypat
 
 def test_orbit_partition_exact_past_uint16(jordan):
     # codes of F_65537 run up to 65536, one past the uint16 range
-    indices, n_points, sizes = orbit_partition(jordan, make_field(65537), (1,))
+    indices, n_points, sizes = orbit_partition(jordan, (1,), 65537)
     assert n_points == len(indices) == 65537
     assert set(sizes) == {1}
 
@@ -406,7 +406,7 @@ def test_orbit_products_sum_without_wrapping(monkeypatch):
     assert field.inv(zeta) * (p - 1) >= 2**31
     seen = {}
     monkeypatch.setattr(orbits, "_min_labels", lambda idx, perms: seen.update(perms=perms) or idx)
-    orbit_partition(a2_quiver(), field, (1, 1))
+    orbit_partition(a2_quiver(), (1, 1), p)
     points = np.arange(p, dtype=np.int64)
     expected = [(points * scale % p).tolist() for scale in (field.inv(zeta), zeta)]
     assert [perm.tolist() for perm in seen["perms"]] == expected
@@ -424,7 +424,7 @@ def test_a_prime_too_large_for_exact_orbit_arithmetic_is_refused_before_allocati
     message = f"F_{p} is too large for exact orbit arithmetic"
     start = time.perf_counter()
     with pytest.raises(ValidationError, match=message):
-        orbit_partition(jordan, Field(p), (1,), cap=10**12)
+        orbit_partition(jordan, (1,), p, cap=10**12)
     with pytest.raises(ValidationError, match=message):
         classify_classes(jordan, (1,), p, cap=10**12)
     assert time.perf_counter() - start < 1
@@ -552,22 +552,22 @@ def test_each_space_builds_its_generator_action_once_per_process(jordan):
     f2, f4 = make_field(2), make_field(2, 2)
     kron2, cycle = QUIVERS["kron2"], QUIVERS["2-cycle"]
     orbits._sparse_actions.cache_clear()
-    # equal (arrow ends, field, d) share one entry, an equal Field object included
-    orbit_partition(kron2, f4, (1, 1))
-    orbits._unsplit_orbits(kron2, Field(2, 2), (1, 1))
+    # equal (arrow ends, field, d) share one entry
+    orbit_partition(kron2, (1, 1), 4)
+    orbits._unsplit_orbits(kron2, (1, 1), 4)
     assert orbits._sparse_actions.cache_info()[:2] == (1, 1)  # (hits, misses)
     shared = orbits._sparse_actions(kron2.ends, f4, (1, 1))
     assert frozen(shared) and len(shared) == 2
     # the same d and field with other arrow ends, and the same d over F_2, do not
-    orbit_partition(cycle, f4, (1, 1))
-    orbit_partition(kron2, f2, (1, 1))
+    orbit_partition(cycle, (1, 1), 4)
+    orbit_partition(kron2, (1, 1), 2)
     assert orbits._sparse_actions.cache_info().currsize == 3
     assert orbits._sparse_actions(cycle.ends, f4, (1, 1)) != shared
     assert orbits._sparse_actions(kron2.ends, f2, (1, 1)) == ()  # zeta = 1 over F_2
     # a call refused by the cap builds nothing
     built = orbits._sparse_actions.cache_info()
     with pytest.raises(CapExceeded):
-        orbit_partition(kron2, f4, (2, 2), cap=4**8 - 1)
+        orbit_partition(kron2, (2, 2), 4, cap=4**8 - 1)
     with pytest.raises(CapExceeded):
         classify_classes(jordan, (3,), 3, cap=3**9 - 1)
     assert orbits._sparse_actions.cache_info() == built
@@ -584,7 +584,7 @@ def test_orbit_partition_decodes_and_multiplies_nothing(monkeypatch):
     monkeypatch.setattr(FqMatrix, "rref", forbidden)
     monkeypatch.setattr(reps.Representation, "__init__", forbidden)
     for name, d, q in [("kron2", (2, 1), 4), ("loop+arrow", (2, 1), 3), ("jordan", (2,), 9)]:
-        canonical, n_points, sizes = orbit_partition(QUIVERS[name], field_from_order(q), d)
+        canonical, n_points, sizes = orbit_partition(QUIVERS[name], d, q)
         assert sum(sizes) == n_points and len(canonical) > 1
 
 
@@ -720,15 +720,14 @@ def test_an_unmarked_orbit_without_a_local_unit_count_is_refused(jordan, kron2, 
 def test_one_shared_block_keeps_each_space_apart():
     # spaces that differ in d, in the field or only in the arrow ends are
     # each partitioned on their own inside one block, as they are outside it
-    f2, f4 = make_field(2), make_field(2, 2)
     kron2, cycle = QUIVERS["kron2"], QUIVERS["2-cycle"]
     spaces = [
-        (kron2, f2, (2, 1)),
-        (kron2, f2, (1, 2)),
-        (kron2, f4, (2, 1)),
-        (QUIVERS["jordan"], f2, (2,)),  # 16 points, as kron2 (2, 1) over F_2
-        (kron2, f4, (1, 1)),
-        (cycle, f4, (1, 1)),  # the same 16 points, other arrow ends
+        (kron2, (2, 1), 2),
+        (kron2, (1, 2), 2),
+        (kron2, (2, 1), 4),
+        (QUIVERS["jordan"], (2,), 2),  # 16 points, as kron2 (2, 1) over F_2
+        (kron2, (1, 1), 4),
+        (cycle, (1, 1), 4),  # the same 16 points, other arrow ends
     ]
     alone = [(orbit_partition(*s), orbits._unsplit_orbits(*s)) for s in spaces]
     with orbits._shared_partitions():
@@ -736,8 +735,8 @@ def test_one_shared_block_keeps_each_space_apart():
         assert len(orbits._SHARED_LABELS.get()) == len(spaces)
     assert shared == alone
     # a key without the arrow ends would hand kron2's labels to the 2-cycle
-    assert orbits._orbit_labels(kron2, f4, (1, 1), 16).tolist() != (
-        orbits._orbit_labels(cycle, f4, (1, 1), 16).tolist()
+    assert orbits._orbit_labels(kron2, (1, 1), 4, 16).tolist() != (
+        orbits._orbit_labels(cycle, (1, 1), 4, 16).tolist()
     )
 
 
@@ -752,9 +751,9 @@ def test_direct_sums_mark_exactly_the_orbits_without_a_local_end_ring(q):
         for d in dims:
             if q ** sum(r * c for r, c in reps.arrow_shapes(quiver, d)) > DEFAULT_CAP:
                 continue
-            n_orbits, free, free_sizes = orbits._unsplit_orbits(quiver, field, d)
+            n_orbits, free, free_sizes = orbits._unsplit_orbits(quiver, d, q)
             unmarked = dict(zip(free, free_sizes))
-            indices, _, sizes = orbit_partition(quiver, field, d)
+            indices, _, sizes = orbit_partition(quiver, d, q)
             assert n_orbits == len(indices)
             decode = reps.representation_decoder(quiver, field, d)
             gl = gl_order(d, q)
@@ -847,11 +846,10 @@ class _Forbidden:
 def test_orbit_arithmetic_refuses_sums_past_int64(jordan, monkeypatch):
     # (P-1)^2 >= 2^63; the refusal must come before any generator is built
     # (primitive_element alone is O(P)) and before any array is allocated
-    field = make_field(4294967291)
     monkeypatch.setattr(orbits, "gl_generators", _Forbidden())
     monkeypatch.setattr(orbits, "np", _Forbidden())
     with pytest.raises(ValidationError):
-        orbit_partition(jordan, field, (1,), cap=10**10)
+        orbit_partition(jordan, (1,), 4294967291, cap=10**10)
 
 
 def union_find_orbits(n, perms):
@@ -896,7 +894,7 @@ def test_min_labels_match_union_find_over_the_generator_images(name, d, q, monke
         return original(idx, perms)
 
     monkeypatch.setattr(orbits, "_min_labels", record)
-    canonical, n_points, sizes = orbit_partition(QUIVERS[name], field_from_order(q), d)
+    canonical, n_points, sizes = orbit_partition(QUIVERS[name], d, q)
     perms = seen["perms"]
     assert n_points == q ** sum(r * c for r, c in reps.arrow_shapes(QUIVERS[name], d))
     assert all(sorted(perm) == list(range(n_points)) for perm in perms)
@@ -1470,6 +1468,26 @@ def test_chain_charges_the_table_once_and_each_series_alone(kron2, monkeypatch):
     with pytest.raises(CapExceeded) as info:
         counting.class_counts_by_hua(kron2, (2, 2), 3, cap=15)
     assert info.value.needed == 16
+
+
+def test_chain_refuses_a_huge_q_at_the_cap_before_it_is_factored(kron2, huge_q):
+    with pytest.raises(CapExceeded) as info:
+        counting.class_counts_by_hua(kron2, (60, 60), huge_q)
+    assert info.value.what == "partition-tuple enumeration"
+    # the 16 tuples fit; the 36 pair products of the box (2, 2) are charged before q too
+    with pytest.raises(CapExceeded) as info:
+        counting.class_counts_by_hua(kron2, (2, 2), huge_q, cap=35)
+    assert (info.value.what, info.value.needed) == ("log-coefficient pair products", 36)
+
+
+@pytest.mark.parametrize("d", [(0, 0), (1, 1)])
+def test_chain_refuses_a_q_that_is_not_a_prime_power_before_any_table(kron2, monkeypatch, d):
+    def forbidden(*args):
+        raise AssertionError("Hua's table built for a q that is not a prime power")
+
+    monkeypatch.setattr(counting, "_hua_terms", forbidden)
+    with pytest.raises(ValidationError, match="^6 is not a prime power$"):
+        counting.class_counts_by_hua(kron2, d, 6)
 
 
 @pytest.mark.parametrize("label,index", [("M", 0), ("I", 1), ("A", 2)])

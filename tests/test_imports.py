@@ -44,9 +44,9 @@ def test_import_kac_forms_roots_and_betti_load_neither_numpy_nor_scipy(tmp_path)
 
 def test_orbit_partition_loads_numpy_but_not_scipy():
     body = "\n".join([
-        "from quiverforge import jordan_quiver, make_field",
+        "from quiverforge import jordan_quiver",
         "from quiverforge.orbits import orbit_partition",
-        "assert orbit_partition(jordan_quiver(), make_field(2), (2,))[1] == 16",
+        "assert orbit_partition(jordan_quiver(), (2,), 2)[1] == 16",
     ])
     assert loaded_after(body) == {"numpy": True, "scipy": False}
 

@@ -21,6 +21,7 @@ from quiverforge import (
     enumerate_level_set,
     ext1_dim,
     g_order,
+    gl_order,
     is_indecomposable,
     kac_polynomial,
     lifting_fiber_check,
@@ -199,12 +200,14 @@ def test_fibers_match_the_doubled_walk(name, d, eta, q):
     quiver = FIBER_QUIVERS[name]
     brute = collections.Counter(_forward_key(w) for w in level_set_points(quiver, d, eta, q))
     fibers = list(moduli._fiber_sizes(quiver, d, eta, q))
-    keys = [x.entry_key() for x, _, _, _ in fibers]
+    keys = [x.entry_key() for x, _, _, _, _ in fibers]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)  # lex order, each orbit once
     n = sum(r * c for r, c in reps.arrow_shapes(_half(quiver), d))
-    assert sum(size for _, size, _, _ in fibers) == q**n
-    assert [fiber for _, _, fiber, _ in fibers] == [brute[key] for key in keys]
-    total = sum(size * fiber for _, size, fiber, _ in fibers)
+    assert sum(size for _, size, _, _, _ in fibers) == q**n
+    # |Aut X| is X's stabilizer in GL_d
+    assert {size * units for _, size, units, _, _ in fibers} == {gl_order(d, q)}
+    assert [fiber for _, _, _, fiber, _ in fibers] == [brute[key] for key in keys]
+    total = sum(size * fiber for _, size, _, fiber, _ in fibers)
     assert total == enumerate_level_set(quiver, d, eta, q) == sum(brute.values())
 
 
@@ -234,7 +237,7 @@ def test_fiber_size_is_constant_on_orbits(name, d, eta, q):
         orbit_of.update((key, min(orbit)) for key in orbit)
         assert len({brute[key] for key in orbit}) == 1
     sizes = collections.Counter(orbit_of.values())
-    assert [(x.entry_key(), size) for x, size, _, _ in moduli._fiber_sizes(quiver, d, eta, q)] == (
+    assert [(x.entry_key(), size) for x, size, *_ in moduli._fiber_sizes(quiver, d, eta, q)] == (
         sorted(sizes.items())
     )
 
@@ -243,7 +246,7 @@ def test_fiber_size_is_constant_on_orbits(name, d, eta, q):
 def test_fiber_pass_reports_dim_end(name, d, eta, q):
     # the rank of the transposed Hom system gives dim End(X) = sum d_v^2 - rank
     quiver = FIBER_QUIVERS[name]
-    for x, _, _, dim_end in moduli._fiber_sizes(quiver, d, eta, q):
+    for x, *_, dim_end in moduli._fiber_sizes(quiver, d, eta, q):
         assert dim_end == reps.hom_dim(x, x), x
         if q**dim_end <= DEFAULT_CAP:
             assert dim_end == endo_structure(x).dim_end, x
@@ -267,6 +270,7 @@ def test_fiber_route_keeps_the_doubled_space_cap(kron2):
 @pytest.mark.parametrize(
     "entry,power",
     [
+        (lambda k, q: orbits.orbit_partition(k, (1, 1), q), 2),
         (lambda k, q: list(counting.orbit_representatives(k, (1, 1), q)), 2),
         (lambda k, q: counting.classify_classes(k, (1, 1), q), 2),
         (lambda k, q: counting.count_report(k, (1, 1), q), 2),
@@ -279,6 +283,7 @@ def test_fiber_route_keeps_the_doubled_space_cap(kron2):
         (lambda k, q: lifting_fiber_check(k, (1, 1), (-1, 1), q), 2),
     ],
     ids=[
+        "orbit_partition",
         "orbit_representatives",
         "classify_classes",
         "count_report",
@@ -295,6 +300,40 @@ def test_a_huge_q_is_refused_at_the_cap_before_it_is_factored(kron2, huge_q, ent
     with pytest.raises(CapExceeded) as info:
         entry(kron2, huge_q)
     assert info.value.needed == huge_q**power
+
+
+@pytest.mark.parametrize(
+    "entry,charges",
+    [
+        (lambda k, q: classify_classes(k, (1, 1), q), 1),
+        (lambda k, q: list(counting.orbit_representatives(k, (1, 1), q)), 1),
+        (lambda k, q: enumerate_level_set(k, (1, 1), (-1, 1), q), 1),
+        (lambda k, q: lifting_fiber_check(k, (1, 1), (-1, 1), q), 1),
+        # each side charges, and both read one labelling
+        (lambda k, q: cbvdb_identity_check(k, (1, 1), (-1, 1), q), 2),
+        # five nonzero d: the support pre-charge, then one classification each
+        (lambda k, q: counting.hua_identity_check(k, q, 2), 10),
+    ],
+    ids=[
+        "classify_classes",
+        "orbit_representatives",
+        "enumerate_level_set",
+        "lifting_fiber_check",
+        "cbvdb_identity_check",
+        "hua_identity_check",
+    ],
+)
+def test_each_partition_is_charged_once(kron2, monkeypatch, entry, charges):
+    whats = []
+    original = reps.check_cap
+
+    def counted(needed, cap, what):
+        whats.append(what)
+        return original(needed, cap, what)
+
+    monkeypatch.setattr(reps, "check_cap", counted)
+    entry(kron2, 3)
+    assert whats.count(orbits._PARTITION_CHARGE) == charges
 
 
 def test_fiber_route_is_charged_before_its_system_is_built(kron2, monkeypatch):
@@ -451,18 +490,17 @@ def test_identity_check_partitions_rep_once(kron2, monkeypatch):
 
 
 def test_shared_labels_are_read_only_and_still_charged(kron2):
-    field = make_field(5)
-    loose = orbits._orbit_labels(kron2, field, (1, 1), 25)
+    loose = orbits._orbit_labels(kron2, (1, 1), 5, 25)
     assert loose.flags.writeable
     with orbits._shared_partitions():
-        labels = orbits._orbit_labels(kron2, field, (1, 1), 25)
-        assert orbits._orbit_labels(kron2, field, (1, 1), 25) is labels
+        labels = orbits._orbit_labels(kron2, (1, 1), 5, 25)
+        assert orbits._orbit_labels(kron2, (1, 1), 5, 25) is labels
         assert labels.tolist() == loose.tolist()
         with pytest.raises(ValueError):
             labels[0] = 1
         # a shared space is refused at a lower cap exactly as an unshared one
         with pytest.raises(CapExceeded) as info:
-            orbits._orbit_labels(kron2, field, (1, 1), 24)
+            orbits._orbit_labels(kron2, (1, 1), 5, 24)
         assert info.value.what == "orbit enumeration of the representation space"
         assert info.value.needed == 25
     assert orbits._SHARED_LABELS.get() is None
