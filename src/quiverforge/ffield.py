@@ -24,9 +24,12 @@ from functools import lru_cache
 
 from .errors import ConsistencyError, SingularMatrixError, ValidationError
 
+@lru_cache(maxsize=None)
 def prime_power(n: int) -> tuple[int, int] | None:
     """(p, k) with n = p^k, or None if n is not a prime power; trial
-    division, exact and fast at this scale."""
+    division, exact and fast at this scale.  Memoised, so a q is divided
+    once per process: ``field_from_order(q)`` and ``Field``'s primality
+    test of p = q read one verdict."""
     if n < 2:
         return None
     p = 2
@@ -525,12 +528,13 @@ def g_order(d, q: int) -> int:
     return order
 
 
-def gl_generators(field: Field, n: int) -> list[tuple[FqMatrix, FqMatrix]]:
-    """A generating set of GL_n(F_q), each generator paired with its inverse:
-    diag(zeta, 1, ..., 1) for a primitive zeta, with inverse
-    diag(zeta^-1, 1, ..., 1); the adjacent transpositions, each its own
-    inverse; and the transvection with 1 at (0, 1), with inverse -1 there.
-    The inverses are written down, not solved for."""
+def gl_generators(field: Field, n: int) -> list[tuple[FqMatrix, FqMatrix, int]]:
+    """A generating set of GL_n(F_q), each generator with its inverse and
+    its order: diag(zeta, 1, ..., 1) for a primitive zeta, with inverse
+    diag(zeta^-1, 1, ..., 1) and order q - 1; the adjacent transpositions,
+    each its own inverse, of order 2; and the transvection with 1 at
+    (0, 1), with inverse -1 there and order p.  The inverses and orders are
+    written down, not solved for."""
     if n == 0:
         return []
 
@@ -539,18 +543,18 @@ def gl_generators(field: Field, n: int) -> list[tuple[FqMatrix, FqMatrix]]:
             tuple(value if (i, j) == at else int(i == j) for j in range(n)) for i in range(n)
         ))
 
-    gens: list[tuple[FqMatrix, FqMatrix]] = []
+    gens: list[tuple[FqMatrix, FqMatrix, int]] = []
     zeta = field.primitive_element()
     if zeta != 1:
-        gens.append((identity_with((0, 0), zeta), identity_with((0, 0), field.inv(zeta))))
+        gens.append((identity_with((0, 0), zeta), identity_with((0, 0), field.inv(zeta)), field.q - 1))
     if n >= 2:
         for i in range(n - 1):
             swap = {i: i + 1, i + 1: i}
             perm = FqMatrix._of(field, n, n, tuple(
                 tuple(int(k == swap.get(j, j)) for k in range(n)) for j in range(n)
             ))
-            gens.append((perm, perm))
-        gens.append((identity_with((0, 1), 1), identity_with((0, 1), field.neg(1))))
+            gens.append((perm, perm, 2))
+        gens.append((identity_with((0, 1), 1), identity_with((0, 1), field.neg(1)), field.p))
     return gens
 
 

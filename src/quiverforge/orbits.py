@@ -32,14 +32,22 @@ allocated, so that no column sum wraps, and every partial image is the
 index of a digit string, so the images are exact for every F_{p^k}.
 
 Orbits are then found by min-label propagation (Shiloach and Vishkin,
-J. Algorithms 3, 1982) over those permutations: every point starts labelled
-by its own index; a round gives both ends of every generator edge
-i -> g(i) the smaller of their two labels, one generator at a time, then
-pointer-jumps labels = labels[labels] until that is stable; rounds repeat
-until one changes nothing.  This is exact: a label only ever falls and always names a
-point of its own orbit, and at the fixed point labels agree across every
-generator edge, so they are constant on each orbit, hence equal to the
-orbit's smallest index.  Canonical class representatives are the points
+J. Algorithms 3, 1982) over those permutations, each generator applied by
+its order, which ``gl_generators`` states in closed form, so no cycle is
+walked to find it.  Every point starts labelled by its own index.  A round
+gives each point the smallest label on its cycle under each generator in
+turn: an involution's cycles are its edges, so one gather
+labels = min(labels, labels[g]) closes them; a generator of order above
+``_DOUBLING_ORDER`` closes them by pointer doubling, ceil(log2 order)
+steps labels = min(labels, labels[step]), step = step[step], after which
+each point has seen the next 2^t >= order points of its cycle; any other
+generator gives both ends of each edge i -> g(i) the smaller label.  The
+round then pointer-jumps labels = labels[labels] until that is stable, and
+rounds repeat until labels[g] == labels for every generator g.  This is
+exact whatever the stated orders: a label only ever falls and always names
+a point of its own orbit, and the loop stops only once labels agree across
+every generator edge, so they are constant on each orbit, hence equal to
+the orbit's smallest index.  Canonical class representatives are the points
 that keep their own label (the lexicographically smallest orbit elements),
 and an orbit's size is the number of points carrying its label.  They are
 turned back into representations by ``reps.representation_decoder``.
@@ -81,6 +89,10 @@ from .reps import _charge_space, arrow_shapes
 _PARTITION_CHARGE = "orbit enumeration of the representation space"
 
 np = None  # numpy, bound by _bind_numpy on first use
+
+# a generator of higher order closes its cycles by pointer doubling in
+# ceil(log2 order) gathers, one of lower order by edge steps
+_DOUBLING_ORDER = 8
 
 # (arrow ends, field, d) -> read-only labels, set only inside _shared_partitions
 _SHARED_LABELS = ContextVar("shared_labels", default=None)
@@ -153,19 +165,21 @@ def _sparse_action(ends, field: Field, shapes, v: int, g, g_inv):
 
 @lru_cache(maxsize=None)
 def _sparse_actions(ends, field: Field, d: tuple[int, ...]):
-    """``_sparse_action`` of each generator of GL_d (``gl_generators`` at
-    each vertex) that moves some digit of Rep(Q, d), Q given by its arrow
-    ``ends``; a vertex that no arrow with entries touches has none.  Built
-    once per process for each (arrow ends, field, d): the entries are
-    tuples of Python ints, nothing of the size of the space."""
+    """(``_sparse_action``, order) of each generator of GL_d
+    (``gl_generators`` at each vertex) that moves some digit of Rep(Q, d),
+    Q given by its arrow ``ends``; a vertex that no arrow with entries
+    touches has none.  The order is the generator's, as ``gl_generators``
+    states it, and its index permutation's order divides it.  Built once
+    per process for each (arrow ends, field, d): the entries are tuples of
+    Python ints, nothing of the size of the space."""
     shapes = [(d[h], d[t]) for t, h in ends]
     touched = sorted({v for (r, c), (t, h) in zip(shapes, ends) if r * c for v in (t, h)})
     actions = (
-        _sparse_action(ends, field, shapes, v, g, g_inv)
+        (_sparse_action(ends, field, shapes, v, g, g_inv), order)
         for v in touched
-        for g, g_inv in gl_generators(field, d[v])
+        for g, g_inv, order in gl_generators(field, d[v])
     )
-    return tuple(action for action in actions if action)
+    return tuple((action, order) for action, order in actions if action)
 
 
 def _images(idx, action, digit, p: int, width: int):
@@ -191,27 +205,37 @@ def _images(idx, action, digit, p: int, width: int):
     return image
 
 
-def _min_labels(idx, perms):
+def _min_labels(idx, perms, orders):
     """Smallest index in each point's orbit under the group generated by
-    the permutations ``perms`` of ``idx`` = 0..n-1 (see the module docstring)."""
+    the permutations ``perms`` of ``idx`` = 0..n-1, each applied by its
+    stated order in ``orders`` (see the module docstring).  A wrong order
+    costs rounds, never exactness."""
     labels = idx.copy()
-    changed = True
-    while changed:
-        before = labels.copy()
-        for perm in perms:
-            # both ends of each edge i -> perm[i] take the smaller label;
-            # perm is a bijection, so the scatter writes each point once
-            edge_min = labels[perm]
-            np.minimum(edge_min, labels, out=edge_min)
-            labels[perm] = edge_min
-            np.minimum(labels, edge_min, out=labels)
+    while True:
+        for perm, order in zip(perms, orders):
+            if order == 2:
+                np.minimum(labels, labels[perm], out=labels)
+            elif order > _DOUBLING_ORDER:
+                steps = (order - 1).bit_length()
+                step = perm
+                for t in range(steps):
+                    np.minimum(labels, labels[step], out=labels)
+                    if t + 1 < steps:
+                        step = step[step]
+            else:
+                # both ends of each edge i -> perm[i] take the smaller label;
+                # perm is a bijection, so the scatter writes each point once
+                edge_min = labels[perm]
+                np.minimum(edge_min, labels, out=edge_min)
+                labels[perm] = edge_min
+                np.minimum(labels, edge_min, out=labels)
         while True:
             jumped = labels[labels]
-            if np.array_equal(jumped, labels):
+            if (jumped == labels).all():
                 break
             labels = jumped
-        changed = not np.array_equal(labels, before)
-    return labels
+        if all((labels[perm] == labels).all() for perm in perms):
+            return labels
 
 
 @contextmanager
@@ -266,9 +290,9 @@ def _label_kernel(quiver: Quiver, field: Field, d: tuple[int, ...], n_points: in
             columns[j] = idx // p ** (width - 1 - j) % p
         return columns[j]
 
-    perms = [_images(idx, action, digit, p, width) for action in actions]
+    perms = [_images(idx, action, digit, p, width) for action, _ in actions]
     columns.clear()  # keep the digit columns out of the labels' peak
-    return _min_labels(idx, perms)
+    return _min_labels(idx, perms, [order for _, order in actions])
 
 
 def orbit_partition(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP):

@@ -405,7 +405,7 @@ def test_orbit_products_sum_without_wrapping(monkeypatch):
     zeta = field.primitive_element()
     assert field.inv(zeta) * (p - 1) >= 2**31
     seen = {}
-    monkeypatch.setattr(orbits, "_min_labels", lambda idx, perms: seen.update(perms=perms) or idx)
+    monkeypatch.setattr(orbits, "_min_labels", lambda idx, perms, orders: seen.update(perms=perms) or idx)
     orbit_partition(a2_quiver(), (1, 1), p)
     points = np.arange(p, dtype=np.int64)
     expected = [(points * scale % p).tolist() for scale in (field.inv(zeta), zeta)]
@@ -475,7 +475,7 @@ def dense_invertible(field, n):
 def acting_group(field, dv):
     """``gl_generators`` at a vertex of dimension dv, and ``dense_invertible``
     with its inverse when dv >= 2."""
-    group = gl_generators(field, dv)
+    group = [(g, g_inv) for g, g_inv, _ in gl_generators(field, dv)]
     if dv >= 2:
         dense = dense_invertible(field, dv)
         assert dense.is_invertible() and dense not in [g for g, _ in group]
@@ -798,9 +798,9 @@ def test_classify_decodes_nothing_and_labels_the_space_once(name, d, q, monkeypa
     passes = []
     label = orbits._min_labels
 
-    def counted_labels(idx, perms):
+    def counted_labels(idx, perms, orders):
         passes.append(len(idx))
-        return label(idx, perms)
+        return label(idx, perms, orders)
 
     expected = class_counts_by_hua(QUIVERS[name], d, q)
     monkeypatch.setattr(counting, "representation_decoder", forbidden)
@@ -883,15 +883,17 @@ def union_find_orbits(n, perms):
         ("jordan", (2,), 9),
         ("jordan", (1,), 5),  # a single generator, a scalar that moves no digit
         ("jordan", (3,), 3),  # orbits of more than 1000 points
+        ("a2", (1, 1), 4999),  # two scalings with cycles of 4998 points
+        ("jordan", (2,), 16),  # an extension field with q - 1 past _DOUBLING_ORDER
     ],
 )
 def test_min_labels_match_union_find_over_the_generator_images(name, d, q, monkeypatch):
     seen = {}
     original = orbits._min_labels
 
-    def record(idx, perms):
+    def record(idx, perms, orders):
         seen["perms"] = [[int(x) for x in perm] for perm in perms]
-        return original(idx, perms)
+        return original(idx, perms, orders)
 
     monkeypatch.setattr(orbits, "_min_labels", record)
     canonical, n_points, sizes = orbit_partition(QUIVERS[name], d, q)
@@ -911,15 +913,57 @@ def test_min_labels_match_union_find_over_the_generator_images(name, d, q, monke
 
 def test_min_labels_follow_the_cycles_of_one_permutation():
     # cycles (0 4 1 7), (2 3 9 6), (5) and (8)
-    perm = np.array([4, 7, 3, 9, 1, 5, 2, 0, 8, 6])
-    labels = orbits._min_labels(np.arange(10), [perm])
+    cycles = np.array([4, 7, 3, 9, 1, 5, 2, 0, 8, 6])
+    labels = orbits._min_labels(np.arange(10), [cycles], [4])
     assert [int(x) for x in labels] == [0, 0, 2, 2, 0, 5, 2, 0, 8, 2]
-    assert union_find_orbits(10, [perm]) == {0: 4, 2: 4, 5: 1, 8: 1}
+    assert union_find_orbits(10, [cycles]) == {0: 4, 2: 4, 5: 1, 8: 1}
     # one 2000-cycle visiting the points in descending order: the minimum
-    # has to travel the whole cycle
+    # has to travel the whole cycle, closed by doubling at its order 2000
     n = 2000
     perm = np.array([(i - 1) % n for i in range(n)])
-    assert not orbits._min_labels(np.arange(n), [perm]).any()
+    assert not orbits._min_labels(np.arange(n), [perm], [n]).any()
+    # a wrong order costs rounds, not exactness: the loop ends only once
+    # labels agree across every edge
+    for order in (2, 3):
+        assert not orbits._min_labels(np.arange(n), [perm], [order]).any()
+        assert (orbits._min_labels(np.arange(10), [cycles], [order]) == labels).all()
+
+
+def permutation_power(perm, e):
+    """perm^e by repeated squaring, composing index arrays."""
+    power, square = np.arange(len(perm)), perm
+    while e:
+        if e & 1:
+            power = square[power]
+        square, e = square[square], e >> 1
+    return power
+
+
+@pytest.mark.parametrize(
+    "name,d,q",
+    [("jordan", (2,), 9), ("kron2", (2, 1), 4), ("a2", (1, 1), 7), ("loop+arrow", (2, 1), 3), ("jordan", (2,), 8)],
+)
+def test_each_generator_permutation_has_its_stated_order(name, d, q):
+    quiver, field = QUIVERS[name], field_from_order(q)
+    width = field.k * sum(r * c for r, c in reps.arrow_shapes(quiver, d))
+    p = field.p
+    idx = np.arange(q ** (width // field.k), dtype=np.int64)
+    actions = orbits._sparse_actions(quiver.ends, field, d)
+    assert {order for _, order in actions} >= {q - 1}
+    for action, order in actions:
+        perm = orbits._images(idx, action, lambda s: idx // p ** (width - 1 - s) % p, p, width)
+        assert not (perm == idx).all()
+        assert (permutation_power(perm, order) == idx).all()
+
+
+def test_the_label_pass_does_not_walk_a_generator_cycle(a2):
+    # A_2 (1, 1) over F_49391: two scalings whose cycles hold every nonzero
+    # point, so moving a label one step along a cycle per round would take
+    # thousands of rounds
+    start = time.perf_counter()
+    canonical, n_points, sizes = orbit_partition(a2, (1, 1), 49391)
+    assert time.perf_counter() - start < 1
+    assert (canonical, n_points, sizes) == ([0, 1], 49391, [1, 49390])
 
 
 def test_representatives_are_lex_minimal(jordan):

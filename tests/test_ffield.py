@@ -32,6 +32,17 @@ def test_make_field_examples():
         make_field(5, 0)
 
 
+def test_field_from_order_factors_a_fresh_prime_once():
+    # a prime no other test uses: factoring it, then Field's primality test
+    # of p = q, then every later call read one trial division
+    q = 999999937
+    divisions = ffield.prime_power.cache_info().misses
+    field = field_from_order(q)
+    assert field_from_order(q) is field == make_field(q)
+    assert is_prime(q)
+    assert ffield.prime_power.cache_info().misses == divisions + 1
+
+
 def test_large_prime_field_needs_no_modulus_search():
     # a search over the p degree-1 candidates would not fit in memory
     field = make_field(4294967291)
@@ -350,7 +361,7 @@ def test_gl_generators_generate(p, k, n):
     while frontier:
         entries = frontier.pop()
         m = FqMatrix(field, entries)
-        for g, _ in gens:
+        for g, _, _ in gens:
             image = g.mul(m).entries
             if image not in seen:
                 seen.add(image)
@@ -363,9 +374,27 @@ def test_gl_generators_come_with_their_inverses(q):
     field = field_from_order(q)
     for n in range(4):
         identity = FqMatrix.identity(field, n)
-        for g, g_inv in gl_generators(field, n):
+        for g, g_inv, _ in gl_generators(field, n):
             assert g.mul(g_inv) == identity
             assert g_inv.mul(g) == identity
+
+
+@pytest.mark.parametrize("q", [2, 5, 4, 8, 9, 25])
+def test_gl_generators_state_their_orders(q):
+    # the order is exact: g^order = I, and g^(order/r) != I for each prime r | order
+    field = field_from_order(q)
+    for n in range(1, 4):
+        identity = FqMatrix.identity(field, n)
+        gens = gl_generators(field, n)
+        for g, _, order in gens:
+            assert g.matpow(order) == identity
+            for r in range(2, order + 1):
+                if order % r == 0 and is_prime(r):
+                    assert g.matpow(order // r) != identity
+        # zeta has order q - 1, a transposition 2 and the transvection p, which
+        # differs from q - 1 in every extension field here
+        expected = ([q - 1] if q > 2 else []) + [2] * (n - 1) + ([field.p] if n >= 2 else [])
+        assert [order for _, _, order in gens] == expected
 
 
 # -- subspace enumeration

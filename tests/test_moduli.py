@@ -474,9 +474,9 @@ def test_identity_check_partitions_rep_once(kron2, monkeypatch):
     runs = []
     original = orbits._min_labels
 
-    def counted(idx, perms):
+    def counted(idx, perms, orders):
         runs.append(len(idx))
-        return original(idx, perms)
+        return original(idx, perms, orders)
 
     monkeypatch.setattr(orbits, "_min_labels", counted)
     check = cbvdb_identity_check(kron2, (1, 1), (-1, 1), 5)
