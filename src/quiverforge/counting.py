@@ -53,7 +53,7 @@ from .errors import (
     check_cap,
     DEFAULT_CAP,
 )
-from .ffield import field_from_order, gl_order, prime_power
+from .ffield import _charge_factoring, factorisation, field_from_order, gl_order, prime_power
 from .orbits import _charge_partition, _unsplit_orbits, orbit_partition
 from .quiver import Quiver
 from .reps import _orbit_units, _unit_residue_degree, representation_decoder
@@ -72,22 +72,16 @@ def prime_powers():
 def moebius(n: int) -> int:
     if n < 1:
         raise ValidationError("Moebius function needs a positive argument")
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
+    factors = factorisation(n)
+    return 0 if any(k > 1 for _, k in factors) else (-1) ** len(factors)
 
 
 def divisors(n: int) -> list[int]:
-    return [r for r in range(1, n + 1) if n % r == 0]
+    """The divisors of n >= 1, ascending, from one factorisation of n."""
+    divs = [1]
+    for p, k in factorisation(n):
+        divs = [r * p**i for r in divs for i in range(k + 1)]
+    return sorted(divs)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +233,13 @@ def _charge_pairs(box: tuple[int, ...], cap: int) -> None:
     check_cap(prod((b + 1) * (b + 2) // 2 for b in box), cap, "log-coefficient pair products")
 
 
-def _squarefree_divisors(n: int) -> list[int]:
-    return [r for r in divisors(n) if moebius(r)]
+def _squarefree_divisors(n: int) -> list[tuple[int, int]]:
+    """(r, mu(r)) for each squarefree divisor r of n, ascending in r, from
+    one factorisation of n: the divisors with mu(r) != 0, signed."""
+    pairs = [(1, 1)]
+    for p, _ in factorisation(n):
+        pairs += [(r * p, -mu) for r, mu in pairs]
+    return sorted(pairs)
 
 
 def _charge_tuples(d: tuple[int, ...], cap: int) -> None:
@@ -399,11 +398,11 @@ def _a_reader(terms: Counter, d: tuple[int, ...], q: int, cap: int, plans: dict)
             s = exponent[big_q]
             # mu(r)/r [X^m] log P(X, Q^r) = mu(r) U_m / (r |m| D^|m|), m = e/r
             parts = []
-            for r in _squarefree_divisors(gcd(*e)):
+            for r, mu in _squarefree_divisors(gcd(*e)):
                 m = tuple(x // r for x in e)
                 u, common = log_at(s * r)
                 n = sum(m)
-                parts.append((moebius(r) * u[m], r * n * common**n))
+                parts.append((mu * u[m], r * n * common**n))
             denominator = lcm(*(den for _, den in parts))
             numerator = (big_q - 1) * sum(num * (denominator // den) for num, den in parts)
             value, rem = divmod(numerator, denominator)
@@ -530,8 +529,8 @@ def galois_descent_I(quiver: Quiver, d, q: int, a_fn) -> int:
     for r in divisors(g):
         inner = 0
         d_over_r = tuple(x // r for x in d)
-        for m in _squarefree_divisors(r):
-            inner += moebius(m) * a_fn(d_over_r, q ** (r // m))
+        for m, mu in _squarefree_divisors(r):
+            inner += mu * a_fn(d_over_r, q ** (r // m))
         total += inner * (g // r)
     value, rem = divmod(total, g)
     if rem:
@@ -604,12 +603,14 @@ def class_counts_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> Cl
     every A_e(q^s) that descent reads, with one integer log series per
     Q = q^t.  The independent oracle for ``classify_classes``; the cap is
     charged with the table's partition tuples and each series' pair
-    products, the tuples and the largest series (box d) before q is factored.
+    products, the tuples and the largest series (box d), and then the
+    trial division of q, before q is factored.
     """
     d = quiver.check_dim(d)
     if any(d):
         _charge_tuples(d, cap)
         _charge_pairs(d, cap)
+    _charge_factoring(q, cap)
     field_from_order(q)  # the counts are over the field F_q
     terms = _hua_terms(quiver, d, cap) if any(d) else Counter()
     a_at = _a_reader(terms, d, q, cap, {})
@@ -634,8 +635,9 @@ def hua_identity_check(quiver: Quiver, q: int, degree: int, cap: int = DEFAULT_C
     prime power and a negative degree are refused, at every degree.  The
     support's C(degree + n, n) monomials are charged before any is listed,
     and each nonzero d's q^n points (``orbits._charge_partition``) as the lex
-    walk reaches it, all before q is factored, so a huge degree or q is
-    refused without listing the support or trial division.
+    walk reaches it, and then the trial division of q, all before q is
+    factored, so a huge degree or q is refused without listing the support
+    or trial division.
     """
     n = len(quiver.vertices)
     if degree >= 0:
@@ -646,6 +648,7 @@ def hua_identity_check(quiver: Quiver, q: int, degree: int, cap: int = DEFAULT_C
             _charge_partition(quiver, dv, q, cap)
         support.append(dv)
     monomials = support[1:]
+    _charge_factoring(q, cap)
     field_from_order(q)
     if degree < 0:
         raise ValidationError(f"the degree bound must be nonnegative, got {degree}")

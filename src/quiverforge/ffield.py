@@ -1,4 +1,13 @@
-"""Exact linear algebra over finite fields F_{p^k}.
+"""Exact linear algebra over finite fields F_{p^k}, and the one owner of
+integer factorisation.
+
+Every factorisation in the package reads one memoised least-prime-factor
+routine (``_least_prime_factor``), trial division by 2 and the odd numbers:
+field orders (``prime_power``), primality, the Moebius values and divisors
+of Galois descent and Hua's formula (``factorisation``), and primitive
+roots, which are tested against the primes of q - 1.  Factoring q tries up
+to floor(sqrt(q)) candidates, so the entry points that factor a q they are
+given charge the cap with that number first (``_charge_factoring``).
 
 Field elements are plain integers in ``0..q-1``: the residue polynomial
 ``sum_i c_i x^i`` is encoded as the base-p integer ``sum_i c_i p^i``.  The
@@ -21,31 +30,65 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import isqrt
 
-from .errors import ConsistencyError, SingularMatrixError, ValidationError
+from .errors import ConsistencyError, SingularMatrixError, ValidationError, check_cap
+
+
+@lru_cache(maxsize=None)
+def _least_prime_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division by 2 and then the
+    odd numbers up to sqrt(n): the package's one trial division, memoised, so
+    each n is divided once per process."""
+    if n % 2 == 0:
+        return 2
+    p = 3
+    while p * p <= n:
+        if n % p == 0:
+            return p
+        p += 2
+    return n
+
+
+def factorisation(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n >= 1, primes ascending, each prime read
+    off ``_least_prime_factor`` of what is left."""
+    if n < 1:
+        raise ValidationError(f"factorisation needs a positive integer, got {n}")
+    factors = []
+    while n > 1:
+        p, k = _least_prime_factor(n), 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        factors.append((p, k))
+    return tuple(factors)
+
 
 @lru_cache(maxsize=None)
 def prime_power(n: int) -> tuple[int, int] | None:
-    """(p, k) with n = p^k, or None if n is not a prime power; trial
-    division, exact and fast at this scale.  Memoised, so a q is divided
-    once per process: ``field_from_order(q)`` and ``Field``'s primality
-    test of p = q read one verdict."""
+    """(p, k) with n = p^k, or None if n is not a prime power.  Only the
+    least prime p of n is found: n is refused as soon as dividing out p
+    leaves more than 1, so a huge cofactor is never factored.  Memoised:
+    ``field_from_order(q)`` reads one verdict per q and process."""
     if n < 2:
         return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            return (p, k) if n == 1 else None
-        p += 1
-    return (n, 1)
+    p = _least_prime_factor(n)
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return (p, k) if n == 1 else None
 
 
 def is_prime(n: int) -> bool:
-    return prime_power(n) == (n, 1)
+    return n >= 2 and _least_prime_factor(n) == n
+
+
+def _charge_factoring(q: int, cap: int) -> None:
+    """Charge the cap with the floor(sqrt(q)) candidate divisors that
+    factoring the field order q may try, before it is factored."""
+    check_cap(isqrt(max(q, 0)), cap, "trial division of the field order")
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +252,11 @@ class Field:
         return range(self.q)
 
     def primitive_element(self) -> int:
-        """Smallest generator of the unit group (identity element for q = 2)."""
-        if self.q == 2:
-            return 1
-        for a in range(2, self.q):
-            x, order = a, 1
-            while x != 1:
-                x = self.mul(x, a)
-                order += 1
-            if order == self.q - 1:
+        """Smallest generator of the unit group (1 for q = 2): the least a
+        with a^((q-1)/r) != 1 for every prime r of q - 1."""
+        exponents = [(self.q - 1) // r for r, _ in factorisation(self.q - 1)]
+        for a in range(1, self.q):
+            if all(self.pow_(a, e) != 1 for e in exponents):
                 return a
         raise ConsistencyError("no primitive element found")  # pragma: no cover
 
@@ -263,9 +302,14 @@ class Field:
         return f"Field(p={self.p}, k={self.k})"
 
 
-@lru_cache(maxsize=None)
 def make_field(p: int, k: int = 1) -> Field:
-    """Deterministic field constructor; caches so fields compare by identity too."""
+    """Deterministic field constructor; one ``Field`` per (p, k), however
+    it is asked for, so fields compare by identity too."""
+    return _field(p, k)
+
+
+@lru_cache(maxsize=None)
+def _field(p: int, k: int) -> Field:
     return Field(p, k)
 
 

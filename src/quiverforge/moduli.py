@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
     DEFAULT_CAP,
 )
-from .ffield import Field, FqMatrix, field_from_order, g_order, gl_order
+from .ffield import Field, FqMatrix, _charge_factoring, field_from_order, g_order, gl_order
 from .quiver import Quiver, is_generic, pairing
 from .reps import (
     Representation,
@@ -124,9 +124,11 @@ def _doubled(quiver: Quiver) -> Quiver:
 def level_set_points(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
     """All doubled representations satisfying the deformed relations, by a
     walk of the whole doubled space: the brute oracle for ``_fiber_sizes``.
-    The q^(2n) doubled points are charged before q is factored."""
+    The q^(2n) doubled points, then the trial division of q, are charged
+    before q is factored."""
     doubled = _doubled(quiver)
     _charge_space(arrow_shapes(doubled, d), q, cap)
+    _charge_factoring(q, cap)
     field = field_from_order(q)
     targets = _relation_targets(doubled, field, d, eta)
     for w in all_representations(doubled, field, d, cap=cap):

@@ -36,18 +36,19 @@ J. Algorithms 3, 1982) over those permutations, each generator applied by
 its order, which ``gl_generators`` states in closed form, so no cycle is
 walked to find it.  Every point starts labelled by its own index.  A round
 gives each point the smallest label on its cycle under each generator in
-turn: an involution's cycles are its edges, so one gather
-labels = min(labels, labels[g]) closes them; a generator of order above
-``_DOUBLING_ORDER`` closes them by pointer doubling, ceil(log2 order)
+turn, by one of two rules.  An involution or a generator of order above
+``_DOUBLING_ORDER`` closes its cycles by pointer doubling, ceil(log2 order)
 steps labels = min(labels, labels[step]), step = step[step], after which
-each point has seen the next 2^t >= order points of its cycle; any other
-generator gives both ends of each edge i -> g(i) the smaller label.  The
-round then pointer-jumps labels = labels[labels] until that is stable, and
-rounds repeat until labels[g] == labels for every generator g.  This is
-exact whatever the stated orders: a label only ever falls and always names
-a point of its own orbit, and the loop stops only once labels agree across
-every generator edge, so they are constant on each orbit, hence equal to
-the orbit's smallest index.  Canonical class representatives are the points
+each point has seen the next 2^t >= order points of its cycle; for an
+involution, whose cycles are its edges, that is the one gather
+labels = min(labels, labels[g]).  Any other generator gives both ends of
+each edge i -> g(i) the smaller label.  The round then pointer-jumps
+labels = labels[labels] until that is stable, and rounds repeat until
+labels[g] == labels for every generator g.  This is exact whatever the
+stated orders: a label only ever falls and always names a point of its own
+orbit, and the loop stops only once labels agree across every generator
+edge, so they are constant on each orbit, hence equal to the orbit's
+smallest index.  Canonical class representatives are the points
 that keep their own label (the lexicographically smallest orbit elements),
 and an orbit's size is the number of points carrying its label.  They are
 turned back into representations by ``reps.representation_decoder``.
@@ -60,14 +61,15 @@ point's index is the sum of its blocks' indices, each block's base-q codes
 copied to their positions in Rep(Q, d) (see ``_lift``).
 
 This module alone charges a partition: its entry points take q, and
-``_orbit_labels`` charges the q^n points before it factors q, so a huge q is
-refused without trial division.  Inside a ``_shared_partitions`` block the
-labels of each Rep(Q, d) are computed once, keyed by the arrow ends, the
-field and d, and every later ``_orbit_labels`` call in the block reads the
-same read-only array, after charging the cap as it would to compute it.
-``moduli.cbvdb_identity_check`` opens one around its fiber pass and
-``classify_classes``; the labels are dropped when the block exits, normally
-or by an exception, so nothing outlives the call.
+``_orbit_labels`` charges the q^n points, then the floor(sqrt(q)) candidate
+divisors of factoring q, before it factors q, so a huge q is refused without
+trial division, even where q^n is small.  Inside a ``_shared_partitions``
+block the labels of each Rep(Q, d) are computed once, keyed by the arrow
+ends, the field and d, and every later ``_orbit_labels`` call in the block
+reads the same read-only array, after charging the cap as it would to
+compute it.  ``moduli.cbvdb_identity_check`` opens one around its fiber
+pass and ``classify_classes``; the labels are dropped when the block exits,
+normally or by an exception, so nothing outlives the call.
 
 numpy is bound on the first orbit partition, not on import, so callers
 that never partition a representation space never load it.
@@ -81,7 +83,7 @@ from contextvars import ContextVar
 from functools import lru_cache
 
 from .errors import ValidationError, DEFAULT_CAP
-from .ffield import Field, FqMatrix, field_from_order, gl_generators
+from .ffield import Field, FqMatrix, _charge_factoring, field_from_order, gl_generators
 from .quiver import Quiver
 from .reps import _charge_space, arrow_shapes
 
@@ -90,8 +92,8 @@ _PARTITION_CHARGE = "orbit enumeration of the representation space"
 
 np = None  # numpy, bound by _bind_numpy on first use
 
-# a generator of higher order closes its cycles by pointer doubling in
-# ceil(log2 order) gathers, one of lower order by edge steps
+# an involution or a generator of higher order closes its cycles by pointer
+# doubling in ceil(log2 order) gathers, any other by edge steps
 _DOUBLING_ORDER = 8
 
 # (arrow ends, field, d) -> read-only labels, set only inside _shared_partitions
@@ -213,9 +215,7 @@ def _min_labels(idx, perms, orders):
     labels = idx.copy()
     while True:
         for perm, order in zip(perms, orders):
-            if order == 2:
-                np.minimum(labels, labels[perm], out=labels)
-            elif order > _DOUBLING_ORDER:
+            if order == 2 or order > _DOUBLING_ORDER:
                 steps = (order - 1).bit_length()
                 step = perm
                 for t in range(steps):
@@ -256,9 +256,11 @@ def _charge_partition(quiver: Quiver, d, q: int, cap: int) -> int:
 
 def _orbit_labels(quiver: Quiver, d: tuple[int, ...], q: int, cap: int):
     """The smallest index in each point's orbit, one array over the q^n
-    points of Rep(Q, d) over F_q, charged before q is factored and anything
-    is built or read from a ``_shared_partitions`` block."""
+    points of Rep(Q, d) over F_q.  The q^n points, then the trial division
+    of q, are charged before q is factored and anything is built or read
+    from a ``_shared_partitions`` block."""
     n_points = _charge_partition(quiver, d, q, cap)
+    _charge_factoring(q, cap)
     field = field_from_order(q)
     shared = _SHARED_LABELS.get()
     if shared is None:

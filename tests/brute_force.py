@@ -1,5 +1,6 @@
 """Brute-force routines used by the tests as oracles: every matrix of a
-shape and every element of GL_n over a finite field, and Lagrange
+shape and every element of GL_n over a finite field, the smallest
+primitive root by walking multiplicative orders, and Lagrange
 interpolation in Fractions."""
 
 import itertools
@@ -20,6 +21,22 @@ def enumerate_gl(field: Field, n: int):
     for m in all_matrices(field, n, n):
         if m.det() != 0:
             yield m
+
+
+def primitive_element_by_orders(field: Field) -> int:
+    """The smallest generator of the unit group (1 for q = 2), found by
+    walking each candidate's powers until they return to 1, O(q) per
+    candidate: the oracle for ``Field.primitive_element``."""
+    if field.q == 2:
+        return 1
+    for a in range(2, field.q):
+        x, order = a, 1
+        while x != 1:
+            x = field.mul(x, a)
+            order += 1
+        if order == field.q - 1:
+            return a
+    raise AssertionError(f"F_{field.q} has no primitive element")
 
 
 def fraction_lagrange_interpolate(points) -> ExactPolynomial:

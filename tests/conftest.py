@@ -18,15 +18,16 @@ HUGE_Q = 10000000000000061  # a prime: trial division would run to 10^8
 
 @pytest.fixture
 def huge_q(monkeypatch):
-    """HUGE_Q, with ``ffield.prime_power`` patched to fail if it is asked to factor it."""
-    original = ffield.prime_power
+    """HUGE_Q, with ``ffield._least_prime_factor``, the one trial division,
+    patched to fail if it is asked to factor it."""
+    original = ffield._least_prime_factor
 
     def refuse_huge_q(n):
         if n == HUGE_Q:
             raise AssertionError("q was trial-divided before the cap refused q^n")
         return original(n)
 
-    monkeypatch.setattr(ffield, "prime_power", refuse_huge_q)
+    monkeypatch.setattr(ffield, "_least_prime_factor", refuse_huge_q)
     return HUGE_Q
 
 

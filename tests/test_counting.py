@@ -35,6 +35,7 @@ from quiverforge.ffield import FqMatrix, field_from_order, gl_generators, gl_ord
 from brute_force import enumerate_gl
 from quiverforge import orbits
 from quiverforge.orbits import orbit_partition
+from quiverforge.moduli import level_set_points
 from quiverforge.reps import all_representations, aut_order
 from quiverforge.series import monomials_up_to
 
@@ -845,7 +846,8 @@ class _Forbidden:
 
 def test_orbit_arithmetic_refuses_sums_past_int64(jordan, monkeypatch):
     # (P-1)^2 >= 2^63; the refusal must come before any generator is built
-    # (primitive_element alone is O(P)) and before any array is allocated
+    # (a primitive root factors P - 1 and each generator builds its action)
+    # and before any array is allocated
     monkeypatch.setattr(orbits, "gl_generators", _Forbidden())
     monkeypatch.setattr(orbits, "np", _Forbidden())
     with pytest.raises(ValidationError):
@@ -1422,6 +1424,44 @@ def test_descent_check_reads_I_and_A_from_one_classification(kron2, monkeypatch)
 
 def test_moebius_values():
     assert [moebius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+
+
+def test_moebius_and_divisors_match_their_definitions():
+    # divisors by a scan of 1..n; mu by its defining sum: sum_{r | n} mu(r) = [n = 1]
+    mu = {}
+    for n in range(1, 1001):
+        scanned = [r for r in range(1, n + 1) if n % r == 0]
+        assert counting.divisors(n) == scanned, n
+        mu[n] = int(n == 1) - sum(mu[r] for r in scanned[:-1])
+        assert moebius(n) == mu[n], n
+        assert counting._squarefree_divisors(n) == [(r, mu[r]) for r in scanned if mu[r]], n
+
+
+def test_a_huge_prime_q_is_refused_before_trial_division_where_q_n_is_small(kron2):
+    # q^0 = 1 point fits, but factoring q would try floor(sqrt(q)) > 3 * 10^7 candidates
+    q = 10**15 + 37
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as info:
+        classify_classes(kron2, (0, 0), q)
+    assert time.perf_counter() - start < 0.1
+    assert (info.value.what, info.value.needed) == ("trial division of the field order", 31622776)
+    for call in (
+        lambda: counting.class_counts_by_hua(kron2, (0, 0), q),
+        lambda: hua_identity_check(kron2, q, 0),
+        lambda: next(level_set_points(kron2, (0, 0), (0, 0), q)),
+    ):
+        with pytest.raises(CapExceeded, match="trial division of the field order"):
+            call()
+    # a q whose trial division fits the cap still answers
+    assert astuple(classify_classes(kron2, (0, 0), 1_000_000_007)) == (1, 0, 0)
+
+
+def test_classify_classes_over_f_3_10_takes_no_order_walk(jordan):
+    # zeta is tested against the primes 2, 11, 61 of q - 1, with no O(q) walk of its powers
+    start = time.perf_counter()
+    counts = classify_classes(jordan, (1,), 3**10)
+    assert time.perf_counter() - start < 1
+    assert astuple(counts) == (3**10, 3**10, 3**10)
 
 
 def test_prime_power_stream():

@@ -1,4 +1,5 @@
 import itertools
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,7 @@ from quiverforge.ffield import (
     is_prime,
     prime_power,
 )
-from brute_force import all_matrices
+from brute_force import all_matrices, primitive_element_by_orders
 
 
 # -- field construction
@@ -36,11 +37,13 @@ def test_field_from_order_factors_a_fresh_prime_once():
     # a prime no other test uses: factoring it, then Field's primality test
     # of p = q, then every later call read one trial division
     q = 999999937
-    divisions = ffield.prime_power.cache_info().misses
+    calls = ffield.prime_power.cache_info().misses
+    divisions = ffield._least_prime_factor.cache_info().misses
     field = field_from_order(q)
-    assert field_from_order(q) is field == make_field(q)
+    assert field_from_order(q) is field is make_field(q) is make_field(q, 1) is make_field(p=q, k=1)
     assert is_prime(q)
-    assert ffield.prime_power.cache_info().misses == divisions + 1
+    assert ffield.prime_power.cache_info().misses == calls + 1
+    assert ffield._least_prime_factor.cache_info().misses == divisions + 1
 
 
 def test_large_prime_field_needs_no_modulus_search():
@@ -162,6 +165,34 @@ def test_is_prime_and_prime_power_match_a_sieve():
     for n in range(limit):
         assert is_prime(n) == sieve[n], n
         assert prime_power(n) == powers.get(n), n
+
+
+def test_factorisation_multiplies_back_to_n_over_primes():
+    for n in range(1, 2000):
+        factors = ffield.factorisation(n)
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+        assert all(is_prime(p) and k >= 1 for p, k in factors)
+        assert prod(p**k for p, k in factors) == n
+    with pytest.raises(ValidationError):
+        ffield.factorisation(0)
+
+
+def test_primitive_element_matches_the_order_walk_below_3000():
+    orders = [q for q in range(2, 3000) if prime_power(q)]
+    assert len(orders) == 466
+    for q in orders:
+        field = field_from_order(q)
+        assert field.primitive_element() == primitive_element_by_orders(field), q
+
+
+def test_primitive_element_of_f_3_10_misses_every_maximal_subgroup():
+    # q - 1 = 59048 = 2^3 11^2 61: zeta lies in no subgroup of index 2, 11 or 61
+    field = field_from_order(3**10)
+    zeta = field.primitive_element()
+    assert [r for r, _ in ffield.factorisation(field.q - 1)] == [2, 11, 61]
+    for r in (2, 11, 61):
+        assert field.pow_(zeta, (field.q - 1) // r) != 1
+    assert field.pow_(zeta, field.q - 1) == 1
 
 
 # -- matrices
