@@ -31,6 +31,7 @@ from .quiver import (  # serialize_quiver stays importable here, beside parse_qu
     FORMAT_VERSION,
     Quiver,
     _canonical,
+    _charge_generic_walk,
     is_generic,
     normalize_to_degree_zero,
     pairing,
@@ -207,6 +208,7 @@ def _cmd_stability(args) -> tuple[dict, str]:
     quiver, named_d, named_theta = load_quiver_file(args.quiver)
     d = _parse_vector(args.d, named_d, "--d")
     theta = _parse_vector(args.theta, named_theta, "--theta")
+    _charge_generic_walk(theta, d, args.cap)
     payload = {
         "d": list(d),
         "theta": list(theta),
@@ -327,6 +329,7 @@ def _cmd_betti(args) -> tuple[dict, str]:
     quiver, named_d, named_theta = load_quiver_file(args.quiver)
     d = _parse_vector(args.d, named_d, "--d")
     theta = _parse_vector(args.theta, named_theta, "--theta")
+    _charge_generic_walk(theta, d, args.cap)
     if not is_generic(theta, d):
         raise ValidationError(f"theta={list(theta)} is not generic for d={list(d)}")
     e = quiver.expected_moduli_dim(d)

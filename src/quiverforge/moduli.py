@@ -20,14 +20,17 @@ That system is X's Hom system transposed (Crawley-Boevey, Compositio Math.
     sum_v tr(mu_v f_v) = sum_a tr(X*_a (f_head X_a - X_a f_tail)),
 
 so X* -> mu(X, X*) is the transpose of f -> (f_head X_a - X_a f_tail), the
-map ``reps._hom_system`` builds and whose kernel is End(X).  Its rank gives
-the fiber and dim End(X) = sum d_v^2 - rank at once.  The fiber size is
-GL_d-invariant (mu is equivariant, eta.I central), so one forward
-elimination per orbit of Rep(Q, d), whose pivot columns give the rank and
-consistency, times its size, replaces the walk of the q^(2n) doubled points.
-That walk, ``level_set_points``, stays as the independent oracle: it
-evaluates ``moment_map`` through ``FqMatrix.mul`` and shares no code with
-``reps._hom_system``.
+map whose kernel is End(X).  Its rank gives the fiber and
+dim End(X) = sum d_v^2 - rank at once.  The fiber size is GL_d-invariant
+(mu is equivariant, eta.I central), so one forward elimination per orbit
+of Rep(Q, d), whose pivot columns give the rank and consistency, times its
+size, replaces the walk of the q^(2n) doubled points.  Each orbit's system
+is filled straight from its canonical index: the base-q digits of the index
+are X's entries, and the terms of ``reps._hom_layout``, the one layout of
+the Hom system, built once per process for each space, place them; no X is
+decoded and no Hom-system matrix is built per orbit.  The doubled walk,
+``level_set_points``, stays as the independent oracle: it evaluates
+``moment_map`` through ``FqMatrix.mul`` and shares no code with the layout.
 Each route is charged with what it walks: the fiber route with the q^n
 points of the orbit partition, the oracle with the q^(2n) doubled points.
 """
@@ -44,19 +47,19 @@ from .errors import (
     DEFAULT_CAP,
 )
 from .ffield import Field, FqMatrix, _charge_factoring, field_from_order, g_order, gl_order
-from .quiver import Quiver, is_generic, pairing
+from .quiver import Quiver, _charge_generic_walk, is_generic, pairing
 from .reps import (
     Representation,
     _charge_space,
     _ext1_from_hom,
-    _hom_system,
+    _hom_layout,
     _local_structure,
     _orbit_units,
     all_representations,
     arrow_shapes,
 )
-from .counting import classify_classes, orbit_representatives
-from .orbits import _shared_partitions
+from .counting import classify_classes
+from .orbits import _shared_partitions, orbit_partition
 from .series import ExactPolynomial
 
 
@@ -137,37 +140,52 @@ def level_set_points(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
 
 
 def _fiber_sizes(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
-    """(X, |orbit of X|, |Aut X|, |{X* : mu(X, X*) = eta.I}|, dim End(X))
-    for each canonical GL_d-orbit representative X of Rep(Q, d), in lex order.
+    """(entry key of X, |orbit of X|, |Aut X|, |{X* : mu(X, X*) = eta.I}|,
+    dim End(X)) for each canonical GL_d-orbit representative X of
+    Rep(Q, d), in lex order.
 
     For a doubled quiver the forward arrows carry X and their partners X*.
     The walk is the orbit partition of Rep(Q, d), which charges the cap with
     its q^n points before q is factored, |GL_d| is computed (for
-    |Aut X| = |GL_d| / |orbit of X|) and any system is built.  X's fiber
-    system is its Hom system transposed (see the module docstring), with
-    (eta_v mod p) at the diagonal unknowns of each f_v on the right side.
+    |Aut X| = |GL_d| / |orbit of X|) and the Hom-system layout is read.
+    X is never decoded: its entry key is the base-q digits of its canonical
+    index, and each term of ``reps._hom_layout`` at (d, d) adds its entry
+    of the key to X's fiber system, the Hom system transposed (see the
+    module docstring): one row per unknown of f, one column per equation,
+    then the right side, (eta_v mod p) at the diagonal unknowns of each f_v.
     """
     half = Quiver(quiver.vertices, quiver.forward_arrows()) if quiver.is_doubled else quiver
     eta = half.check_vector(eta, name="deformation parameter")
     d = half.check_dim(d)
-    orbits = orbit_representatives(half, d, q, cap)
+    indices, _, sizes = orbit_partition(half, d, q, cap)
     field, gl = field_from_order(q), gl_order(d, q)
-    # f = (f_v) flat, vertex-major then row-major, as _hom_system numbers it
-    rhs = [x for m in _relation_targets(half, field, d, eta) for x in m.flat()]
-    identity = [x for dv in d for x in FqMatrix.identity(field, dv).flat()]
-    for x, size in orbits:
-        system, _ = _hom_system(x, x)
-        n = system.rows
+    add, neg = field.add, field.neg
+    n, n_unknowns, offsets, terms = _hom_layout(half.ends, d, d)
+    # the diagonal unknowns of each f_v, with (eta_v mod p), their right side
+    diagonal = {
+        offset + i * (dv + 1): ev % field.p for offset, dv, ev in zip(offsets, d, eta) for i in range(dv)
+    }
+    rhs = [diagonal.get(unknown, 0) for unknown in range(n_unknowns)]
+    weights = [q**k for k in range(n - 1, -1, -1)]  # first entry most significant
+    for index, size in zip(indices, sizes):
+        key = tuple([index // w % q for w in weights])
+        rows = [[0] * n + [b] for b in rhs]
+        for equation, unknown, _, position, sign in terms:
+            value = key[position]
+            if value:
+                row = rows[unknown]
+                row[equation] = add(row[equation], value if sign > 0 else neg(value))
         # the identity is an endomorphism, so mu(X, X*) has trace 0 for every X*
-        if any(system.apply(identity)):
-            raise ConsistencyError("moment value escaped the trace-zero subalgebra")
-        # with n = 0 there are no equations to zip, but still sum d_v^2 unknowns
-        columns = list(zip(*system.entries)) or [()] * system.cols
-        augmented = tuple([column + (b,) for column, b in zip(columns, rhs)])
-        pivots = FqMatrix._of(field, system.cols, n + 1, augmented).pivot_columns()
+        for equation in range(n):
+            trace = 0
+            for unknown in diagonal:
+                trace = add(trace, rows[unknown][equation])
+            if trace:
+                raise ConsistencyError("moment value escaped the trace-zero subalgebra")
+        pivots = FqMatrix._of(field, n_unknowns, n + 1, tuple(map(tuple, rows))).pivot_columns()
         rank = len(pivots) - (n in pivots)
         fiber = 0 if n in pivots else q ** (n - rank)
-        yield x, size, _orbit_units(gl, size), fiber, system.cols - rank
+        yield key, size, _orbit_units(gl, size), fiber, n_unknowns - rank
 
 
 def enumerate_level_set(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP) -> int:
@@ -175,16 +193,18 @@ def enumerate_level_set(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP) 
     return sum(size * fiber for _, size, _, fiber, _ in _fiber_sizes(quiver, d, eta, q, cap=cap))
 
 
-def _check_generic(quiver: Quiver, d, theta) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _check_generic(quiver: Quiver, d, theta, cap: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(d, theta) checked: the quiver is undoubled, d is nonzero and theta is
-    generic for d.  A theta generic for a nonzero d forces gcd(d) = 1: for
-    d = m d' with m > 1, theta.d' = theta.d / m = 0 at the proper d'."""
+    generic for d, the genericity walk charged to the cap before it runs.
+    A theta generic for a nonzero d forces gcd(d) = 1: for d = m d' with
+    m > 1, theta.d' = theta.d / m = 0 at the proper d'."""
     if quiver.is_doubled:
         raise ValidationError("pass the undoubled quiver; doubling is internal here")
     d = quiver.check_dim(d)
     theta = quiver.check_vector(theta, name="stability parameter")
     if not any(d):
         raise ValidationError(f"d={d} is zero; moduli counts need a nonzero d")
+    _charge_generic_walk(theta, d, cap)
     if not is_generic(theta, d):
         raise ValidationError(f"theta={theta} is not generic for d={d}")
     return d, theta
@@ -211,7 +231,7 @@ def moduli_point_count(quiver: Quiver, d, theta, q: int, cap: int = DEFAULT_CAP)
     Exactness of the division is the empirical stand-in for "characteristic
     large enough"; a remainder raises SmallCharacteristic.
     """
-    d, theta = _check_generic(quiver, d, theta)
+    d, theta = _check_generic(quiver, d, theta, cap)
     return _level_and_points(quiver, d, theta, q, cap)[1]
 
 
@@ -242,7 +262,7 @@ def cbvdb_identity_check(
     Both sides read the orbit labels of Rep(Q, d) from one partition, made
     once inside this call and dropped when it returns or raises (see
     ``orbits._shared_partitions``); each side still charges the cap."""
-    d, theta = _check_generic(quiver, d, theta)
+    d, theta = _check_generic(quiver, d, theta, cap)
     e = quiver.expected_moduli_dim(d)
     if e < 0:
         raise ValidationError(f"expected moduli dimension is negative for d={d}")
@@ -264,8 +284,9 @@ def cbvdb_identity_check(
 class LiftingCheck:
     """Fiber profile of the projection from the theta-level set back to the
     plain representation space: q^(dim Ext^1(W, W)) over indecomposables,
-    empty over everything else.  ``fibers_total``, the fibers summed over
-    Rep(Q, d), is the level set's size, so it equals ``level_count``."""
+    empty over everything else.  ``level_count`` sums the observed fibers
+    over Rep(Q, d), ``fibers_total`` the predicted ones, so the two agree
+    when the profile holds."""
 
     holds: bool
     level_count: int
@@ -278,21 +299,23 @@ def lifting_fiber_check(
 ) -> LiftingCheck:
     """Each orbit's fiber against q^(dim Ext^1(W, W)) if End(W) is local, else
     0, from one ``_fiber_sizes`` pass, whose partition alone charges the cap."""
-    d, theta = _check_generic(quiver, d, theta)
+    d, theta = _check_generic(quiver, d, theta, cap)
     level_count = 0
     counterexample = None
-    for w, size, units, observed, dim_end in _fiber_sizes(quiver, d, theta, q, cap=cap):
+    fibers_total = 0
+    for key, size, units, observed, dim_end in _fiber_sizes(quiver, d, theta, q, cap=cap):
         level_count += size * observed
         end = _local_structure(dim_end, units, q)
         # q^(dim Ext^1(W, W)) over an indecomposable W, read off dim End(W); else empty
         expected = q ** _ext1_from_hom(quiver, dim_end, d, d) if end.is_local else 0
+        fibers_total += size * expected
         # both sides are iso-invariant, so the first offending orbit holds the lex-first point
         if observed != expected and counterexample is None:
-            counterexample = w.entry_key()
+            counterexample = key
     return LiftingCheck(
         holds=counterexample is None,
         level_count=level_count,
-        fibers_total=level_count,
+        fibers_total=fibers_total,
         counterexample=counterexample,
     )
 

@@ -15,10 +15,10 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, check_cap
 
 FORMAT_VERSION = 1
 
@@ -328,7 +328,8 @@ def is_generic(theta, d) -> bool:
     The walk runs over every coordinate of d' but the one with the largest
     d_i, the pivot: theta.d' = 0 leaves one value for the pivot, or any
     value when its theta is 0.  So two vertices cost O(min d_i) steps; the
-    walk is still exponential in the number of vertices."""
+    walk is still exponential in the number of vertices, and callers charge
+    its size to their cap first (``_charge_generic_walk``)."""
     if pairing(theta, d) != 0:
         return False
     theta = [_integer(t) for t in theta]
@@ -350,6 +351,20 @@ def is_generic(theta, d) -> bool:
             if (value, sub) != (0, zero) and (value, sub) != (d_p, rest):
                 return False
     return True
+
+
+def _charge_generic_walk(theta, d, cap: int) -> None:
+    """Charge the cap with the sub-vectors ``is_generic`` walks,
+    prod_{i != pivot} (d_i + 1), before it walks them.  ``is_generic``
+    answers at once, and nothing is charged, when theta.d != 0 or d is
+    empty or has a negative entry."""
+    if pairing(theta, d) != 0:
+        return
+    d = [_integer(x) for x in d]
+    if not d or min(d) < 0:
+        return
+    d.remove(max(d))  # the pivot, as is_generic picks it
+    check_cap(prod(x + 1 for x in d), cap, "genericity walk")
 
 
 def slope(theta, d) -> Fraction:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     CapExceeded,
@@ -173,38 +174,59 @@ class HomSpace:
         return len(self.basis)
 
 
+@lru_cache(maxsize=None)
+def _hom_layout(ends, d1: tuple[int, ...], d2: tuple[int, ...]):
+    """The terms of the Hom system (f_v) -> (f_head phi_a - phi'_a f_tail)
+    from a W of dimension vector ``d1`` to a W2 of ``d2``, Q given by its
+    arrow ``ends``: (equations, unknowns, offsets, terms).
+
+    The unknowns are the entries of each f_v (shape d2_v x d1_v),
+    vertex-major then row-major, f_v starting at ``offsets[v]``.  Arrow a
+    gives a block of d2_head x d1_tail equations, row-major, the blocks in
+    arrow order.  Each term (equation, unknown, source, position, sign)
+    adds sign times an entry of a map to one coefficient: the entry at
+    ``position`` of W's entry key for source 0, of W2's for source 1.
+    Equation (i, j) of arrow a holds (f_head phi_a)_ij, the terms
+    f_head[i, k] phi_a[k, j] of sign 1, and -(phi'_a f_tail)_ij, the terms
+    phi'_a[i, k] f_tail[k, j] of sign -1; on a loop f_tail is f_head, so
+    one coefficient may take two terms.  Built once per process for each
+    (arrow ends, d1, d2), from small ints alone."""
+    offsets = tuple(itertools.accumulate((r * c for r, c in zip(d2, d1)), initial=0))
+    terms = []
+    equation = start1 = start2 = 0
+    for t, h in ends:
+        for i in range(d2[h]):
+            for j in range(d1[t]):
+                terms += [
+                    (equation, offsets[h] + i * d1[h] + k, 0, start1 + k * d1[t] + j, 1)
+                    for k in range(d1[h])
+                ]
+                terms += [
+                    (equation, offsets[t] + k * d1[t] + j, 1, start2 + i * d2[t] + k, -1)
+                    for k in range(d2[t])
+                ]
+                equation += 1
+        start1 += d1[h] * d1[t]
+        start2 += d2[h] * d2[t]
+    return equation, offsets[-1], offsets[:-1], tuple(terms)
+
+
 def _hom_system(w1: Representation, w2: Representation) -> tuple[FqMatrix, list[int]]:
     """The linear map (f_v) -> (f_head phi_a - phi'_a f_tail) as a matrix,
-    and the offset of each f_v among its unknowns.  W and W2 are taken as
-    comparable: ``hom_space`` and ``hom_dim`` check that."""
+    and the offset of each f_v among its unknowns, filled from the terms of
+    ``_hom_layout``.  W and W2 are taken as comparable: ``hom_space`` and
+    ``hom_dim`` check that."""
     field = w1.field
-    sub = field.sub
-    d1, d2 = w1.d, w2.d
-    # unknowns: entries of f_v (shape d2_v x d_v), vertex-major, row-major
-    offsets = []
-    pos = 0
-    for v in range(len(d1)):
-        offsets.append(pos)
-        pos += d2[v] * d1[v]
-    nvars = pos
-    rows: list[tuple[int, ...]] = []
-    for (t, h), phi1, phi2 in zip(w1.quiver.ends, w1.maps, w2.maps):
-        phi1 = phi1.entries
-        # equation block has shape d2_h x d1_t
-        for i, phi2_row in enumerate(phi2.entries):
-            f_h_row = offsets[h] + i * d1[h]
-            for j in range(d1[t]):
-                row = [0] * nvars
-                # (f_h phi1)_ij = sum_k f_h[i,k] phi1[k,j]
-                row[f_h_row : f_h_row + d1[h]] = [r[j] for r in phi1]
-                # -(phi2 f_t)_ij = -sum_k phi2[i,k] f_t[k,j]; f_t may be f_h
-                var = offsets[t] + j
-                for c in phi2_row:
-                    if c:
-                        row[var] = sub(row[var], c)
-                    var += d1[t]
-                rows.append(tuple(row))
-    return FqMatrix._of(field, len(rows), nvars, tuple(rows)), offsets
+    add, neg = field.add, field.neg
+    n_equations, n_unknowns, offsets, terms = _hom_layout(w1.quiver.ends, w1.d, w2.d)
+    keys = (w1.entry_key(), w2.entry_key())
+    rows = [[0] * n_unknowns for _ in range(n_equations)]
+    for equation, unknown, source, position, sign in terms:
+        value = keys[source][position]
+        if value:
+            row = rows[equation]
+            row[unknown] = add(row[unknown], value if sign > 0 else neg(value))
+    return FqMatrix._of(field, n_equations, n_unknowns, tuple(map(tuple, rows))), list(offsets)
 
 
 def hom_space(w1: Representation, w2: Representation) -> HomSpace:

@@ -570,6 +570,30 @@ def test_a_huge_q_is_refused_at_the_cap_before_it_is_factored(capsys, kron2_file
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["betti", "stability"])
+def test_the_genericity_walk_is_refused_at_the_cap(capsys, tmp_path, monkeypatch, command):
+    # theta.d = 0 on the A_4 path: is_generic would walk 161 * 162 * 163 sub-vectors
+    path = tmp_path / "a4.json"
+    path.write_text(
+        serialize_quiver(quiver_module.Quiver(
+            ["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")]
+        ))
+    )
+
+    def forbidden(*args):
+        raise AssertionError("genericity walked past the cap")
+
+    monkeypatch.setattr(cli, "is_generic", forbidden)
+    code, out, _ = run_cli(capsys, [
+        command, "--quiver", str(path), "--d", "160,161,162,163",
+        "--theta", "144272509,611178002,909925195,-1649638904",
+    ])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "cap", "message": f"genericity walk needs {161 * 162 * 163} elements, cap is 1000000"
+    }
+
+
 def test_kac_and_moduli_answer_within_the_cap_of_what_they_walk(capsys, kron2_file):
     # the largest log series of A_(2,2) has 36 pair products and the table
     # 16 partition tuples; the (2, 2) level set walks the 3^8 orbits' points

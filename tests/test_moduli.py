@@ -1,5 +1,7 @@
 import collections
 import itertools
+import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -183,6 +185,7 @@ FIBER_CASES = [
     ("kron2-interleaved", (2, 1), (-1, 2), 2),
     ("jordan-doubled", (2,), (0,), 3),
     ("kron2", (1, 1), (-1, 1), 9),  # odd extension field: eta_v mod p is not eta_v mod q
+    ("kron3", (2, 1), (-1, 2), 2),  # three parallel arrows with 1 x 2 blocks: 2^12 doubled points
 ]
 
 
@@ -195,12 +198,21 @@ def _half(quiver: Quiver) -> Quiver:
     return Quiver(quiver.vertices, quiver.forward_arrows()) if quiver.is_doubled else quiver
 
 
+def _decoded(quiver: Quiver, d, q: int, key) -> Representation:
+    """The point of Rep(Q, d) over F_q, Q the undoubled half, with the
+    entry key that ``_fiber_sizes`` yields."""
+    index = 0
+    for code in key:
+        index = index * q + code
+    return reps.representation_decoder(_half(quiver), make_field(*prime_power(q)), d)(index)
+
+
 @pytest.mark.parametrize("name,d,eta,q", FIBER_CASES)
 def test_fibers_match_the_doubled_walk(name, d, eta, q):
     quiver = FIBER_QUIVERS[name]
     brute = collections.Counter(_forward_key(w) for w in level_set_points(quiver, d, eta, q))
     fibers = list(moduli._fiber_sizes(quiver, d, eta, q))
-    keys = [x.entry_key() for x, _, _, _, _ in fibers]
+    keys = [key for key, _, _, _, _ in fibers]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)  # lex order, each orbit once
     n = sum(r * c for r, c in reps.arrow_shapes(_half(quiver), d))
     assert sum(size for _, size, _, _, _ in fibers) == q**n
@@ -237,7 +249,7 @@ def test_fiber_size_is_constant_on_orbits(name, d, eta, q):
         orbit_of.update((key, min(orbit)) for key in orbit)
         assert len({brute[key] for key in orbit}) == 1
     sizes = collections.Counter(orbit_of.values())
-    assert [(x.entry_key(), size) for x, size, *_ in moduli._fiber_sizes(quiver, d, eta, q)] == (
+    assert [(key, size) for key, size, *_ in moduli._fiber_sizes(quiver, d, eta, q)] == (
         sorted(sizes.items())
     )
 
@@ -246,7 +258,9 @@ def test_fiber_size_is_constant_on_orbits(name, d, eta, q):
 def test_fiber_pass_reports_dim_end(name, d, eta, q):
     # the rank of the transposed Hom system gives dim End(X) = sum d_v^2 - rank
     quiver = FIBER_QUIVERS[name]
-    for x, *_, dim_end in moduli._fiber_sizes(quiver, d, eta, q):
+    for key, *_, dim_end in moduli._fiber_sizes(quiver, d, eta, q):
+        x = _decoded(quiver, d, q, key)
+        assert x.entry_key() == key
         assert dim_end == reps.hom_dim(x, x), x
         if q**dim_end <= DEFAULT_CAP:
             assert dim_end == endo_structure(x).dim_end, x
@@ -338,9 +352,9 @@ def test_each_partition_is_charged_once(kron2, monkeypatch, entry, charges):
 
 def test_fiber_route_is_charged_before_its_system_is_built(kron2, monkeypatch):
     def forbidden(*args):
-        raise AssertionError("fiber system built past the cap")
+        raise AssertionError("Hom-system layout built past the cap")
 
-    monkeypatch.setattr(moduli, "_hom_system", forbidden)
+    monkeypatch.setattr(moduli, "_hom_layout", forbidden)
     for check in (enumerate_level_set, lifting_fiber_check):
         with pytest.raises(CapExceeded) as info:
             check(kron2, (40, 41), (-41, 40), 3)
@@ -377,12 +391,13 @@ def test_fiber_route_builds_no_doubled_quiver():
 def test_fiber_route_checks_the_trace(kron2, monkeypatch):
     # without its f_tail terms the Hom system no longer has the identity in
     # its kernel, so the transposed map leaves the trace-zero subalgebra
-    original = moduli._hom_system
+    original = moduli._hom_layout
 
-    def head_only(w1, w2):
-        return original(w1, Representation.zero(w2.quiver, w2.field, w2.d))
+    def head_only(ends, d1, d2):
+        n, n_unknowns, offsets, terms = original(ends, d1, d2)
+        return n, n_unknowns, offsets, tuple(term for term in terms if term[4] > 0)
 
-    monkeypatch.setattr(moduli, "_hom_system", head_only)
+    monkeypatch.setattr(moduli, "_hom_layout", head_only)
     with pytest.raises(ConsistencyError, match="trace-zero"):
         enumerate_level_set(kron2, (1, 1), (-1, 1), 3)
 
@@ -594,29 +609,73 @@ def test_lifting_reports_the_lex_first_counterexample(kron2, monkeypatch):
     result = lifting_fiber_check(kron2, (1, 1), (-1, 1), 3)
     assert not result.holds
     assert result.counterexample == (0, 0)
-    assert result.level_count == result.fibers_total == 24
+    # the predicted total counts q^(dim Ext^1) = 9 over the zero point too
+    assert result.level_count == 24
+    assert result.fibers_total == 9 + 24
 
 
 def test_lifting_scans_each_end_ring_once(kron2, monkeypatch):
-    calls = []
-    original = moduli._hom_system
+    systems = []
+    original = FqMatrix.pivot_columns
 
-    def counted(w1, w2):
-        calls.append(w1.entry_key())
-        return original(w1, w2)
+    def counted(matrix):
+        systems.append((matrix.rows, matrix.cols, matrix.entries))
+        return original(matrix)
 
     def forbidden(*args):
         raise AssertionError("dim End(W) is read off the fiber system")
 
-    monkeypatch.setattr(moduli, "_hom_system", counted)
+    monkeypatch.setattr(FqMatrix, "pivot_columns", counted)
     monkeypatch.setattr(reps, "hom_dim", forbidden)
     assert lifting_fiber_check(kron2, (1, 1), (-1, 1), 3).holds
     # one system per orbit of Rep(Q, d), the zero point and the four lines
-    # of F_3^2, giving both the fiber and dim End(W): no second Hom solve
-    assert len(calls) == len(set(calls)) == 5
-    calls.clear()
+    # of F_3^2, giving both the fiber and dim End(W): no second Hom solve;
+    # each has a row per unknown of f and a column per entry of W, then eta
+    assert len(systems) == len(set(systems)) == 5
+    assert {(rows, cols) for rows, cols, _ in systems} == {(2, 3)}
+    systems.clear()
     assert enumerate_level_set(kron2, (1, 1), (-1, 1), 3) == 24
-    assert len(calls) == len(set(calls)) == 5
+    assert len(systems) == len(set(systems)) == 5
+
+
+def test_fiber_pass_decodes_no_point_and_builds_no_hom_system(kron2, monkeypatch):
+    # each orbit's entry key is read off its index and its system filled
+    # from the layout: no Representation and no Hom-system matrix per orbit
+    d, theta, q = (2, 1), (-1, 2), 2
+    level = sum(1 for _ in level_set_points(kron2, d, theta, q))
+
+    def forbidden(*args):
+        raise AssertionError("the fiber pass decoded a point or built a Hom system")
+
+    originals = (reps.representation_decoder, reps._hom_system)
+    for name, module in list(sys.modules.items()):
+        if name == "quiverforge" or name.startswith("quiverforge."):
+            for attr, value in list(vars(module).items()):
+                if any(value is original for original in originals):
+                    monkeypatch.setattr(module, attr, forbidden)
+    assert enumerate_level_set(kron2, d, theta, q) == level
+    lifting = lifting_fiber_check(kron2, d, theta, q)
+    assert lifting.holds and lifting.level_count == lifting.fibers_total == level
+    check = cbvdb_identity_check(kron2, d, theta, q)
+    assert check.holds and check.level_set == level
+
+
+def test_genericity_walk_is_charged_before_it_runs(monkeypatch):
+    # theta.d = 0 on the A_4 path, so is_generic would walk the
+    # 161 * 162 * 163 sub-vectors off the pivot d_4 = 163 before the
+    # partition refused Rep(Q, d)
+    path = Quiver(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
+    d, theta = (160, 161, 162, 163), (144272509, 611178002, 909925195, -1649638904)
+
+    def forbidden(*args):
+        raise AssertionError("genericity walked past the cap")
+
+    monkeypatch.setattr(moduli, "is_generic", forbidden)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as info:
+        lifting_fiber_check(path, d, theta, 2)
+    assert time.perf_counter() - start < 0.1
+    assert (info.value.what, info.value.needed) == ("genericity walk", 161 * 162 * 163)
 
 
 def test_specific_fiber_sizes(kron2, f3):

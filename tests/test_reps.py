@@ -122,12 +122,15 @@ def _hom_images(w1, w2, fs):
         ("jordan", (2, 2), [(1,), (2,)]),
         # blocks of Hom between a vertex of dimension 0 and one of dimension 1 or 2
         ("kron2", (3,), [(0, 2), (2, 0), (1, 0), (0, 1), (1, 1)]),
+        # three parallel arrows, 2 x 1 and 1 x 2 blocks, Hom between the two shapes
+        ("kron3", (2,), [(1, 2), (2, 1)]),
+        ("kron3", (2, 2), [(1, 2), (2, 1)]),
     ],
 )
 def test_hom_system_entries_are_the_intertwining_defects(quiver_name, field_args, dims, jordan, kron2):
     """Each row of the Hom system, applied to f, is one entry of
     f_h phi_a - phi'_a f_t, computed by matrix products instead."""
-    quiver = {"jordan": jordan, "kron2": kron2}[quiver_name]
+    quiver = {"jordan": jordan, "kron2": kron2, "kron3": kronecker_quiver(3)}[quiver_name]
     field = make_field(*field_args)
     rng = random.Random(0)
     points = [w for d in dims for w in all_representations(quiver, field, d)]
