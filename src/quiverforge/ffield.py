@@ -21,7 +21,9 @@ does no arithmetic.
 
 A matrix's shape is stored, never inferred from its rows: an ``FqMatrix``
 with no rows still has its column count, and every operation carries the
-shape of its result through.  One forward elimination serves
+shape of its result through.  One elimination loop, ``_eliminate``, works
+forward and in place on a list of row lists; ``FqMatrix`` runs it on a
+copy of its entries, so a matrix is never changed.  It serves
 ``pivot_columns``, ``rank`` and ``det``; ``rref`` finishes it, and
 ``kernel_basis`` and ``inverse`` read that.
 """
@@ -325,6 +327,42 @@ def field_from_order(q: int) -> Field:
 # dense matrices
 
 
+def _eliminate(field: Field, m: list[list[int]], cols: int) -> tuple[list[int], int]:
+    """The package's one elimination loop, forward only and in place: the
+    rows ``m``, lists of ``cols`` entries each, are brought to row echelon
+    form with unscaled pivots.  Returns (pivot columns, the pivots' product
+    negated once per row swap), the second being det when a square matrix
+    has a pivot per column.  ``FqMatrix`` runs it on a copy of its entries;
+    a caller that owns its rows, such as the level-set fiber pass, runs it
+    on them directly."""
+    add, mul, neg = field.add, field.mul, field.neg
+    n_rows = len(m)
+    pivots: list[int] = []
+    det = 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        for pivot_row in range(r, n_rows):
+            if m[pivot_row][c] != 0:
+                break
+        else:
+            continue
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            det = neg(det)
+        top = m[r]
+        det = mul(det, top[c])
+        minus_inv = neg(field.inv(top[c]))
+        for i in range(r + 1, n_rows):
+            row = m[i]
+            if row[c] != 0:
+                a = mul(minus_inv, row[c])
+                row[c:] = [add(x, mul(a, y)) if y else x for x, y in zip(row[c:], top[c:])]
+        pivots.append(c)
+    return pivots, det
+
+
 class FqMatrix:
     """Immutable dense matrix over a Field; entries are encoded integers.
 
@@ -438,28 +476,11 @@ class FqMatrix:
     # -- Gaussian elimination
 
     def _echelon(self) -> tuple[list[list[int]], list[int], int]:
-        """The one elimination loop, forward only: (row echelon rows with
-        unscaled pivots, pivot columns, the pivots' product negated once per
-        row swap, which is det when a square matrix has a pivot per column)."""
-        f = self.field
+        """``_eliminate`` run on a copy of the entries: (row echelon rows
+        with unscaled pivots, pivot columns, det as ``_eliminate`` states
+        it); the matrix itself is left as it is."""
         m = [list(row) for row in self.entries]
-        pivots: list[int] = []
-        det = 1
-        for c in range(self.cols):
-            r = len(pivots)
-            pivot_row = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if pivot_row is None:
-                continue
-            if pivot_row != r:
-                m[r], m[pivot_row] = m[pivot_row], m[r]
-                det = f.neg(det)
-            det = f.mul(det, m[r][c])
-            minus_inv = f.neg(f.inv(m[r][c]))
-            for i in range(r + 1, self.rows):
-                if m[i][c] != 0:
-                    a = f.mul(minus_inv, m[i][c])
-                    m[i][c:] = [f.add(x, f.mul(a, y)) if y else x for x, y in zip(m[i][c:], m[r][c:])]
-            pivots.append(c)
+        pivots, det = _eliminate(self.field, m, self.cols)
         return m, pivots, det
 
     def rref(self) -> tuple[list[list[int]], list[int]]:

@@ -27,8 +27,12 @@ of Rep(Q, d), whose pivot columns give the rank and consistency, times its
 size, replaces the walk of the q^(2n) doubled points.  Each orbit's system
 is filled straight from its canonical index: the base-q digits of the index
 are X's entries, and the terms of ``reps._hom_layout``, the one layout of
-the Hom system, built once per process for each space, place them; no X is
-decoded and no Hom-system matrix is built per orbit.  The doubled walk,
+the Hom system, built once per process for each space, place them in rows
+of plain lists, which ``ffield._eliminate``, the package's one elimination
+loop, reduces in place; no X is decoded and no matrix is built per orbit.
+The identity is in every End(X), so mu(X, X*) has trace 0 for all X and
+X*; that trace identity depends on the layout alone and is checked on it
+once per call, before the first orbit.  The doubled walk,
 ``level_set_points``, stays as the independent oracle: it evaluates
 ``moment_map`` through ``FqMatrix.mul`` and shares no code with the layout.
 Each route is charged with what it walks: the fiber route with the q^n
@@ -46,7 +50,7 @@ from .errors import (
     ValidationError,
     DEFAULT_CAP,
 )
-from .ffield import Field, FqMatrix, _charge_factoring, field_from_order, g_order, gl_order
+from .ffield import Field, FqMatrix, _charge_factoring, _eliminate, field_from_order, g_order, gl_order
 from .quiver import Quiver, _charge_generic_walk, is_generic, pairing
 from .reps import (
     Representation,
@@ -139,24 +143,46 @@ def level_set_points(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
             yield w
 
 
-def _fiber_sizes(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
+def _check_trace_identity(terms, diagonal, p: int) -> None:
+    """Refuse a Hom-system layout whose transposed system can leave the
+    trace-zero subalgebra.  The identity is an endomorphism of every X, so
+    mu(X, X*) has trace 0 for every X*: in X's fiber system, the sum of the
+    rows of the ``diagonal`` unknowns vanishes in each equation.  That sum
+    is, over the ``terms`` (equation, unknown, source, position, sign) on a
+    diagonal unknown, sign times X's entry at position, so it vanishes for
+    every X iff each (equation, position)'s signed count of those terms
+    vanishes mod p.  One pass over the layout thus checks every orbit of
+    the call, and every position, whether or not an orbit's key exercises
+    it."""
+    counts = {}
+    for equation, unknown, _, position, sign in terms:
+        if unknown in diagonal:
+            counts[equation, position] = counts.get((equation, position), 0) + sign
+    if any(count % p for count in counts.values()):
+        raise ConsistencyError("moment value escaped the trace-zero subalgebra")
+
+
+def _fiber_sizes(quiver: Quiver, d: tuple[int, ...], eta: tuple[int, ...], q: int, cap: int = DEFAULT_CAP):
     """(entry key of X, |orbit of X|, |Aut X|, |{X* : mu(X, X*) = eta.I}|,
     dim End(X)) for each canonical GL_d-orbit representative X of
     Rep(Q, d), in lex order.
 
-    For a doubled quiver the forward arrows carry X and their partners X*.
-    The walk is the orbit partition of Rep(Q, d), which charges the cap with
-    its q^n points before q is factored, |GL_d| is computed (for
-    |Aut X| = |GL_d| / |orbit of X|) and the Hom-system layout is read.
-    X is never decoded: its entry key is the base-q digits of its canonical
-    index, and each term of ``reps._hom_layout`` at (d, d) adds its entry
-    of the key to X's fiber system, the Hom system transposed (see the
-    module docstring): one row per unknown of f, one column per equation,
-    then the right side, (eta_v mod p) at the diagonal unknowns of each f_v.
+    d and eta are taken as ``Quiver.check_dim`` and ``Quiver.check_vector``
+    return them; the public callers check them.  For a doubled quiver the
+    forward arrows carry X and their partners X*.  The walk is the orbit
+    partition of Rep(Q, d), which charges the cap with its q^n points
+    before q is factored, |GL_d| is computed (for |Aut X| = |GL_d| /
+    |orbit of X|) and the Hom-system layout is read.  The trace identity is
+    checked once, on the layout, before the first orbit
+    (``_check_trace_identity``).  X is never decoded: its entry key is the
+    base-q digits of its canonical index, and each term of
+    ``reps._hom_layout`` at (d, d) adds its entry of the key to X's fiber
+    system, the Hom system transposed (see the module docstring): one row
+    per unknown of f, one column per equation, then the right side,
+    (eta_v mod p) at the diagonal unknowns of each f_v.  Those rows are
+    eliminated in place by ``ffield._eliminate``; no matrix is built.
     """
     half = Quiver(quiver.vertices, quiver.forward_arrows()) if quiver.is_doubled else quiver
-    eta = half.check_vector(eta, name="deformation parameter")
-    d = half.check_dim(d)
     indices, _, sizes = orbit_partition(half, d, q, cap)
     field, gl = field_from_order(q), gl_order(d, q)
     add, neg = field.add, field.neg
@@ -165,6 +191,7 @@ def _fiber_sizes(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
     diagonal = {
         offset + i * (dv + 1): ev % field.p for offset, dv, ev in zip(offsets, d, eta) for i in range(dv)
     }
+    _check_trace_identity(terms, diagonal, field.p)
     rhs = [diagonal.get(unknown, 0) for unknown in range(n_unknowns)]
     weights = [q**k for k in range(n - 1, -1, -1)]  # first entry most significant
     for index, size in zip(indices, sizes):
@@ -175,14 +202,7 @@ def _fiber_sizes(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
             if value:
                 row = rows[unknown]
                 row[equation] = add(row[equation], value if sign > 0 else neg(value))
-        # the identity is an endomorphism, so mu(X, X*) has trace 0 for every X*
-        for equation in range(n):
-            trace = 0
-            for unknown in diagonal:
-                trace = add(trace, rows[unknown][equation])
-            if trace:
-                raise ConsistencyError("moment value escaped the trace-zero subalgebra")
-        pivots = FqMatrix._of(field, n_unknowns, n + 1, tuple(map(tuple, rows))).pivot_columns()
+        pivots, _ = _eliminate(field, rows, n + 1)
         rank = len(pivots) - (n in pivots)
         fiber = 0 if n in pivots else q ** (n - rank)
         yield key, size, _orbit_units(gl, size), fiber, n_unknowns - rank
@@ -190,6 +210,8 @@ def _fiber_sizes(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP):
 
 def enumerate_level_set(quiver: Quiver, d, eta, q: int, cap: int = DEFAULT_CAP) -> int:
     """|mu^-1(eta.I)| in the doubled space, summed orbit by orbit over Rep(Q, d)."""
+    eta = quiver.check_vector(eta, name="deformation parameter")
+    d = quiver.check_dim(d)
     return sum(size * fiber for _, size, _, fiber, _ in _fiber_sizes(quiver, d, eta, q, cap=cap))
 
 
@@ -300,6 +322,7 @@ def lifting_fiber_check(
     """Each orbit's fiber against q^(dim Ext^1(W, W)) if End(W) is local, else
     0, from one ``_fiber_sizes`` pass, whose partition alone charges the cap."""
     d, theta = _check_generic(quiver, d, theta, cap)
+    euler = quiver.euler_form(d, d)
     level_count = 0
     counterexample = None
     fibers_total = 0
@@ -307,7 +330,7 @@ def lifting_fiber_check(
         level_count += size * observed
         end = _local_structure(dim_end, units, q)
         # q^(dim Ext^1(W, W)) over an indecomposable W, read off dim End(W); else empty
-        expected = q ** _ext1_from_hom(quiver, dim_end, d, d) if end.is_local else 0
+        expected = q ** _ext1_from_hom(dim_end, euler) if end.is_local else 0
         fibers_total += size * expected
         # both sides are iso-invariant, so the first offending orbit holds the lex-first point
         if observed != expected and counterexample is None:

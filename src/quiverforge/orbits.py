@@ -71,6 +71,13 @@ compute it.  ``moduli.cbvdb_identity_check`` opens one around its fiber
 pass and ``classify_classes``; the labels are dropped when the block exits,
 normally or by an exception, so nothing outlives the call.
 
+The public entry, ``orbit_partition``, checks d.  The private helpers,
+``_charge_partition``, ``_orbit_labels``, ``_label_kernel`` and
+``_unsplit_orbits``, take d as ``Quiver.check_dim`` returns it, a tuple of
+nonnegative ints, one per vertex, and read the arrow shapes without
+checking it again (``reps._arrow_shapes``): each public call that reaches
+them checks d once, before anything is charged.
+
 numpy is bound on the first orbit partition, not on import, so callers
 that never partition a representation space never load it.
 """
@@ -85,7 +92,7 @@ from functools import lru_cache
 from .errors import ValidationError, DEFAULT_CAP
 from .ffield import Field, FqMatrix, _charge_factoring, field_from_order, gl_generators
 from .quiver import Quiver
-from .reps import _charge_space, arrow_shapes
+from .reps import _arrow_shapes, _charge_space
 
 # how a cap refusal names the q^n points an orbit partition walks
 _PARTITION_CHARGE = "orbit enumeration of the representation space"
@@ -122,7 +129,7 @@ def _accumulator(width: int, p: int):
 
 def _sparse_action(ends, field: Field, shapes, v: int, g, g_inv):
     """The F_p-linear map X -> g.X on the base-p digits of a point of
-    Rep(Q, d), Q given by its arrow ``ends`` and d by its ``arrow_shapes``,
+    Rep(Q, d), Q given by its arrow ``ends`` and d by its arrow shapes,
     with g acting at vertex v: a tuple of columns (j, ((s, coeff), ...)),
     digit j of the image being the sum of coeff * digit s mod p, listed only
     where that is not digit j itself (digits most significant first).
@@ -249,9 +256,9 @@ def _shared_partitions():
         _SHARED_LABELS.reset(token)
 
 
-def _charge_partition(quiver: Quiver, d, q: int, cap: int) -> int:
+def _charge_partition(quiver: Quiver, d: tuple[int, ...], q: int, cap: int) -> int:
     """q^n, the points of Rep(Q, d) over F_q that a partition walks, charged to the cap."""
-    return _charge_space(arrow_shapes(quiver, d), q, cap, _PARTITION_CHARGE)
+    return _charge_space(_arrow_shapes(quiver, d), q, cap, _PARTITION_CHARGE)
 
 
 def _orbit_labels(quiver: Quiver, d: tuple[int, ...], q: int, cap: int):
@@ -280,7 +287,7 @@ def _label_kernel(quiver: Quiver, field: Field, d: tuple[int, ...], n_points: in
     (``_sparse_actions``); a base-p digit column of the points is computed
     when an action first reads it and kept for the call, and the table of
     all digits is never built."""
-    p, width = field.p, sum(r * c for r, c in arrow_shapes(quiver, d)) * field.k
+    p, width = field.p, sum(r * c for r, c in _arrow_shapes(quiver, d)) * field.k
     acc = _accumulator(width, p)  # holds every column sum
     dtype = np.promote_types(acc, np.int32 if n_points < 2**31 else np.int64)
     actions = _sparse_actions(quiver.ends, field, d)
@@ -323,7 +330,7 @@ def _splits(d: tuple[int, ...]):
 
 
 def _lift(quiver: Quiver, shapes, sub, offset, q: int, dtype):
-    """Index in Rep(Q, d), d given by its ``arrow_shapes``, of each point of
+    """Index in Rep(Q, d), d given by its arrow shapes, of each point of
     Rep(Q, sub), in index order, placed as the diagonal block of a point of
     Rep(Q, d) that starts at vertex offsets ``offset``, with every other
     entry 0.  Each entry's base-q code is copied to its position, never
@@ -342,7 +349,7 @@ def _lift(quiver: Quiver, shapes, sub, offset, q: int, dtype):
     return lift
 
 
-def _unsplit_orbits(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP):
+def _unsplit_orbits(quiver: Quiver, d: tuple[int, ...], q: int, cap: int = DEFAULT_CAP):
     """(number of orbits, canonical indices, sizes) of Rep(Q, d): every
     orbit is counted, and the orbits that hold no direct sum W1 + W2 of
     nonzero points are listed with their sizes.  By Krull-Schmidt these are
@@ -355,12 +362,11 @@ def _unsplit_orbits(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP):
     orbit is marked.  A split's q^(n(d1) + n(d2)) sums are at most the q^n
     points the cap was charged with, since n(d) = n(d1) + n(d2) plus the
     entries off the diagonal blocks."""
-    d = quiver.check_dim(d)
     labels = _orbit_labels(quiver, d, q, cap)
     canonical = np.flatnonzero(labels == np.arange(len(labels)))
     # the zero representation, the one point at d = 0, is not indecomposable
     marked = np.full(len(labels), not any(d))
-    shapes, zero = arrow_shapes(quiver, d), (0,) * len(d)
+    shapes, zero = _arrow_shapes(quiver, d), (0,) * len(d)
     for d1, d2 in _splits(d):
         low = _lift(quiver, shapes, d1, zero, q, labels.dtype)
         high = _lift(quiver, shapes, d2, d1, q, labels.dtype)

@@ -38,7 +38,7 @@ class Representation:
         maps = tuple(maps)
         if len(maps) != len(quiver.arrows):
             raise ValidationError("one matrix per arrow required")
-        for a, m, want in zip(quiver.arrows, maps, arrow_shapes(quiver, self.d)):
+        for a, m, want in zip(quiver.arrows, maps, _arrow_shapes(quiver, self.d)):
             if (m.rows, m.cols) != want:
                 raise ValidationError(
                     f"matrix for arrow {a.id!r} has shape {(m.rows, m.cols)}, expected {want}"
@@ -62,7 +62,7 @@ class Representation:
     @classmethod
     def zero(cls, quiver: Quiver, field: Field, d) -> "Representation":
         d = quiver.check_dim(d)
-        maps = [FqMatrix.zeros(field, r, c) for r, c in arrow_shapes(quiver, d)]
+        maps = [FqMatrix.zeros(field, r, c) for r, c in _arrow_shapes(quiver, d)]
         return cls(quiver, field, d, maps)
 
     @classmethod
@@ -96,7 +96,12 @@ class Representation:
 def arrow_shapes(quiver: Quiver, d) -> list[tuple[int, int]]:
     """(d_head, d_tail), the shape of each arrow's matrix, in arrow order;
     their entry counts sum to the dimension of the representation space."""
-    d = quiver.check_dim(d)
+    return _arrow_shapes(quiver, quiver.check_dim(d))
+
+
+def _arrow_shapes(quiver: Quiver, d: tuple[int, ...]) -> list[tuple[int, int]]:
+    """``arrow_shapes`` of a d as ``check_dim`` returns it, read without
+    checking d again."""
     return [(d[h], d[t]) for t, h in quiver.ends]
 
 
@@ -112,7 +117,7 @@ def representation_decoder(quiver: Quiver, field: Field, d):
     arrow, built by the trusted constructors ``FqMatrix._of`` and
     ``Representation._of``."""
     d = quiver.check_dim(d)
-    shapes = arrow_shapes(quiver, d)
+    shapes = _arrow_shapes(quiver, d)
     starts = itertools.accumulate((r * c for r, c in shapes), initial=0)
     # per arrow: its shape, and the (start, stop) of each of its rows among the entries
     layout = [
@@ -253,13 +258,14 @@ def hom_dim(w1: Representation, w2: Representation) -> int:
 
 def ext1_dim(w1: Representation, w2: Representation) -> int:
     """dim Ext^1 = dim Hom - <dim W, dim W2>; nonnegative by construction."""
-    return _ext1_from_hom(w1.quiver, hom_dim(w1, w2), w1.d, w2.d)
+    return _ext1_from_hom(hom_dim(w1, w2), w1.quiver.euler_form(w1.d, w2.d))
 
 
-def _ext1_from_hom(quiver: Quiver, dim_hom: int, d1, d2) -> int:
+def _ext1_from_hom(dim_hom: int, euler: int) -> int:
     """dim Ext^1(W, W2) = dim Hom(W, W2) - <d1, d2>, for W and W2 of dimension
-    vectors d1 and d2; a negative value is a hard error."""
-    value = dim_hom - quiver.euler_form(d1, d2)
+    vectors d1 and d2 and ``euler`` = <d1, d2>; a negative value is a hard
+    error."""
+    value = dim_hom - euler
     if value < 0:
         raise ConsistencyError("negative Ext dimension; Hom solver is broken")
     return value

@@ -277,17 +277,27 @@ def _row_span(field, rows, cols) -> set:
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_elimination_matches_brute_oracles(q):
-    # exhaustive over every shape up to 3 x 3 with q^(rows*cols) <= 10^4
+    # exhaustive over every shape up to 3 x 3 with q^(rows*cols) <= 10^4,
+    # the empty shapes with no rows or no columns included
     field = ffield.field_from_order(q)
-    shapes = [(r, c) for r in range(1, 4) for c in range(1, 4) if q ** (r * c) <= 10**4]
+    shapes = [(r, c) for r in range(4) for c in range(4) if q ** (r * c) <= 10**4]
     for rows, cols in shapes:
         for m in all_matrices(field, rows, cols):
-            span = _row_span(field, m.entries, cols)
+            entries = m.entries
+            span = _row_span(field, entries, cols)
             rank = m.rank()
             assert q**rank == len(span)
             reduced, pivots = m.rref()
             assert len(pivots) == rank
             assert m.pivot_columns() == pivots
+            # the in-place loop on the caller's own rows: the same pivots, an
+            # echelon form of the same row space, and the det of the matrix route
+            own = [list(row) for row in entries]
+            own_pivots, own_det = ffield._eliminate(field, own, cols)
+            assert own_pivots == pivots and _row_span(field, own, cols) == span
+            assert all(not any(row) for row in own[rank:])
+            if rows == cols:
+                assert (own_det if rank == rows else 0) == m.det()
             assert _row_span(field, reduced, cols) == span
             assert all(not any(row) for row in reduced[rank:])
             for r, c in enumerate(pivots):
@@ -295,6 +305,7 @@ def test_elimination_matches_brute_oracles(q):
                 assert all(reduced[i][c] == 0 for i in range(rows) if i != r)
             assert pivots == sorted(set(pivots))
             if rows != cols:
+                assert m.entries is entries
                 continue
             det = m.det()
             assert det == _leibniz_det(field, m.entries)
@@ -303,6 +314,8 @@ def test_elimination_matches_brute_oracles(q):
                     m.inverse()
             else:
                 assert m.inverse().mul(m) == FqMatrix.identity(field, rows)
+            # the matrix route eliminated a copy: the matrix keeps its entries
+            assert m.entries is entries
 
 
 @pytest.mark.parametrize("p,k,rows,cols", [(2, 1, 3, 4), (3, 1, 4, 3), (2, 2, 3, 3)])

@@ -616,16 +616,17 @@ def test_lifting_reports_the_lex_first_counterexample(kron2, monkeypatch):
 
 def test_lifting_scans_each_end_ring_once(kron2, monkeypatch):
     systems = []
-    original = FqMatrix.pivot_columns
+    original = moduli._eliminate
 
-    def counted(matrix):
-        systems.append((matrix.rows, matrix.cols, matrix.entries))
-        return original(matrix)
+    def counted(field, rows, cols):
+        # recorded before the in-place elimination changes the rows
+        systems.append((len(rows), cols, tuple(map(tuple, rows))))
+        return original(field, rows, cols)
 
     def forbidden(*args):
         raise AssertionError("dim End(W) is read off the fiber system")
 
-    monkeypatch.setattr(FqMatrix, "pivot_columns", counted)
+    monkeypatch.setattr(moduli, "_eliminate", counted)
     monkeypatch.setattr(reps, "hom_dim", forbidden)
     assert lifting_fiber_check(kron2, (1, 1), (-1, 1), 3).holds
     # one system per orbit of Rep(Q, d), the zero point and the four lines
@@ -676,6 +677,125 @@ def test_genericity_walk_is_charged_before_it_runs(monkeypatch):
         lifting_fiber_check(path, d, theta, 2)
     assert time.perf_counter() - start < 0.1
     assert (info.value.what, info.value.needed) == ("genericity walk", 161 * 162 * 163)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_fiber_pass_builds_no_matrix_per_orbit(kron2, monkeypatch, q):
+    # each orbit's rows are eliminated in place: once the per-process caches
+    # (fields, GL generators, sparse actions, layouts) are warm, the fiber
+    # entries answer without constructing a single FqMatrix
+    d, theta = (2, 1), (-1, 2)
+
+    def answers():
+        return (
+            enumerate_level_set(kron2, d, theta, q),
+            lifting_fiber_check(kron2, d, theta, q),
+            cbvdb_identity_check(kron2, d, theta, q),
+        )
+
+    warm = answers()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the fiber pass built an FqMatrix")
+
+    monkeypatch.setattr(FqMatrix, "_of", forbidden)
+    monkeypatch.setattr(FqMatrix, "__init__", forbidden)
+    assert answers() == warm
+
+
+TRACE_SPACES = [
+    ("kron2", (1, 1)),
+    ("kron2", (2, 1)),
+    ("kron3", (1, 1)),
+    ("jordan", (1,)),
+    ("jordan", (2,)),
+    ("a2", (1, 1)),
+    ("a2", (2, 1)),
+]
+
+
+@pytest.mark.parametrize("faulty", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_layout_trace_check_matches_the_per_key_sum(q, faulty):
+    # the layout-level check refuses a layout iff some entry key's fiber
+    # system has a nonzero trace sum over the diagonal unknowns in some
+    # equation; that sum is taken here on every key of the space
+    field = make_field(*prime_power(q))
+    refused = []
+    for name, d in TRACE_SPACES:
+        quiver = FIBER_QUIVERS[name]
+        n, _, offsets, terms = reps._hom_layout(quiver.ends, d, d)
+        if faulty:  # as in test_fiber_route_checks_the_trace: no f_tail terms
+            terms = tuple(term for term in terms if term[4] > 0)
+        diagonal = {offset + i * (dv + 1) for offset, dv in zip(offsets, d) for i in range(dv)}
+        n_entries = sum(r * c for r, c in reps.arrow_shapes(quiver, d))
+        every_key_vanishes = True
+        for key in itertools.product(range(q), repeat=n_entries):
+            traces = [0] * n
+            for equation, unknown, _, position, sign in terms:
+                if unknown in diagonal:
+                    value = key[position] if sign > 0 else field.neg(key[position])
+                    traces[equation] = field.add(traces[equation], value)
+            if any(traces):
+                every_key_vanishes = False
+                break
+        try:
+            moduli._check_trace_identity(terms, diagonal, field.p)
+        except ConsistencyError as err:
+            assert "trace-zero" in str(err)
+            refused.append(name)
+            assert not every_key_vanishes, (name, d)
+        else:
+            assert every_key_vanishes, (name, d)
+    # the true layout always passes; the faulty one is caught wherever an
+    # arrow has entries
+    assert refused == ([] if not faulty else [name for name, _ in TRACE_SPACES])
+
+
+def test_fiber_entries_check_vectors_once(kron2, monkeypatch):
+    # d, eta and theta are checked by the public entry; the orbit and fiber
+    # helpers below it take them as checked and never check them again
+    calls = []
+    original = Quiver.check_vector
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Quiver, "check_vector", counted)
+    counts = []
+    for entry in (cbvdb_identity_check, lifting_fiber_check, enumerate_level_set):
+        calls.clear()
+        entry(kron2, (2, 1), (-1, 2), 3)
+        counts.append(len(calls))
+    assert counts == [8, 5, 3]
+
+
+BAD_DIMS = [(-1, 1), (1,), (1, 1, 1), (True, 1), (1.0, 1)]
+ORBIT_ENTRIES = [
+    ("orbit_partition", lambda d: orbits.orbit_partition(kronecker_quiver(2), d, 3)),
+    ("orbit_representatives", lambda d: counting.orbit_representatives(kronecker_quiver(2), d, 3)),
+    ("classify_classes", lambda d: classify_classes(kronecker_quiver(2), d, 3)),
+    ("count_report", lambda d: counting.count_report(kronecker_quiver(2), d, 3)),
+    ("check_galois_descent", lambda d: counting.check_galois_descent(kronecker_quiver(2), d, 3)),
+    ("enumerate_level_set", lambda d: enumerate_level_set(kronecker_quiver(2), d, (-1, 1), 3)),
+    ("moduli_point_count", lambda d: moduli_point_count(kronecker_quiver(2), d, (-1, 1), 3)),
+    ("cbvdb_identity_check", lambda d: cbvdb_identity_check(kronecker_quiver(2), d, (-1, 1), 3)),
+    ("lifting_fiber_check", lambda d: lifting_fiber_check(kronecker_quiver(2), d, (-1, 1), 3)),
+]
+
+
+@pytest.mark.parametrize("d", BAD_DIMS, ids=repr)
+@pytest.mark.parametrize("name,entry", ORBIT_ENTRIES, ids=[name for name, _ in ORBIT_ENTRIES])
+def test_orbit_entries_refuse_a_bad_d_before_charging(monkeypatch, name, entry, d):
+    # the private orbit and fiber helpers take d as check_dim returns it;
+    # every public entry that reaches them refuses a bad d first
+    def charged(*args):
+        raise AssertionError(f"{name} charged a partition before checking d")
+
+    monkeypatch.setattr(orbits, "_charge_partition", charged)
+    with pytest.raises(ValidationError, match="dimension vector|vector entries"):
+        entry(d)
 
 
 def test_specific_fiber_sizes(kron2, f3):
