@@ -7,8 +7,8 @@ and tests/test_acceptance.py both run these functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import reps
 from .counting import (
@@ -33,8 +33,7 @@ from .reps import all_representations, stability_verdict
 KAC_CAP = 2_500_000
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     cid: int
     name: str
     passed: bool

@@ -40,10 +40,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import astuple, dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from .errors import (
     ConsistencyError,
@@ -98,16 +98,27 @@ def orbit_representatives(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP):
     return ((decode(i), size) for i, size in zip(indices, sizes))
 
 
-@dataclass(frozen=True)
-class ClassCounts:
+class _ClassCountFields(NamedTuple):
     iso_classes: int
     indecomposable: int
     absolutely_indecomposable: int
 
-    def __post_init__(self):
-        ok = 0 <= self.absolutely_indecomposable <= self.indecomposable <= self.iso_classes
-        if not ok:
+
+class ClassCounts(_ClassCountFields):
+    """M, I and A of one (quiver, d, q), refused unless 0 <= A <= I <= M."""
+
+    __slots__ = ()
+
+    def __new__(cls, iso_classes: int, indecomposable: int, absolutely_indecomposable: int):
+        self = super().__new__(cls, iso_classes, indecomposable, absolutely_indecomposable)
+        if not 0 <= absolutely_indecomposable <= indecomposable <= iso_classes:
             raise ConsistencyError(f"count ordering violated: {self}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so it meets the same refusal
+        return cls(*iterable)
 
 
 def classify_classes(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> ClassCounts:
@@ -140,8 +151,7 @@ def classify_classes(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> Class
     )
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """One (quiver, d, q) counting run; field names M/I/A follow the
     standard notation for total, indecomposable and absolutely
     indecomposable iso-class counts."""
@@ -174,7 +184,7 @@ def count_report(
     method = "orbit-partition"
     if cross_check:
         by_chain = class_counts_by_hua(quiver, d, q, cap=cap)
-        for label, found, expected in zip("MIA", astuple(counts), astuple(by_chain)):
+        for label, found, expected in zip("MIA", counts, by_chain):
             if found != expected:
                 raise ConsistencyError(
                     f"orbit partition found {label} = {found}, the formula chain {expected}"

@@ -41,7 +41,7 @@ points of the orbit partition, the oracle with the q^(2n) doubled points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     ConsistencyError,
@@ -67,8 +67,7 @@ from .orbits import _shared_partitions, orbit_partition
 from .series import ExactPolynomial
 
 
-@dataclass(frozen=True)
-class MomentValue:
+class MomentValue(NamedTuple):
     """Per-vertex square matrices with vanishing total trace."""
 
     values: tuple[FqMatrix, ...]
@@ -232,10 +231,9 @@ def _check_generic(quiver: Quiver, d, theta, cap: int) -> tuple[tuple[int, ...],
     return d, theta
 
 
-def _level_and_points(quiver: Quiver, d, theta, q: int, cap: int) -> tuple[int, int]:
-    """(|level set|, |level set| / |G_d|) for (d, theta) as ``_check_generic``
-    returns them, from one fiber pass."""
-    level = enumerate_level_set(quiver, d, theta, q, cap=cap)
+def _points_of_level(level: int, d, q: int) -> int:
+    """|level set| / |G_d|; a remainder raises SmallCharacteristic, the
+    stand-in for "characteristic too small" of every theta-level entry."""
     order = g_order(d, q)
     points, rem = divmod(level, order)
     if rem:
@@ -244,7 +242,14 @@ def _level_and_points(quiver: Quiver, d, theta, q: int, cap: int) -> tuple[int, 
             "characteristic too small or theta not generic in this characteristic",
             level,
         )
-    return level, points
+    return points
+
+
+def _level_and_points(quiver: Quiver, d, theta, q: int, cap: int) -> tuple[int, int]:
+    """(|level set|, |level set| / |G_d|) for (d, theta) as ``_check_generic``
+    returns them, from one fiber pass."""
+    level = enumerate_level_set(quiver, d, theta, q, cap=cap)
+    return level, _points_of_level(level, d, q)
 
 
 def moduli_point_count(quiver: Quiver, d, theta, q: int, cap: int = DEFAULT_CAP) -> int:
@@ -257,8 +262,7 @@ def moduli_point_count(quiver: Quiver, d, theta, q: int, cap: int = DEFAULT_CAP)
     return _level_and_points(quiver, d, theta, q, cap)[1]
 
 
-@dataclass(frozen=True)
-class CbvdbCheck:
+class CbvdbCheck(NamedTuple):
     """One instance of the point-count identity |X(F_q)| = q^e * A(q);
     ``point_count`` is ``level_set`` (the theta-level set's size) over |G_d|."""
 
@@ -302,8 +306,7 @@ def cbvdb_identity_check(
     )
 
 
-@dataclass(frozen=True)
-class LiftingCheck:
+class LiftingCheck(NamedTuple):
     """Fiber profile of the projection from the theta-level set back to the
     plain representation space: q^(dim Ext^1(W, W)) over indecomposables,
     empty over everything else.  ``level_count`` sums the observed fibers
@@ -320,7 +323,9 @@ def lifting_fiber_check(
     quiver: Quiver, d, theta, q: int, cap: int = DEFAULT_CAP
 ) -> LiftingCheck:
     """Each orbit's fiber against q^(dim Ext^1(W, W)) if End(W) is local, else
-    0, from one ``_fiber_sizes`` pass, whose partition alone charges the cap."""
+    0, from one ``_fiber_sizes`` pass, whose partition alone charges the cap.
+    A level set that |G_d| does not divide raises SmallCharacteristic, as in
+    ``moduli_point_count``."""
     d, theta = _check_generic(quiver, d, theta, cap)
     euler = quiver.euler_form(d, d)
     level_count = 0
@@ -335,6 +340,7 @@ def lifting_fiber_check(
         # both sides are iso-invariant, so the first offending orbit holds the lex-first point
         if observed != expected and counterexample is None:
             counterexample = key
+    _points_of_level(level_count, d, q)
     return LiftingCheck(
         holds=counterexample is None,
         level_count=level_count,
@@ -343,8 +349,7 @@ def lifting_fiber_check(
     )
 
 
-@dataclass(frozen=True)
-class BettiReport:
+class BettiReport(NamedTuple):
     """Even-degree Betti numbers read off a counting polynomial."""
 
     e: int

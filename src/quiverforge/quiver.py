@@ -13,7 +13,6 @@ import hashlib
 import itertools
 import json
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 from typing import NamedTuple, Sequence
@@ -284,8 +283,7 @@ def serialize_quiver(quiver: Quiver) -> str:
     return _canonical(quiver.canonical_dict())
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(NamedTuple):
     """Symmetrized Euler-form matrix a and the loop-free vertex indices
     carrying fundamental roots."""
 

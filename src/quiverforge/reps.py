@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     CapExceeded,
@@ -166,8 +166,7 @@ def _check_comparable(w1: Representation, w2: Representation) -> None:
 # Hom and Ext
 
 
-@dataclass(frozen=True)
-class HomSpace:
+class HomSpace(NamedTuple):
     """Basis of the space of morphisms W -> W2, as vertex-indexed tuples."""
 
     source_dim: tuple[int, ...]
@@ -311,8 +310,7 @@ def _is_nilpotent_endo(fs) -> bool:
     return all(m.is_nilpotent() for m in fs)
 
 
-@dataclass(frozen=True)
-class EndoStructure:
+class EndoStructure(NamedTuple):
     """Shape of End(W): its dimension, radical, and residue field degree.
 
     For a decomposable W the ring is not local and the radical/residue data
@@ -485,15 +483,13 @@ def base_change(w: Representation, m: int) -> Representation:
 # stability
 
 
-@dataclass(frozen=True)
-class SubrepWitness:
+class SubrepWitness(NamedTuple):
     dims: tuple[int, ...]
     subspaces: tuple[FqMatrix, ...]
     theta_pairing: int
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     kind: str  # "stable" | "semistable-not-stable" | "unstable"
     witness: SubrepWitness | None
 

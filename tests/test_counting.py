@@ -1,7 +1,6 @@
 import itertools
 import time
 from collections import Counter
-from dataclasses import astuple
 from fractions import Fraction
 from math import comb, gcd, prod
 from types import SimpleNamespace
@@ -680,7 +679,7 @@ def test_stripping_matches_the_one_at_a_time_loop(q, unit, power):
 
 def test_a_large_one_point_space_is_classified(kron2):
     # Rep(Q, (300, 0)) is one point, the direct sum of 300 simples
-    assert astuple(classify_classes(kron2, (300, 0), 2)) == (1, 0, 0)
+    assert tuple(classify_classes(kron2, (300, 0), 2)) == (1, 0, 0)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -688,7 +687,7 @@ def test_the_zero_dimension_has_one_class_and_no_indecomposable(q):
     # the zero representation has one unit and no proper split to mark it
     for quiver in (jordan_quiver(), kronecker_quiver(2), star_quiver()):
         d = (0,) * len(quiver.vertices)
-        assert astuple(classify_classes(quiver, d, q)) == (1, 0, 0)
+        assert tuple(classify_classes(quiver, d, q)) == (1, 0, 0)
 
 
 def test_the_split_walk_stops_once_every_orbit_is_marked(monkeypatch):
@@ -703,7 +702,7 @@ def test_the_split_walk_stops_once_every_orbit_is_marked(monkeypatch):
 
     monkeypatch.setattr(orbits, "_splits", first_split_only)
     start = time.perf_counter()
-    assert astuple(classify_classes(star_quiver(), (0, 300, 300, 300, 300), 2)) == (1, 0, 0)
+    assert tuple(classify_classes(star_quiver(), (0, 300, 300, 300, 300), 2)) == (1, 0, 0)
     assert time.perf_counter() - start < 0.1
 
 
@@ -1453,7 +1452,7 @@ def test_a_huge_prime_q_is_refused_before_trial_division_where_q_n_is_small(kron
         with pytest.raises(CapExceeded, match="trial division of the field order"):
             call()
     # a q whose trial division fits the cap still answers
-    assert astuple(classify_classes(kron2, (0, 0), 1_000_000_007)) == (1, 0, 0)
+    assert tuple(classify_classes(kron2, (0, 0), 1_000_000_007)) == (1, 0, 0)
 
 
 def test_classify_classes_over_f_3_10_takes_no_order_walk(jordan):
@@ -1461,7 +1460,7 @@ def test_classify_classes_over_f_3_10_takes_no_order_walk(jordan):
     start = time.perf_counter()
     counts = classify_classes(jordan, (1,), 3**10)
     assert time.perf_counter() - start < 1
-    assert astuple(counts) == (3**10, 3**10, 3**10)
+    assert tuple(counts) == (3**10, 3**10, 3**10)
 
 
 def test_prime_power_stream():
@@ -1503,7 +1502,7 @@ def jordan_closed_forms(n, q):
 def test_chain_matches_the_jordan_closed_forms(n, q, expected):
     # (8,) at q = 9 would need 9^64 points of the orbit partition
     assert jordan_closed_forms(n, q) == expected
-    assert astuple(counting.class_counts_by_hua(QUIVERS["jordan"], (n,), q)) == expected
+    assert tuple(counting.class_counts_by_hua(QUIVERS["jordan"], (n,), q)) == expected
 
 
 @pytest.mark.parametrize("name", list(QUIVERS))
@@ -1532,7 +1531,7 @@ def test_chain_evaluates_each_hua_value_once(jordan, monkeypatch):
         return original(plan, big_q)
 
     monkeypatch.setattr(counting, "_log_series", counted)
-    assert astuple(counting.class_counts_by_hua(jordan, (4,), 2)) == jordan_closed_forms(4, 2)
+    assert tuple(counting.class_counts_by_hua(jordan, (4,), 2)) == jordan_closed_forms(4, 2)
     assert sorted(series) == [(2, (4,)), (4, (2,)), (8, (1,)), (16, (1,))]
 
 
@@ -1579,13 +1578,27 @@ def test_cross_check_names_the_quantity_that_disagrees(jordan, monkeypatch, labe
     original = counting.class_counts_by_hua
 
     def off_by_one(*args, **kwargs):
-        counts = list(astuple(original(*args, **kwargs)))
+        counts = list(original(*args, **kwargs))
         counts[index] += 1
         return counting.ClassCounts(*counts)
 
     monkeypatch.setattr(counting, "class_counts_by_hua", off_by_one)
     with pytest.raises(ConsistencyError, match=f"found {label} = "):
         count_report(jordan, (2,), 3, cross_check=True)
+
+
+@pytest.mark.parametrize("counts", [(1, 2, 0), (2, 1, 2), (1, 1, -1)])
+def test_class_counts_refuse_a_disordered_triple(counts):
+    with pytest.raises(ConsistencyError, match="count ordering violated"):
+        counting.ClassCounts(*counts)
+
+
+def test_class_counts_are_tuples_that_replace_through_the_same_refusal():
+    counts = counting.ClassCounts(3, 2, 1)
+    assert counts == (3, 2, 1) and counts._asdict()["indecomposable"] == 2
+    assert counts._replace(absolutely_indecomposable=2) == (3, 2, 2)
+    with pytest.raises(ConsistencyError, match="count ordering violated"):
+        counts._replace(indecomposable=4)
 
 
 # -- the generating identity

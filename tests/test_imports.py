@@ -1,7 +1,8 @@
 """What a fresh process loads: numpy only once an orbit partition runs,
-scipy never, and the result cache (with its POSIX-only ``fcntl``) only when
-the CLI does.  Each check runs in a subprocess, because this one already
-has numpy loaded (the tests import it)."""
+scipy never, ``dataclasses`` and ``inspect`` not before numpy (which loads
+``inspect``), and the result cache (with its POSIX-only ``fcntl``) only when
+the CLI does.  Each check runs in a subprocess, because this one already has
+numpy loaded (the tests import it)."""
 
 import json
 import os
@@ -62,3 +63,15 @@ def test_counting_and_moduli_run_without_fcntl_or_the_cache():
     ])
     loaded = loaded_after(body, ("quiverforge.cache",), prelude='sys.modules["fcntl"] = None')
     assert loaded == {"quiverforge.cache": False}
+
+
+def test_import_and_light_commands_load_neither_dataclasses_nor_inspect(tmp_path):
+    # the result records are NamedTuples, so no import generates their code
+    path = tmp_path / "kron2.json"
+    path.write_text(serialize_quiver(kronecker_quiver(2)))
+    body = "\n".join([
+        "from quiverforge import acceptance, cli, kac_polynomial, kronecker_quiver",
+        "assert kac_polynomial(kronecker_quiver(2), (1, 1)).integer_coefficients() == [1, 1]",
+        f"assert cli.main(['forms', '--quiver', {str(path)!r}, '--d', '2,1']) == 0",
+    ])
+    assert loaded_after(body, ("dataclasses", "inspect")) == {"dataclasses": False, "inspect": False}

@@ -460,6 +460,22 @@ def test_small_characteristic_diagnostic(kron2):
     assert orbits._SHARED_LABELS.get() is None
 
 
+def test_lifting_refuses_a_level_set_that_the_group_order_does_not_divide(kron2):
+    # theta.(1, 2) = 4 vanishes mod 2, so theta is not generic in
+    # characteristic 2: 9744 points, and |G_d| = 1008 does not divide them
+    d, theta, q = (3, 2), (-2, 3), 2
+    messages = set()
+    for check in (lifting_fiber_check, cbvdb_identity_check, moduli_point_count):
+        with pytest.raises(SmallCharacteristic) as info:
+            check(kron2, d, theta, q)
+        assert info.value.level_set == 9744
+        messages.add(str(info.value))
+    assert messages == {
+        "level-set count 9744 is not divisible by |G_d| = 1008: "
+        "characteristic too small or theta not generic in this characteristic"
+    }
+
+
 def test_cbvdb_examples(jordan, kron2, a2):
     check = cbvdb_identity_check(kron2, (1, 1), (-1, 1), 5)
     assert check.holds and check.point_count == 30 and check.expected == 5 * 6
