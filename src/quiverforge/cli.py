@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import re
@@ -151,6 +150,8 @@ def _code_fingerprint() -> str:
     """SHA-256 of the package's source files: the cache's version key, so
     that a record written by other code, same version number or not, is a
     miss."""
+    import hashlib  # loads OpenSSL's libcrypto, which only hashing needs
+
     digest = hashlib.sha256()
     for source in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(source.name.encode("utf-8") + b"\0")

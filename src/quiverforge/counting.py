@@ -15,23 +15,25 @@ over tuples of partitions; Galois descent turns A into I_e(q); and M_d(q)
 is the X^d coefficient of the Krull-Schmidt product
 prod_{0 < e <= d} (1 - X^e)^(-I_e) (Kac, LNM 996, 1983).
 
-Hua's formula is computed in three steps.  The tuples of partitions are
-tabulated once per (quiver, d), as merged terms X^m Q^e / prod_k (Q^k - 1)
-that serve every Q.  Each box that a log P(X, Q) is read on gets one
-Q-free plan per call (``_series_plan``): the box's points, the terms on it
-grouped by denominator and the pairs k < m the recurrence multiplies.
-Each log P is then one integer series on a plan (``_log_series``): with D
-the lcm of the terms' denominators at Q, P_m = p_m / D for integers p_m,
-and the Euler recurrence runs on the integers U_m = |m| [X^m] log P D^|m|,
-so the one division is the last one.  Every A_e(Q) is read through
-``_a_reader``, built once per (table, d, q): one series per Q = q^t, on
-the box floor(d/t), its Moebius terms summed over one integer denominator.
-Before the table is built the cap is charged with the partition tuples;
-before a series runs, and before its plan is built, with that series'
-pairs k <= m <= box.
+Hua's formula is computed in three steps.  Each box that a log P(X, Q) is
+read on gets one Q-free plan per process, keyed by arrow ends and box
+(``_box_plan``): the box's points, the terms of its table of partition
+tuples, X^m Q^e / prod_k (Q^k - 1) merged and grouped by denominator, and
+the pairs k < m the recurrence multiplies (``_series_plan``).  The table
+is dropped once the plan is built; only plans are retained, at most
+``_PLAN_MEMO_SIZE`` of them.  Each log P is then one integer series on a
+plan (``_log_series``): with D the lcm of the terms' denominators at Q,
+P_m = p_m / D for integers p_m, and the Euler recurrence runs on the
+integers U_m = |m| [X^m] log P D^|m|, so the one division is the last one.
+Every A_e(Q) is read through ``_a_reader``, built once per (d, q): one
+series per Q = q^t, on the box floor(d/t), its Moebius terms summed over
+one integer denominator.  Every call charges the cap with the partition
+tuples of d first, and with each series' pairs k <= m <= box before its
+plan is looked up, so a plan built by an earlier call never lets a call
+past its cap.
 
-Kac polynomials take A from Hua's formula too, one table and one plan per
-box for all nodes; the orbit partition's A is their test oracle.  Values at
+Kac polynomials take A from Hua's formula too, the plans shared by all
+nodes; the orbit partition's A is their test oracle.  Values at
 several prime powers feed an exact Lagrange interpolation whose result is
 verified at two surplus evaluation points before being returned.
 """
@@ -41,6 +43,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
@@ -258,22 +261,21 @@ def _charge_tuples(d: tuple[int, ...], cap: int) -> None:
     check_cap(prod(sum(counts[: dv + 1]) for dv in d), cap, "partition-tuple enumeration")
 
 
-def _hua_terms(quiver: Quiver, d: tuple[int, ...], cap: int) -> Counter:
-    """Hua's P as q-free terms: (m, e, ks) -> count, one term
-    X^m Q^e / prod_{k in ks} (Q^k - 1) per tuple of partitions pi with
-    |pi_i| = m_i <= d_i, since 1/b_lam(1/Q) = Q^(sum ks) / prod (Q^k - 1);
-    tuples with equal (m, e, ks) are merged.  Q is q, or q^r for the r-th
-    Adams term, so one table serves every Q, and its terms with m <= b are
-    the table of the box b.  The cap is charged with the partition tuples
-    before anything is built.
+def _hua_terms(ends, d: tuple[int, ...]) -> Counter:
+    """Hua's P as q-free terms, Q given by its arrow ``ends``: (m, e, ks) ->
+    count, one term X^m Q^e / prod_{k in ks} (Q^k - 1) per tuple of
+    partitions pi with |pi_i| = m_i <= d_i, since
+    1/b_lam(1/Q) = Q^(sum ks) / prod (Q^k - 1); tuples with equal (m, e, ks)
+    are merged.  Q is q, or q^r for the r-th Adams term, so one table serves
+    every Q.  Its prod_i sum_{n <= d_i} p(n) tuples are charged to the cap
+    by the caller (``_charge_tuples``).
     """
-    _charge_tuples(d, cap)
     per_vertex = [
         [(n, *_hua_data(lam)) for n in range(dv + 1) for lam in _partitions(n)] for dv in d
     ]
     terms: Counter = Counter()
     for pi in itertools.product(*per_vertex):
-        e = sum(_pairing(pi[t][1], pi[h][1]) for t, h in quiver.ends)
+        e = sum(_pairing(pi[t][1], pi[h][1]) for t, h in ends)
         ks: list[int] = []
         for _, conj, vertex_ks in pi:
             e += sum(vertex_ks) - _pairing(conj, conj)
@@ -282,8 +284,9 @@ def _hua_terms(quiver: Quiver, d: tuple[int, ...], cap: int) -> Counter:
     return terms
 
 
-class _SeriesPlan:
-    """Everything about log P(X, Q) on a box that does not depend on Q.
+class _SeriesPlan(NamedTuple):
+    """Everything about log P(X, Q) on a box that does not depend on Q,
+    tuples all through, so that a plan shared by many calls is read-only.
 
     ``points`` lists the box's m in lex order, so that k <= m gives
     flat(m) - flat(k) = flat(m - k); ``keys`` the denominators as (ks,
@@ -293,11 +296,12 @@ class _SeriesPlan:
     |m| - 1, each group two tuples (flat k, flat(m - k)).
     """
 
-    __slots__ = ("box", "points", "degree", "keys", "numerators", "pairs")
-
-    def __init__(self, box, points, degree, keys, numerators, pairs):
-        self.box, self.points, self.degree = box, points, degree
-        self.keys, self.numerators, self.pairs = keys, numerators, pairs
+    box: tuple[int, ...]
+    points: tuple[tuple[int, ...], ...]
+    degree: tuple[int, ...]
+    keys: tuple
+    numerators: tuple
+    pairs: tuple
 
 
 def _series_plan(terms: Counter, box: tuple[int, ...]) -> _SeriesPlan:
@@ -305,10 +309,10 @@ def _series_plan(terms: Counter, box: tuple[int, ...]) -> _SeriesPlan:
     terms with 0 < m <= box regrouped by denominator, and the pairs k < m
     the recurrence multiplies.  It holds the pairs of ``_charge_pairs``, so
     the cap is charged with them before a plan is built."""
-    points = list(itertools.product(*(range(b + 1) for b in box)))
+    points = tuple(itertools.product(*(range(b + 1) for b in box)))
     index = {m: flat for flat, m in enumerate(points)}
     strides = [prod(b + 1 for b in box[i + 1:]) for i in range(len(box))]
-    degree = [sum(m) for m in points]
+    degree = tuple(sum(m) for m in points)
     numerators: Counter = Counter()
     for (m, e, ks), count in terms.items():
         flat = index.get(m)
@@ -329,13 +333,29 @@ def _series_plan(terms: Counter, box: tuple[int, ...]) -> _SeriesPlan:
         box=box,
         points=points,
         degree=degree,
-        keys=keys,
-        numerators=[
+        keys=tuple(keys),
+        numerators=tuple(
             (key_index[ks, shift], flat, e, count)
             for (ks, shift, flat, e), count in numerators.items()
-        ],
-        pairs=pairs,
+        ),
+        pairs=tuple(pairs),
     )
+
+
+# Plans retained per process.  A plan can be large (the D~4 star's at
+# (6, 3, 3, 3, 3) holds about 25 MiB), so the memo is bounded, at twice the
+# 8 distinct (arrow ends, box) keys that a pass of the benchmark's ``kac``
+# workload, the one that reads the most, looks up.
+_PLAN_MEMO_SIZE = 16
+
+
+@lru_cache(maxsize=_PLAN_MEMO_SIZE)
+def _box_plan(ends, box: tuple[int, ...]) -> _SeriesPlan:
+    """The ``_series_plan`` of ``box`` for the quiver with arrow ``ends``,
+    built from the box's own ``_hua_terms`` table, which is then dropped:
+    one plan per process for each (ends, box), never a table.  Callers
+    charge the cap with the tuples and the box's pairs before they ask."""
+    return _series_plan(_hua_terms(ends, box), box)
 
 
 def _log_series(plan: _SeriesPlan, big_q: int) -> tuple[dict, int]:
@@ -376,20 +396,19 @@ def _log_series(plan: _SeriesPlan, big_q: int) -> tuple[dict, int]:
     return dict(zip(plan.points, u)), common
 
 
-def _a_reader(terms: Counter, d: tuple[int, ...], q: int, cap: int, plans: dict):
+def _a_reader(plan_of, d: tuple[int, ...], q: int, cap: int):
     """``a_at(e, Q)`` = A_e(Q) for 0 < e <= d and Q = q^s with s e <= d, from
-    ``terms``, a table that covers d, each value computed once:
+    ``plan_of(box)``, the ``_SeriesPlan`` of a box <= d (in production
+    ``_box_plan`` at the quiver's arrow ends, one plan per process, keyed
+    by arrow ends and box), each value computed once:
 
         A_e(Q) = (Q - 1) sum_{r | gcd e} (mu(r)/r) [X^(e/r)] log P(X, Q^r).
 
     Each t gets one ``_log_series`` at q^t, on the box floor(d/t), charged
-    with its pair products just before its plan is looked up or built and
-    the series runs: every [X^m] log P(X, q^t) read has m = e/r with
-    t = s r, so m <= floor(d/t).  ``plans``, a dict the caller creates for
-    one call, keeps one ``_series_plan`` per box, so that readers for
-    several q on the same table share them and none outlives the call.
-    The Moebius terms are summed over one integer denominator; a
-    non-integer value is a hard error."""
+    with its pair products just before its plan is looked up and the series
+    runs: every [X^m] log P(X, q^t) read has m = e/r with t = s r, so
+    m <= floor(d/t).  The Moebius terms are summed over one integer
+    denominator; a non-integer value is a hard error."""
     exponent = {q**t: t for t in range(1, max(d, default=0) + 1)}
     series: dict = {}
     values: dict = {}
@@ -398,9 +417,7 @@ def _a_reader(terms: Counter, d: tuple[int, ...], q: int, cap: int, plans: dict)
         if t not in series:
             box = tuple(x // t for x in d)
             _charge_pairs(box, cap)
-            if box not in plans:
-                plans[box] = _series_plan(terms, box)
-            series[t] = _log_series(plans[box], q**t)
+            series[t] = _log_series(plan_of(box), q**t)
         return series[t]
 
     def a_at(e: tuple[int, ...], big_q: int) -> int:
@@ -436,13 +453,14 @@ def abs_indecomposable_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP)
 
     pi running over tuples of partitions, one per vertex, with |pi_i| <= d_i,
     and [X^d] Log P = sum_{r | gcd d} (mu(r)/r) [X^(d/r)] log P(X, q^r).
-    No representation is enumerated.  P's terms are tabulated once, free of
-    q; each log P(X, q^r) is then taken in integers, by the Euler recurrence
+    No representation is enumerated.  P's terms are tabulated free of q,
+    into one plan per box retained per process (``_box_plan``); each
+    log P(X, q^r) is then taken in integers, by the Euler recurrence
     on U_m = |m| L_m D^|m| with D the lcm of the terms' denominators, and
     the one division is L_m = U_m / (|m| D^|m|) (see ``_log_series``).
-    Before the table is built the cap budgets the partition tuples,
+    Before any plan is looked up the cap budgets the partition tuples,
     prod_i sum_{n <= d_i} p(n); before each log P(X, q^r) runs, its pair
-    products prod_i (d_i/r + 1)(d_i/r + 2)/2.
+    products prod_i (d_i/r + 1)(d_i/r + 2)/2, on every call.
     A non-integer result is a hard error.
     """
     d = quiver.check_dim(d)
@@ -450,7 +468,8 @@ def abs_indecomposable_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP)
         raise ValidationError("A_d needs a nonzero dimension vector")
     if not isinstance(q, int) or q < 2:
         raise ValidationError(f"Hua's formula needs an integer q >= 2, got {q!r}")
-    return _a_reader(_hua_terms(quiver, d, cap), d, q, cap, {})(d, q)
+    _charge_tuples(d, cap)
+    return _a_reader(partial(_box_plan, quiver.ends), d, q, cap)(d, q)
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +484,12 @@ def kac_polynomial(
     Evaluates A_d at the smallest prime powers, by Hua's formula unless
     ``a_fn(d, q)`` is given (the orbit partition's A, read off
     ``classify_classes``, is the brute-force oracle), interpolates exactly,
-    and verifies the result at two surplus prime powers.  Hua's term table
-    is built, and its partition tuples charged, once for all nodes, with one
-    ``_a_reader`` per node.  The readers share one dict of series plans,
-    created here, so each box's plan is built once per call and dropped
-    with it; each log series is charged just before its plan is looked up
-    and it runs.
+    and verifies the result at two surplus prime powers.  The partition
+    tuples of d are charged once for all nodes, with one ``_a_reader`` per
+    node.  The readers take each box's series plan from ``_box_plan``,
+    built once per process, keyed by arrow ends and box (term tables are
+    not retained); each log series is charged just before its plan is
+    looked up and it runs, on every call.
     If verification fails the degree bound is raised once; a second failure
     raises NonPolynomialBehavior carrying all evaluations.
     """
@@ -478,9 +497,9 @@ def kac_polynomial(
     if not any(d):
         raise ValidationError("Kac polynomial needs a nonzero dimension vector")
     if a_fn is None:
-        terms = _hua_terms(quiver, d, cap)
-        plans: dict = {}
-        a_fn = lambda dd, qq: _a_reader(terms, dd, qq, cap, plans)(dd, qq)
+        _charge_tuples(d, cap)
+        plan_of = partial(_box_plan, quiver.ends)
+        a_fn = lambda dd, qq: _a_reader(plan_of, dd, qq, cap)(dd, qq)
     degree_bound = max(0, quiver.expected_moduli_dim(d))
     evaluations: dict[int, int] = {}
 
@@ -609,10 +628,10 @@ def class_counts_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> Cl
         I_e = galois_descent_I over those values, for every 0 < e <= d;
         M_d = [X^d] prod_{0 < e <= d} (1 - X^e)^(-I_e).
 
-    Hua's term table is built once, for d, and one ``_a_reader`` serves
-    every A_e(q^s) that descent reads, with one integer log series per
-    Q = q^t.  The independent oracle for ``classify_classes``; the cap is
-    charged with the table's partition tuples and each series' pair
+    One ``_a_reader`` serves every A_e(q^s) that descent reads, with one
+    integer log series per Q = q^t on its box's plan (``_box_plan``).  The
+    independent oracle for ``classify_classes``; the cap is
+    charged with d's partition tuples and each series' pair
     products, the tuples and the largest series (box d), and then the
     trial division of q, before q is factored.
     """
@@ -622,8 +641,7 @@ def class_counts_by_hua(quiver: Quiver, d, q: int, cap: int = DEFAULT_CAP) -> Cl
         _charge_pairs(d, cap)
     _charge_factoring(q, cap)
     field_from_order(q)  # the counts are over the field F_q
-    terms = _hua_terms(quiver, d, cap) if any(d) else Counter()
-    a_at = _a_reader(terms, d, q, cap, {})
+    a_at = _a_reader(partial(_box_plan, quiver.ends), d, q, cap)
     box = list(itertools.product(*(range(x + 1) for x in d)))
     indec = {e: galois_descent_I(quiver, e, q, a_at) for e in box[1:]}
     return ClassCounts(

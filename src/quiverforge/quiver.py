@@ -9,7 +9,6 @@ order.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import operator
@@ -259,6 +258,8 @@ class Quiver:
 
     def content_hash(self) -> str:
         """SHA-256 of the quiver's serialized form, the key of its cached results."""
+        import hashlib  # loads OpenSSL's libcrypto, which only hashing needs
+
         return hashlib.sha256(serialize_quiver(self).encode("utf-8")).hexdigest()
 
     def __eq__(self, other):

@@ -2,6 +2,7 @@ import itertools
 import time
 from collections import Counter
 from fractions import Fraction
+import math
 from math import comb, gcd, prod
 from types import SimpleNamespace
 
@@ -1222,9 +1223,9 @@ def test_integer_log_series_matches_the_fraction_recurrence(series):
         assert Fraction(u[m], sum(m) * common ** sum(m)) == value, m
 
 
-def test_kac_builds_one_plan_per_box_per_call(kron2, monkeypatch):
+def test_kac_builds_one_plan_per_box_per_process(kron2, monkeypatch):
     # the nodes q = 2, 3, 4 and the checks 5, 7 read log P on the box (2, 2)
-    # at Q = q and on (1, 1) at Q = q^2; each box gets one plan per call
+    # at Q = q and on (1, 1) at Q = q^2; each box gets one plan per process
     built = []
     original = counting._series_plan
 
@@ -1233,17 +1234,62 @@ def test_kac_builds_one_plan_per_box_per_call(kron2, monkeypatch):
         return original(terms, box)
 
     monkeypatch.setattr(counting, "_series_plan", counted)
+    counting._box_plan.cache_clear()
+    assert kac_polynomial(kron2, (2, 2)).integer_coefficients() == [1, 1]
     assert kac_polynomial(kron2, (2, 2)).integer_coefficients() == [1, 1]
     assert sorted(built) == [(1, 1), (2, 2)]
+
+
+def test_a_warm_memo_refuses_at_the_same_cap(kron2, monkeypatch):
     assert kac_polynomial(kron2, (2, 2)).integer_coefficients() == [1, 1]
-    assert sorted(built) == [(1, 1), (1, 1), (2, 2), (2, 2)]
+    assert class_counts_by_hua(kron2, (2, 2), 2) == (16, 4, 3)
+
+    def forbidden(*args):
+        raise AssertionError("series plan built twice in one process")
+
+    monkeypatch.setattr(counting, "_series_plan", forbidden)
+    assert kac_polynomial(kron2, (2, 2)).integer_coefficients() == [1, 1]
+    # the plans of (2, 2) and (1, 1) are warm, and still the cap is charged
+    with pytest.raises(CapExceeded) as info:
+        kac_polynomial(kron2, (2, 2), cap=35)
+    assert info.value.needed == 36
+    with pytest.raises(CapExceeded) as info:
+        class_counts_by_hua(kron2, (2, 2), 2, cap=35)
+    assert info.value.needed == 36
+
+
+@pytest.mark.parametrize(
+    "name,d,q",
+    [("kron2", (2, 1), q) for q in (2, 3, 4, 5)]
+    + [("kron2", (2, 2), 2), ("jordan", (2,), 5), ("jordan", (2,), 7), ("jordan", (3,), 2)],
+)
+def test_cold_and_warm_plans_give_the_orbit_partition_counts(name, d, q):
+    quiver = QUIVERS[name]
+    counting._box_plan.cache_clear()
+    cold = class_counts_by_hua(quiver, d, q)
+    warm = class_counts_by_hua(quiver, d, q)
+    assert counting._box_plan.cache_info().hits
+    assert cold == warm == classify_classes(quiver, d, q)
+
+
+def test_the_plan_memo_stays_within_its_bound(kron2):
+    bound = counting._PLAN_MEMO_SIZE
+    assert counting._box_plan.cache_info().maxsize == bound
+    counting._box_plan.cache_clear()
+    # every nonzero d in the square reads the plan of its own box d
+    for d in itertools.product(range(math.isqrt(bound) + 2), repeat=2):
+        if any(d):
+            counting.abs_indecomposable_by_hua(kron2, d, 2)
+            assert counting._box_plan.cache_info().currsize <= bound
+    assert counting._box_plan.cache_info().misses > bound
 
 
 def test_no_plan_is_built_past_the_cap(kron2, monkeypatch):
     def forbidden(*args):
-        raise AssertionError("series plan built past the cap")
+        raise AssertionError("series plan built or looked up past the cap")
 
     monkeypatch.setattr(counting, "_series_plan", forbidden)
+    monkeypatch.setattr(counting, "_box_plan", forbidden)
     with pytest.raises(CapExceeded) as info:
         kac_polynomial(kron2, (2, 2), cap=35)
     assert info.value.needed == 36
@@ -1255,7 +1301,8 @@ def test_no_plan_is_built_past_the_cap(kron2, monkeypatch):
 def test_a_at_refuses_a_non_integer_value(jordan):
     # a doctored table: P = 1 + X / (Q - 1)^2, so A_1(Q) = 1 / (Q - 1)
     terms = Counter({((0,), 0, ()): 1, ((1,), 0, (1, 1)): 1})
-    a_at = counting._a_reader(terms, (1,), 3, DEFAULT_CAP, {})
+    plan_of = lambda box: counting._series_plan(terms, box)
+    a_at = counting._a_reader(plan_of, (1,), 3, DEFAULT_CAP)
     with pytest.raises(ConsistencyError) as info:
         a_at((1,), 3)
     assert str(info.value) == "Hua's formula gives a non-integer A_d(3) = 1/2 for d=(1,)"
@@ -1569,6 +1616,7 @@ def test_chain_refuses_a_q_that_is_not_a_prime_power_before_any_table(kron2, mon
         raise AssertionError("Hua's table built for a q that is not a prime power")
 
     monkeypatch.setattr(counting, "_hua_terms", forbidden)
+    monkeypatch.setattr(counting, "_box_plan", forbidden)
     with pytest.raises(ValidationError, match="^6 is not a prime power$"):
         counting.class_counts_by_hua(kron2, d, 6)
 

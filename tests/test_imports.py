@@ -1,6 +1,7 @@
 """What a fresh process loads: numpy only once an orbit partition runs,
 scipy never, ``dataclasses`` and ``inspect`` not before numpy (which loads
-``inspect``), and the result cache (with its POSIX-only ``fcntl``) only when
+``inspect``), ``hashlib`` (which maps OpenSSL's libcrypto) only when a hash
+is taken, and the result cache (with its POSIX-only ``fcntl``) only when
 the CLI does.  Each check runs in a subprocess, because this one already has
 numpy loaded (the tests import it)."""
 
@@ -75,3 +76,16 @@ def test_import_and_light_commands_load_neither_dataclasses_nor_inspect(tmp_path
         f"assert cli.main(['forms', '--quiver', {str(path)!r}, '--d', '2,1']) == 0",
     ])
     assert loaded_after(body, ("dataclasses", "inspect")) == {"dataclasses": False, "inspect": False}
+
+
+def test_import_kac_forms_and_betti_load_no_hashlib(tmp_path):
+    # only a quiver's content hash and the cache's version key take a hash
+    path = tmp_path / "kron2.json"
+    path.write_text(serialize_quiver(kronecker_quiver(2)))
+    body = "\n".join([
+        "from quiverforge import cli, kac_polynomial, kronecker_quiver",
+        "assert kac_polynomial(kronecker_quiver(2), (2, 2)).integer_coefficients() == [1, 1]",
+        f"assert cli.main(['forms', '--quiver', {str(path)!r}, '--d', '2,1']) == 0",
+        f"assert cli.main(['betti', '--quiver', {str(path)!r}, '--d', '1,1', '--theta', '-1,1']) == 0",
+    ])
+    assert loaded_after(body, ("hashlib", "_hashlib")) == {"hashlib": False, "_hashlib": False}
